@@ -2,8 +2,10 @@ GO ?= go
 
 .PHONY: check lint lint-fixtures build vet test race bench bench-telemetry bench-sweep bench-sweep-short soak soak-edge soak-fleet soak-crash bench-edge bench-fleet bench-fleet-short
 
-# check is the one-command tier-1 gate every PR must pass.
-check: lint build race bench-telemetry bench-sweep-short bench-fleet-short soak soak-edge soak-fleet soak-crash
+# check is the one-command tier-1 gate every PR must pass. The gate list
+# lives in scripts/check.sh alone; the targets below run its pieces locally.
+check:
+	sh scripts/check.sh
 
 # lint is the static-analysis gate: formatting, go vet, and abrlint (the
 # project analyzer suite in internal/lint — determinism, units, nopanic,

@@ -53,10 +53,12 @@ func BenchmarkPredErr(b *testing.B) {
 	benchExperiment(b, "prederr", 2)
 }
 
-// Ablation and extension benches (DESIGN.md's "alpha" and "liveext").
+// Ablation and extension benches (DESIGN.md's "alpha", "liveext" and
+// "multiclient").
 
 func BenchmarkAblationAlpha(b *testing.B) { benchExperiment(b, "alpha", 2) }
 func BenchmarkExtensionLive(b *testing.B) { benchExperiment(b, "liveext", 2) }
+func BenchmarkMultiClient(b *testing.B)   { benchExperiment(b, "multiclient", 2) }
 func BenchmarkCBRvsVBR(b *testing.B)      { benchExperiment(b, "cbrvbr", 2) }
 func BenchmarkStartupSweep(b *testing.B)  { benchExperiment(b, "startup", 2) }
 func BenchmarkChunkDuration(b *testing.B) { benchExperiment(b, "chunkdur", 2) }

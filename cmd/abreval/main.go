@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id (fig1..fig11, table1, table2, codec, cap4x, prederr, live)")
+		exp      = flag.String("exp", "", "experiment id (see -list)")
 		all      = flag.Bool("all", false, "run every experiment")
 		list     = flag.Bool("list", false, "list experiment ids")
 		traces   = flag.Int("traces", 0, "traces per set (default 200)")

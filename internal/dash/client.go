@@ -29,7 +29,8 @@ type ClientConfig struct {
 	// in the same virtual time as the network (1 for real time).
 	TimeScale float64
 	// StartupSec and MaxBufferSec mirror the simulator configuration
-	// (virtual seconds; defaults 10 and 100).
+	// (virtual seconds; zero selects player.DefaultStartupSec and
+	// player.DefaultMaxBufferSec).
 	StartupSec   float64
 	MaxBufferSec float64
 	// Predictor estimates bandwidth; nil uses the harmonic mean of the
@@ -103,17 +104,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
-	if cfg.StartupSec <= 0 {
-		cfg.StartupSec = 10
-	}
-	if cfg.MaxBufferSec <= 0 {
-		cfg.MaxBufferSec = 100
-	}
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = newDefaultHTTPClient()
-	}
-	if cfg.Predictor == nil {
-		cfg.Predictor = bandwidth.NewHarmonicMean(bandwidth.DefaultWindow)
 	}
 	reg := cfg.Metrics
 	return &Client{

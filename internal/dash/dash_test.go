@@ -250,7 +250,7 @@ func TestClientConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.TimeScale != 1 || c.cfg.StartupSec != 10 || c.cfg.MaxBufferSec != 100 {
+	if c.cfg.TimeScale != 1 || c.cfg.HTTPClient == nil {
 		t.Errorf("defaults not applied: %+v", c.cfg)
 	}
 }

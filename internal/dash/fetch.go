@@ -199,23 +199,32 @@ func newFetcher(c *Client, m *Manifest, rc ResilienceConfig,
 	}
 }
 
-// retryWait returns the virtual-seconds wait before retry r (0-based).
-// The base is a capped exponential with seeded FULL jitter — uniform in
-// [0, cap) rather than [cap/2, cap) — so concurrent sessions that failed
-// together spread their retries across the whole window instead of
-// re-colliding in lockstep. When the failed attempt carried a server
-// Retry-After hint (wall seconds, from load shedding or an open breaker),
-// the hint is honored as a floor: the client never returns before the
-// server asked it to, with the jitter decorrelating arrivals beyond it.
-func (f *fetcher) retryWait(r int, retryAfterWallSec float64) float64 {
-	d := f.rc.BaseBackoffSec
-	for i := 0; i < r && d < f.rc.MaxBackoffSec; i++ {
+// JitteredBackoff returns the pause before retry r (0-based): the capped
+// exponential min(baseSec·2^r, maxSec) scaled by one seeded FULL-jitter
+// draw from rng — uniform in [0, cap) rather than [cap/2, cap) — so
+// concurrent retriers that failed together spread across the whole window
+// instead of re-colliding in lockstep. The result is in the units of
+// baseSec and maxSec. rng is not locked: callers that share it across
+// goroutines serialize the call.
+func JitteredBackoff(rng *rand.Rand, r int, baseSec, maxSec float64) float64 {
+	d := baseSec
+	for i := 0; i < r && d < maxSec; i++ {
 		d *= 2
 	}
-	if d > f.rc.MaxBackoffSec {
-		d = f.rc.MaxBackoffSec
+	if d > maxSec {
+		d = maxSec
 	}
-	wait := d * f.rng.Float64()
+	return d * rng.Float64()
+}
+
+// retryWait returns the virtual-seconds wait before retry r (0-based): the
+// jittered backoff under the policy's bounds. When the failed attempt
+// carried a server Retry-After hint (wall seconds, from load shedding or an
+// open breaker), the hint is honored as a floor: the client never returns
+// before the server asked it to, with the jitter decorrelating arrivals
+// beyond it.
+func (f *fetcher) retryWait(r int, retryAfterWallSec float64) float64 {
+	wait := JitteredBackoff(f.rng, r, f.rc.BaseBackoffSec, f.rc.MaxBackoffSec)
 	if retryAfterWallSec > 0 {
 		// Retry-After is wall seconds; the wait below is virtual.
 		wait += retryAfterWallSec * f.scale

@@ -557,18 +557,12 @@ func (e *Edge) fetchOnce(ctx context.Context, origin int, path, session string) 
 }
 
 // failoverBackoff returns the wall-seconds pause before failover attempt r
-// (0-based): capped exponential with seeded full jitter.
+// (0-based): dash.JitteredBackoff under the edge's bounds, with the shared
+// RNG serialized across concurrent requests.
 func (e *Edge) failoverBackoff(r int) float64 {
-	d := e.cfg.FailoverBackoffSec
-	for i := 0; i < r && d < e.cfg.FailoverBackoffMaxSec; i++ {
-		d *= 2
-	}
-	if d > e.cfg.FailoverBackoffMaxSec {
-		d = e.cfg.FailoverBackoffMaxSec
-	}
 	e.rngMu.Lock()
 	defer e.rngMu.Unlock()
-	return d * e.rng.Float64()
+	return dash.JitteredBackoff(e.rng, r, e.cfg.FailoverBackoffSec, e.cfg.FailoverBackoffMaxSec)
 }
 
 // reply writes a buffered origin response to the client.

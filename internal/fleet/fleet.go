@@ -8,8 +8,9 @@
 // answers the scale question the paper's trace-driven methodology implies:
 // what do QoE, rebuffering and switching look like across an entire
 // population? Every session runs the same player.StepState core as
-// player.Simulate and the DASH testbed client — one simulator, three
-// frontends — so a one-session fleet reproduces player.Simulate exactly
+// player.Simulate, the live and shared-link simulators and the DASH testbed
+// client — one simulator, five frontends — so a one-session fleet
+// reproduces player.Simulate exactly
 // (see TestFleetEquivalence).
 //
 // Scale comes from four properties:

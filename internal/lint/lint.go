@@ -107,13 +107,15 @@ func DefaultConfig() Config {
 		// player chunk-step core, the fleet drain/shard loop and event heap,
 		// and the bandwidth predictor ring.
 		HotPathFuncs: []string{
-			"internal/player:Advance", "internal/player:BeginChunk",
+			"internal/player:Advance", "internal/player:advance",
+			"internal/player:BeginChunk", "internal/player:beginChunk",
 			"internal/player:WantDelay", "internal/player:FullBufferWait",
 			"internal/player:Refresh", "internal/player:Decide",
 			"internal/player:FinishDownload", "internal/player:SkipChunk",
 			"internal/player:MaybeStartup", "internal/player:NextChunk",
 			"internal/player:drainFor", "internal/player:ElapseTo",
-			"internal/player:AddStall", "internal/player:NoteWait",
+			"internal/player:AddStall", "internal/player:AddSessionStall",
+			"internal/player:NoteWait",
 			"internal/fleet:drain", "internal/fleet:runBatch",
 			"internal/fleet:stepSession", "internal/fleet:advanceSession",
 			"internal/fleet:observeChunk",

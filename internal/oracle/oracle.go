@@ -25,11 +25,10 @@ import (
 	"cava/internal/video"
 )
 
-// Config parametrizes the planner.
+// Config parametrizes the planner. The player constraints are the
+// simulator's defaults, player.DefaultStartupSec and
+// player.DefaultMaxBufferSec, so plans replay under player.DefaultConfig.
 type Config struct {
-	// StartupSec and MaxBufferSec mirror player.Config (defaults 10/100).
-	StartupSec   float64
-	MaxBufferSec float64
 	// LambdaSwitch weighs the quality-change penalty; 0 selects the
 	// default of 1, negative selects pure quality maximization (λ = 0).
 	LambdaSwitch float64
@@ -57,12 +56,6 @@ func Compute(v *video.Video, tr *trace.Trace, qt *quality.Table, cfg Config) (*P
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.StartupSec <= 0 {
-		cfg.StartupSec = 10
-	}
-	if cfg.MaxBufferSec <= 0 {
-		cfg.MaxBufferSec = 100
-	}
 	if cfg.LambdaSwitch < 0 {
 		cfg.LambdaSwitch = 0
 	} else if cfg.LambdaSwitch == 0 {
@@ -77,7 +70,7 @@ func Compute(v *video.Video, tr *trace.Trace, qt *quality.Table, cfg Config) (*P
 
 	// startupChunks is how many chunks must complete before playback
 	// starts; the playback clock s is their completion time.
-	p.startupChunks = int(math.Ceil(cfg.StartupSec / v.ChunkDurSec))
+	p.startupChunks = int(math.Ceil(player.DefaultStartupSec / v.ChunkDurSec))
 	if p.startupChunks < 1 {
 		p.startupChunks = 1
 	}
@@ -170,7 +163,7 @@ func (p *planner) deadline(i int, playStart float64) float64 {
 func (p *planner) startTime(i int, prevDone, playStart float64) float64 {
 	// Buffer occupancy at x: i·Δ − (x − playStart) video-seconds (chunks
 	// 0..i−1 downloaded). Starting chunk i requires occupancy + Δ ≤ max.
-	earliest := playStart + float64(i+1)*p.v.ChunkDurSec - p.cfg.MaxBufferSec
+	earliest := playStart + float64(i+1)*p.v.ChunkDurSec - player.DefaultMaxBufferSec
 	if prevDone > earliest {
 		return prevDone
 	}

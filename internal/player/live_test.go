@@ -3,6 +3,7 @@ package player
 import (
 	"testing"
 
+	"cava/internal/telemetry"
 	"cava/internal/trace"
 )
 
@@ -108,5 +109,26 @@ func TestLiveValidatesInputs(t *testing.T) {
 	v := testVideo()
 	if _, err := SimulateLive(v, &trace.Trace{IntervalSec: 0}, fixedAlgo(v, 0), DefaultConfig(), LiveConfig{}); err == nil {
 		t.Error("bad trace accepted")
+	}
+}
+
+func TestLiveHonorsRecorder(t *testing.T) {
+	v := testVideo()
+	ring := telemetry.NewRing(0)
+	cfg := DefaultConfig()
+	cfg.Recorder = ring
+	res, err := SimulateLive(v, trace.Constant("fast", 100e6, 1200, 1), fixedAlgo(v, 0), cfg, LiveConfig{EncoderDelaySec: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[telemetry.Kind]int{}
+	for _, ev := range ring.Events() {
+		counts[ev.Kind]++
+	}
+	if counts[telemetry.KindDownload] != len(res.Chunks) || len(res.Chunks) != v.NumChunks() {
+		t.Errorf("%d download events for %d chunks", counts[telemetry.KindDownload], len(res.Chunks))
+	}
+	if counts[telemetry.KindStartup] != 1 {
+		t.Errorf("%d startup events, want 1", counts[telemetry.KindStartup])
 	}
 }

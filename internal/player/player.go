@@ -37,9 +37,15 @@ type Config struct {
 	SessionID string
 }
 
+// The paper's §6.1 session defaults, applied to zero Config values.
+const (
+	DefaultStartupSec   = 10
+	DefaultMaxBufferSec = 100
+)
+
 // DefaultConfig returns the paper's evaluation configuration.
 func DefaultConfig() Config {
-	return Config{StartupSec: 10, MaxBufferSec: 100}
+	return Config{StartupSec: DefaultStartupSec, MaxBufferSec: DefaultMaxBufferSec}
 }
 
 // ChunkRecord logs one chunk download.

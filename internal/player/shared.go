@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"cava/internal/abr"
-	"cava/internal/bandwidth"
+	"cava/internal/telemetry"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -35,6 +35,10 @@ type SharedClient struct {
 
 // SimulateShared runs all clients to completion over the shared link and
 // returns one Result per client, in input order.
+//
+// Each client is a StepState driven through the phase API; this function
+// only schedules the link. Between events every client's clock advances by
+// the same span, so all unfinished clients share one virtual time.
 func SimulateShared(tr *trace.Trace, clients []SharedClient) ([]*Result, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -43,113 +47,79 @@ func SimulateShared(tr *trace.Trace, clients []SharedClient) ([]*Result, error) 
 		return nil, fmt.Errorf("player: no clients")
 	}
 
-	type cstate struct {
-		sc   SharedClient
-		res  *Result
-		pred bandwidth.Predictor
-
-		chunk     int     // next chunk index to request
+	// link is one client's scheduler state around its session core.
+	type link struct {
+		s         StepState
+		est       float64 // estimate the in-flight decision saw
 		remaining float64 // bits left of the in-flight download (0 = none)
-		inflight  ChunkRecord
-		wakeAt    float64 // waiting (full buffer / scheme delay) until this time
-		buffer    float64
-		playing   bool
-		prevLevel int
-		lastTput  float64
+		inflight  bool
+		wakeAt    float64 // waiting (join, full buffer, scheme delay) until this time
 		done      bool
 	}
-
-	states := make([]*cstate, len(clients))
+	links := make([]link, len(clients))
 	for i, sc := range clients {
 		if err := sc.Video.Validate(); err != nil {
 			return nil, fmt.Errorf("player: client %d: %w", i, err)
 		}
 		cfg := sc.Config
-		if cfg.StartupSec <= 0 {
-			cfg.StartupSec = 10
+		if cfg.Recorder != nil && cfg.SessionID == "" {
+			// Clients may share video, trace and scheme; keep their
+			// trace events apart.
+			cfg.SessionID = fmt.Sprintf("%s#%d", telemetry.SessionID(sc.Video.ID(), tr.ID, sc.Algo.Name()), i)
 		}
-		if cfg.MaxBufferSec <= 0 {
-			cfg.MaxBufferSec = 100
-		}
-		pred := cfg.Predictor
-		if pred == nil {
-			pred = bandwidth.NewHarmonicMean(bandwidth.DefaultWindow)
-		}
-		pred.Reset()
-		sc.Config = cfg
-		states[i] = &cstate{
-			sc:        sc,
-			res:       &Result{VideoID: sc.Video.ID(), TraceID: tr.ID, Scheme: sc.Algo.Name()},
-			pred:      pred,
-			prevLevel: -1,
-			wakeAt:    sc.JoinDelaySec,
-		}
+		links[i].s.Init(sc.Video, sc.Video.ID(), tr.ID, sc.Algo, cfg, true)
+		links[i].wakeAt = sc.JoinDelaySec
 	}
 
 	now := 0.0
 	const eps = 1e-9
 
-	// decide prompts a client for its next action at time `now`; it either
+	// decide prompts a client for its next action at time now; it either
 	// starts a download (remaining > 0) or sets a wake time.
-	decide := func(st *cstate) {
-		v := st.sc.Video
-		if st.chunk >= v.NumChunks() {
-			st.done = true
-			st.res.SessionSec = now
+	decide := func(l *link) {
+		s := &l.s
+		if s.Done() {
+			l.done = true
 			return
 		}
-		s := abr.State{
-			ChunkIndex:        st.chunk,
-			Now:               now,
-			Buffer:            st.buffer,
-			Playing:           st.playing,
-			PrevLevel:         st.prevLevel,
-			Est:               st.pred.Predict(now),
-			LastThroughputBps: st.lastTput,
-		}
-		if d, ok := st.sc.Algo.(abr.Delayer); ok {
-			if w := d.Delay(s); w > 0 {
-				st.wakeAt = now + w
-				return
-			}
-		}
-		if st.playing && st.buffer+v.ChunkDurSec > st.sc.Config.MaxBufferSec {
-			st.wakeAt = now + (st.buffer + v.ChunkDurSec - st.sc.Config.MaxBufferSec)
+		st := s.BeginChunk()
+		if w := s.WantDelay(st); w > 0 {
+			l.wakeAt = now + w
 			return
 		}
-		level := st2level(st.sc.Algo, s, v.NumTracks())
-		st.inflight = ChunkRecord{
-			Index:        st.chunk,
-			Level:        level,
-			SizeBits:     v.ChunkSize(level, st.chunk),
-			StartTime:    now,
-			BufferBefore: st.buffer,
+		if w := s.FullBufferWait(); w > 0 {
+			l.wakeAt = now + w
+			return
 		}
-		st.remaining = st.inflight.SizeBits
-		st.wakeAt = 0
+		level := s.Decide(st)
+		s.Rec.Level = level
+		s.Rec.SizeBits = s.v.ChunkSize(level, s.Chunk)
+		s.Rec.StartTime = now
+		l.est, l.remaining, l.inflight, l.wakeAt = st.Est, s.Rec.SizeBits, true, 0
 	}
 
-	for _, st := range states {
-		if st.wakeAt <= 0 {
-			decide(st)
+	for i := range links {
+		if links[i].wakeAt <= 0 {
+			decide(&links[i])
 		}
 	}
 
 	for {
-		// Collect active downloaders and the next wake/boundary events.
-		var active []*cstate
+		// Count active downloaders and find the next wake/boundary event.
+		active := 0
 		next := math.Inf(1)
 		allDone := true
-		for _, st := range states {
-			if st.done {
+		for i := range links {
+			l := &links[i]
+			if l.done {
 				continue
 			}
 			allDone = false
-			if st.remaining > 0 {
-				active = append(active, st)
-			} else if st.wakeAt > now && st.wakeAt < next {
-				next = st.wakeAt
-			} else if st.wakeAt <= now {
+			if l.remaining > 0 {
+				active++
+			} else if l.wakeAt > now && l.wakeAt < next {
+				next = l.wakeAt
+			} else if l.wakeAt <= now {
 				// Ready to decide again right now.
 				next = now
 			}
@@ -163,11 +133,14 @@ func SimulateShared(tr *trace.Trace, clients []SharedClient) ([]*Result, error) 
 			next = boundary
 		}
 		share := 0.0
-		if len(active) > 0 {
-			share = tr.BandwidthAt(now) / float64(len(active))
-			for _, st := range active {
-				if fin := now + st.remaining/math.Max(share, eps); fin < next {
-					next = fin
+		if active > 0 {
+			share = tr.BandwidthAt(now) / float64(active)
+			for i := range links {
+				l := &links[i]
+				if !l.done && l.remaining > 0 {
+					if fin := now + l.remaining/math.Max(share, eps); fin < next {
+						next = fin
+					}
 				}
 			}
 		}
@@ -179,67 +152,53 @@ func SimulateShared(tr *trace.Trace, clients []SharedClient) ([]*Result, error) 
 		}
 		dt := next - now
 
-		// Advance downloads and playback.
-		for _, st := range states {
-			if st.done {
+		// Advance downloads and playback. A stall counts toward the chunk
+		// only while its download is still incomplete after the span.
+		for i := range links {
+			l := &links[i]
+			if l.done {
 				continue
 			}
-			if st.remaining > 0 && share > 0 {
-				st.remaining -= share * dt
+			if l.remaining > 0 && share > 0 {
+				l.remaining -= share * dt
 			}
-			if st.playing {
-				if st.buffer >= dt {
-					st.buffer -= dt
-				} else {
-					stall := dt - st.buffer
-					st.buffer = 0
-					st.res.TotalRebufferSec += stall
-					if st.remaining > 0 {
-						st.inflight.RebufferSec += stall
-					}
-				}
+			if stall := l.s.ElapseTo(next); l.remaining > 0 {
+				l.s.AddStall(stall)
+			} else {
+				l.s.AddSessionStall(stall)
 			}
 		}
 		now = next
 
 		// Complete downloads and re-decide.
-		for _, st := range states {
-			if st.done {
+		for i := range links {
+			l := &links[i]
+			if l.done {
 				continue
 			}
-			v := st.sc.Video
-			if st.remaining > 0 && st.remaining <= eps*10 {
-				st.remaining = 0
+			if l.remaining > 0 && l.remaining <= eps*10 {
+				l.remaining = 0
 			}
-			if st.inflight.SizeBits > 0 && st.remaining <= 0 {
-				rec := st.inflight
-				rec.DownloadSec = now - rec.StartTime
-				if rec.DownloadSec > 0 {
-					rec.ThroughputBps = rec.SizeBits / rec.DownloadSec
+			if l.inflight && l.remaining <= 0 {
+				s := &l.s
+				s.Rec.DownloadSec = now - s.Rec.StartTime
+				if s.Rec.DownloadSec > 0 {
+					s.Rec.ThroughputBps = s.Rec.SizeBits / s.Rec.DownloadSec
 				}
-				st.buffer += v.ChunkDurSec
-				rec.BufferAfter = st.buffer
-				st.pred.ObserveDownload(rec.SizeBits, rec.DownloadSec)
-				st.lastTput = rec.ThroughputBps
-				st.prevLevel = rec.Level
-				st.res.Chunks = append(st.res.Chunks, rec)
-				st.res.TotalBits += rec.SizeBits
-				st.inflight = ChunkRecord{}
-				st.chunk++
-				if !st.playing && (st.buffer >= st.sc.Config.StartupSec || st.chunk == v.NumChunks()) {
-					st.playing = true
-					st.res.StartupDelaySec = now
-				}
-				decide(st)
-			} else if st.remaining <= 0 && st.wakeAt <= now {
-				decide(st)
+				s.FinishDownload(l.est)
+				s.MaybeStartup(now)
+				s.NextChunk()
+				l.inflight = false
+				decide(l)
+			} else if l.remaining <= 0 && l.wakeAt <= now {
+				decide(l)
 			}
 		}
 	}
 
-	out := make([]*Result, len(states))
-	for i, st := range states {
-		out[i] = st.res
+	out := make([]*Result, len(links))
+	for i := range links {
+		out[i] = links[i].s.Take()
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cava/internal/abr"
+	"cava/internal/telemetry"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -135,5 +136,32 @@ func TestJainIndex(t *testing.T) {
 	}
 	if JainIndex([]float64{0, 0}) != 1 {
 		t.Error("all-zero Jain should be 1 (degenerate equality)")
+	}
+}
+
+func TestSharedHonorsRecorder(t *testing.T) {
+	ring := telemetry.NewRing(0)
+	clients := sharedClients(3, 2)
+	for i := range clients {
+		clients[i].Config.Recorder = ring
+		clients[i].JoinDelaySec = float64(i) * 41
+	}
+	results, err := SimulateShared(trace.GenLTE(1).Scale(3), clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	downloads := map[string]int{}
+	for _, ev := range ring.Events() {
+		if ev.Kind == telemetry.KindDownload {
+			downloads[ev.Session]++
+		}
+	}
+	if len(downloads) != len(clients) {
+		t.Fatalf("download events carry %d session ids for %d clients: %v", len(downloads), len(clients), downloads)
+	}
+	for id, n := range downloads {
+		if n != len(results[0].Chunks) {
+			t.Errorf("session %q: %d download events, want %d", id, n, len(results[0].Chunks))
+		}
 	}
 }

@@ -9,9 +9,11 @@ import (
 )
 
 // StepState is the reusable session core behind every execution frontend:
-// the pure simulator (Simulate), the discrete-event fleet engine
-// (internal/fleet) and the live DASH testbed client (internal/dash) all
-// drive the same per-chunk state machine — one simulator, three frontends.
+// the pure simulator (Simulate), the live-edge simulator (SimulateLive),
+// the shared-link simulator (SimulateShared), the discrete-event fleet
+// engine (internal/fleet) and the live DASH testbed client (internal/dash)
+// all drive the same per-chunk state machine — one simulator, five
+// frontends.
 //
 // The core is clock-agnostic: it never reads a clock. Virtual time only
 // moves when a frontend applies a duration (drain/ElapseTo), so the same
@@ -69,10 +71,10 @@ type StepState struct {
 // v.Validate() (and trace validation) first, exactly as Simulate does.
 func (s *StepState) Init(v *video.Video, videoID, traceID string, algo abr.Algorithm, cfg Config, keepChunks bool) {
 	if cfg.StartupSec <= 0 {
-		cfg.StartupSec = 10
+		cfg.StartupSec = DefaultStartupSec
 	}
 	if cfg.MaxBufferSec <= 0 {
-		cfg.MaxBufferSec = 100
+		cfg.MaxBufferSec = DefaultMaxBufferSec
 	}
 	pred := cfg.Predictor
 	if pred == nil {
@@ -179,14 +181,29 @@ func (s *StepState) AddStall(stallSec float64) {
 	s.Rec.RebufferSec += stallSec
 }
 
+// AddSessionStall accounts stall seconds to the session total only, for
+// stalls the current chunk record does not own (a shared-link client
+// stalled between downloads).
+func (s *StepState) AddSessionStall(stallSec float64) { s.res.TotalRebufferSec += stallSec }
+
 // NoteWait accounts idle seconds (scheme pause or full buffer) to the
 // current chunk.
 func (s *StepState) NoteWait(waitSec float64) { s.Rec.WaitSec += waitSec }
 
 // BeginChunk starts the current chunk: it resets the chunk record and
 // returns the decision state as of now.
-func (s *StepState) BeginChunk() abr.State {
+func (s *StepState) BeginChunk() abr.State { return s.beginChunk(0) }
+
+// beginChunk is BeginChunk behind an availability gate: the chunk cannot be
+// requested before notBeforeSec (a live encoder has not produced it yet).
+// The gate wait counts as chunk wait and, when playing, as stall; the
+// decision state is read after it. A gate at or before now is a no-op.
+func (s *StepState) beginChunk(notBeforeSec float64) abr.State {
 	s.Rec = ChunkRecord{Index: s.Chunk, BufferBefore: s.BufferSec}
+	if wait := notBeforeSec - s.NowSec; wait > 0 {
+		s.NoteWait(wait)
+		s.AddStall(s.drainFor(wait))
+	}
 	return abr.State{
 		ChunkIndex:        s.Chunk,
 		Now:               s.NowSec,
@@ -325,7 +342,13 @@ func (s *StepState) NextChunk() { s.Chunk++ }
 // Advance performs no allocations in the steady state when the session
 // was initialized with keepChunks=false and a nil recorder.
 func (s *StepState) Advance(tr *trace.Trace, traceOffsetSec float64) float64 {
-	st := s.BeginChunk()
+	return s.advance(tr, traceOffsetSec, 0)
+}
+
+// advance is Advance with the chunk held until notBeforeSec (see
+// beginChunk); 0 never holds, since the clock starts at 0.
+func (s *StepState) advance(tr *trace.Trace, traceOffsetSec, notBeforeSec float64) float64 {
+	st := s.beginChunk(notBeforeSec)
 
 	// Algorithm-requested pause (e.g. BOLA above its buffer ceiling).
 	if d := s.WantDelay(st); d > 0 {

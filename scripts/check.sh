@@ -1,8 +1,8 @@
 #!/bin/sh
 # Tier-1 gate: vet, build, race-enabled tests, and the telemetry benchmark
 # smoke (which also runs the zero-alloc guards: the AllocsPerRun assertions
-# in internal/telemetry and internal/player). Equivalent to `make check` for
-# environments without make.
+# in internal/telemetry and internal/player). This is the one gate list;
+# `make check` runs this script.
 set -eu
 cd "$(dirname "$0")/.."
 # Static analysis first: formatting, go vet, then abrlint (the project

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cava/internal/abr"
+	"cava/internal/cliutil"
 	"cava/internal/core"
 	"cava/internal/experiments"
 	"cava/internal/metrics"
@@ -75,10 +76,23 @@ func BenchmarkLiveTestbed(b *testing.B) {
 
 // Scheme decision micro-benchmarks: cost of one Select call mid-session.
 
-func benchDecision(b *testing.B, algo abr.Algorithm) {
-	b.Helper()
-	st := abr.State{ChunkIndex: 40, Now: 200, Buffer: 55, Playing: true,
+var (
+	// steadyState is mid-session with a comfortable buffer.
+	steadyState = abr.State{ChunkIndex: 40, Now: 200, Buffer: 55, Playing: true,
 		PrevLevel: 3, Est: 2.4e6, LastThroughputBps: 2.1e6}
+	// lowBufferState is the hard case for the look-ahead searches: with 2 s
+	// of buffer and a 0.3 Mbps estimate only the lowest track fetches chunk
+	// 40 without a stall, and coming off the top track every candidate pays
+	// a switch, so their bounds prune less.
+	lowBufferState = abr.State{ChunkIndex: 40, Now: 200, Buffer: 2, Playing: true,
+		PrevLevel: 5, Est: 0.3e6, LastThroughputBps: 0.3e6}
+)
+
+// searchSchemes are the schemes whose Select runs a look-ahead search.
+var searchSchemes = []string{"mpc", "robustmpc", "panda-max-sum", "panda-max-min"}
+
+func benchDecision(b *testing.B, algo abr.Algorithm, st abr.State) {
+	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -90,24 +104,70 @@ func benchVideo() *video.Video {
 	return video.YouTubeVideo(video.Title{Name: "ED", Genre: video.SciFi})
 }
 
-func BenchmarkDecisionCAVA(b *testing.B) { benchDecision(b, core.New(benchVideo())) }
+func BenchmarkDecisionCAVA(b *testing.B) { benchDecision(b, core.New(benchVideo()), steadyState) }
 
-func BenchmarkDecisionMPC(b *testing.B) { benchDecision(b, abr.NewMPC(benchVideo(), false)) }
+func BenchmarkDecisionMPC(b *testing.B) {
+	benchDecision(b, abr.NewMPC(benchVideo(), false), steadyState)
+}
 
-func BenchmarkDecisionRobustMPC(b *testing.B) { benchDecision(b, abr.NewMPC(benchVideo(), true)) }
+func BenchmarkDecisionRobustMPC(b *testing.B) {
+	benchDecision(b, abr.NewMPC(benchVideo(), true), steadyState)
+}
 
 func BenchmarkDecisionPANDA(b *testing.B) {
 	v := benchVideo()
-	benchDecision(b, abr.NewPANDACQ(v, quality.NewTable(v, quality.PSNR), abr.MaxMin))
+	benchDecision(b, abr.NewPANDACQ(v, quality.NewTable(v, quality.PSNR), abr.MaxMin), steadyState)
+}
+
+func BenchmarkDecisionPANDAMaxSum(b *testing.B) {
+	v := benchVideo()
+	benchDecision(b, abr.NewPANDACQ(v, quality.NewTable(v, quality.PSNR), abr.MaxSum), steadyState)
+}
+
+// BenchmarkDecisionLowBuffer times the look-ahead searches in their hard
+// case.
+func BenchmarkDecisionLowBuffer(b *testing.B) {
+	for _, name := range searchSchemes {
+		f, err := cliutil.SchemeByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) { benchDecision(b, f(benchVideo()), lowBufferState) })
+	}
+}
+
+// TestDecisionSearchAllocs guards the look-ahead searches' preallocated
+// scratch: after the first call, Select allocates nothing in either state.
+// Each run makes 100 calls, so an allocation every few calls still counts.
+func TestDecisionSearchAllocs(t *testing.T) {
+	for _, name := range searchSchemes {
+		f, err := cliutil.SchemeByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		algo := f(benchVideo())
+		for _, st := range []abr.State{steadyState, lowBufferState} {
+			n := testing.AllocsPerRun(10, func() {
+				for i := 0; i < 100; i++ {
+					algo.Select(st)
+				}
+			})
+			if n != 0 {
+				t.Errorf("%s: %v allocations per 100 Select calls at buffer %g s", name, n, st.Buffer)
+			}
+		}
+	}
 }
 
 func BenchmarkDecisionBOLAE(b *testing.B) {
-	benchDecision(b, abr.NewBOLAE(benchVideo(), abr.BOLASeg, true))
+	benchDecision(b, abr.NewBOLAE(benchVideo(), abr.BOLASeg, true), steadyState)
 }
 
-func BenchmarkDecisionBBA1(b *testing.B) { benchDecision(b, abr.NewBBA1(benchVideo(), 0, 0)) }
+func BenchmarkDecisionBBA1(b *testing.B) {
+	benchDecision(b, abr.NewBBA1(benchVideo(), 0, 0), steadyState)
+}
 
-func BenchmarkDecisionRBA(b *testing.B) { benchDecision(b, abr.NewRBA(benchVideo(), 4)) }
+func BenchmarkDecisionRBA(b *testing.B) { benchDecision(b, abr.NewRBA(benchVideo(), 4), steadyState) }
 
 // Full-session benchmarks: one 10-minute session over one LTE trace.
 

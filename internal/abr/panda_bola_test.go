@@ -1,6 +1,7 @@
 package abr
 
 import (
+	"math"
 	"testing"
 
 	"cava/internal/quality"
@@ -73,14 +74,32 @@ func TestPANDAMaxMinFavorsComplexChunk(t *testing.T) {
 	}
 }
 
+// TestPANDAFallsBackWhenInfeasible: at a tiny estimate even the cheapest
+// window overruns the data budget, so no sequence is feasible and both
+// objectives fall back to track 0, whatever the previous track.
 func TestPANDAFallsBackWhenInfeasible(t *testing.T) {
 	v := testVideo()
-	_, m := pandaPair(v)
-	// Tiny bandwidth, empty buffer: nothing is stall-free; the scheme
-	// must still return a valid (lowest) track.
-	got := m.Select(State{ChunkIndex: 0, Buffer: 0, Est: 3e4, PrevLevel: -1})
-	if got != 0 {
-		t.Errorf("infeasible fallback selected %d, want 0", got)
+	for _, st := range []State{
+		{ChunkIndex: 0, Buffer: 0, Est: 3e4, PrevLevel: -1},
+		{ChunkIndex: 40, Buffer: 30, Est: 3e4, PrevLevel: 3},
+	} {
+		cheapest := 0.0
+		for i := st.ChunkIndex; i < st.ChunkIndex+pandaHorizon; i++ {
+			smallest := math.Inf(1)
+			for l := 0; l < v.NumTracks(); l++ {
+				smallest = min(smallest, v.ChunkSize(l, i))
+			}
+			cheapest += smallest
+		}
+		if budget := st.Est * pandaHorizon * v.ChunkDurSec; cheapest <= budget {
+			t.Fatalf("chunk %d: the cheapest window (%.0f bits) fits the %.0f-bit budget", st.ChunkIndex, cheapest, budget)
+		}
+		s, m := pandaPair(v)
+		for _, p := range []*PANDACQ{s, m} {
+			if got := p.Select(st); got != 0 {
+				t.Errorf("%s at chunk %d: infeasible fallback selected %d, want 0", p.Name(), st.ChunkIndex, got)
+			}
+		}
 	}
 }
 

@@ -10,15 +10,17 @@ import (
 	"cava/internal/abr"
 	"cava/internal/core"
 	"cava/internal/player"
+	"cava/internal/sim"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
 
-// Golden digests of the live and shared-link simulators. Each constant is
-// an FNV-64a hash over the bit patterns of every Result/LiveResult field
+// Golden digests of the VOD, live and shared-link simulators. Each constant
+// is an FNV-64a hash over the bit patterns of every Result/LiveResult field
 // and every ChunkRecord field of one scheme's sessions, so any change to
-// the step order, the float arithmetic or the accounting moves it. The
-// inputs mirror the liveext and multiclient experiments at 5 LTE traces.
+// the step order, the float arithmetic, the accounting or a scheme's
+// decisions moves it. The live and shared inputs mirror the liveext and
+// multiclient experiments at 5 LTE traces.
 
 // goldenLive pins liveext's four live schemes on ED (FFmpeg H.264) over
 // LTE traces 0-4 with the default one-chunk encoder delay.
@@ -37,6 +39,28 @@ var goldenShared = map[string]uint64{
 	"FESTIVE":   0xb1200d54b218c1ba,
 	"BOLA-E":    0xeac0eee7371768e2,
 	"RBA":       0x54b07d5e291f6fe6,
+}
+
+// goldenVOD pins plain VOD sessions of every sim.SchemeAll scheme on ED
+// (FFmpeg H.264, 2 s chunks) and ED (YouTube H.264, 5 s chunks), each over
+// LTE traces 0-2 and FCC traces 0-2, with the default player config.
+var goldenVOD = map[string]uint64{
+	"bba1":          0xe348fc9b28f3211d,
+	"bola-avg":      0x18d11d5dd6a3301e,
+	"bolae-avg":     0x53f05b2f01fd14f7,
+	"bolae-peak":    0x3d5f0a731dd5113f,
+	"bolae-seg":     0x99733232ebd1ccda,
+	"cava":          0x50e823631bf5eaf8,
+	"cava-auto":     0xc2f3df9f29d4e942,
+	"cava-p1":       0x81bad03459267b9b,
+	"cava-p12":      0xbf69c7c3cbd5a8de,
+	"festive":       0xfc426d42e17046c1,
+	"mpc":           0x2a8d3e0f6be3961b,
+	"panda-max-min": 0xdbe8930679cc8246,
+	"panda-max-sum": 0xc0532645a646a836,
+	"pia":           0x423e677aad197fb4,
+	"rba":           0xf5aa362513ce0325,
+	"robustmpc":     0xf364135d65f3abd0,
 }
 
 const goldenTraces = 5
@@ -107,6 +131,34 @@ func checkGolden(t *testing.T, name string, want, got uint64) {
 	t.Helper()
 	if got != want {
 		t.Errorf("%s: digest %#016x, want %#016x", name, got, want)
+	}
+}
+
+func TestGoldenVODDigest(t *testing.T) {
+	videos := []*video.Video{
+		video.FFmpegVideo(video.Title{Name: "ED", Genre: video.SciFi}, video.H264),
+		video.YouTubeVideo(video.Title{Name: "ED", Genre: video.SciFi}),
+	}
+	var traces []*trace.Trace
+	for ti := 0; ti < 3; ti++ {
+		traces = append(traces, trace.GenLTE(ti), trace.GenFCC(ti))
+	}
+	schemes := sim.SchemeAll()
+	if len(schemes) != len(goldenVOD) {
+		t.Fatalf("%d schemes, %d golden digests", len(schemes), len(goldenVOD))
+	}
+	for _, sc := range schemes {
+		d := newDigest()
+		for _, v := range videos {
+			for _, tr := range traces {
+				res, err := player.Simulate(v, tr, sc.New(v), player.DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.result(res)
+			}
+		}
+		checkGolden(t, sc.Name, goldenVOD[sc.Name], d.h.Sum64())
 	}
 }
 

@@ -19,6 +19,11 @@ go vet ./...
 go run ./cmd/abrlint -counts ./...
 go build ./...
 go test -race ./...
+# The benchmark harness is its own module (bench/go.mod), outside the root
+# ./..., yet it drives the packages above: vet and test it too, so a change
+# to a package it calls cannot break it unnoticed.
+go -C bench vet ./...
+go -C bench test ./...
 # Hammer the concurrency-heavy packages a second time under the race
 # detector: the cache's singleflight path, the sim worker pool, the
 # telemetry registry, and the fleet engine's multi-worker shard pass

@@ -225,12 +225,25 @@ func BenchmarkClassify(b *testing.B) {
 	}
 }
 
+// BenchmarkDownloadTime integrates 4 Mb from starts 0..599 s. lte-x10 is
+// GenLTE(0)'s samples repeated ten times: integration costs O(windows
+// crossed), so it should read within noise of lte.
 func BenchmarkDownloadTime(b *testing.B) {
-	tr := trace.GenLTE(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.DownloadTime(float64(i%600), 4e6)
+	lte := trace.GenLTE(0)
+	x10 := &trace.Trace{ID: lte.ID + "-x10", IntervalSec: lte.IntervalSec}
+	for k := 0; k < 10; k++ {
+		x10.Samples = append(x10.Samples, lte.Samples...)
+	}
+	for _, c := range []struct {
+		name string
+		tr   *trace.Trace
+	}{{"lte", lte}, {"fcc", trace.GenFCC(0)}, {"lte-x10", x10}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.tr.DownloadTime(float64(i%600), 4e6)
+			}
+		})
 	}
 }
 

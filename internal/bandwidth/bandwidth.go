@@ -35,12 +35,13 @@ const DefaultWindow = 5
 // The window is a fixed ring: the append-and-reslice history it replaced
 // allocated on every few observations, which the fleet engine's zero-alloc
 // per-event contract (internal/fleet) cannot afford across 10⁵–10⁶
-// concurrent sessions.
+// concurrent sessions. The mean is computed once per observation, so
+// Predict, which the step core calls twice per chunk, is a field read.
 type HarmonicMean struct {
-	window int
-	ring   []float64
-	head   int // index of the oldest observation
-	count  int // observations held (≤ window)
+	ring  []float64 // the window: len(ring) = W
+	head  int       // index of the oldest observation
+	count int       // observations held (≤ W)
+	est   float64   // harmonic mean of the held observations; 0 when none
 }
 
 // NewHarmonicMean returns a harmonic-mean predictor over the last window
@@ -49,39 +50,43 @@ func NewHarmonicMean(window int) *HarmonicMean {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	return &HarmonicMean{window: window, ring: make([]float64, window)}
+	return &HarmonicMean{ring: make([]float64, window)}
 }
 
-// ObserveDownload implements Predictor.
+// ObserveDownload implements Predictor. The inverse sum runs oldest to
+// newest — the same order as the sliced history the ring replaced — so
+// predictions are bit-identical to the previous implementation.
 func (h *HarmonicMean) ObserveDownload(bits, seconds float64) {
 	if seconds <= 0 || bits <= 0 {
 		return
 	}
-	if h.count < h.window {
-		h.ring[(h.head+h.count)%h.window] = bits / seconds
-		h.count++
-		return
+	w := len(h.ring)
+	// The next slot; in a full ring it is the oldest, which is dropped.
+	tail := h.head + h.count
+	if tail >= w {
+		tail -= w
 	}
-	h.ring[h.head] = bits / seconds
-	h.head = (h.head + 1) % h.window
-}
-
-// Predict implements Predictor. The inverse sum runs oldest to newest —
-// the same order as the sliced history it replaced — so predictions are
-// bit-identical to the previous implementation.
-func (h *HarmonicMean) Predict(float64) float64 {
-	if h.count == 0 {
-		return 0
+	h.ring[tail] = bits / seconds
+	if h.count < w {
+		h.count++
+	} else if h.head++; h.head == w {
+		h.head = 0
 	}
 	inv := 0.0
-	for k := 0; k < h.count; k++ {
-		inv += 1 / h.ring[(h.head+k)%h.window]
+	for k, i := 0, h.head; k < h.count; k++ {
+		inv += 1 / h.ring[i]
+		if i++; i == w {
+			i = 0
+		}
 	}
-	return float64(h.count) / inv
+	h.est = float64(h.count) / inv
 }
 
+// Predict implements Predictor.
+func (h *HarmonicMean) Predict(float64) float64 { return h.est }
+
 // Reset implements Predictor.
-func (h *HarmonicMean) Reset() { h.head, h.count = 0, 0 }
+func (h *HarmonicMean) Reset() { h.head, h.count, h.est = 0, 0, 0 }
 
 // EWMA predicts with an exponentially weighted moving average of chunk
 // throughputs.

@@ -241,7 +241,9 @@ func (n *naiveHarmonicMean) Reset() { n.hist = nil }
 // TestHarmonicMeanRingMatchesNaive cross-checks the ring against the naive
 // append-window reference over randomized seeded observation streams:
 // partial windows, full windows with wraparound, invalid observations and
-// Reset-then-refill sequences must all stay bit-identical.
+// Reset-then-refill sequences must all stay bit-identical. Each step queries
+// twice at different times, as the step core does per chunk (once when the
+// chunk begins, once when the decision state is refreshed).
 func TestHarmonicMeanRingMatchesNaive(t *testing.T) {
 	for _, window := range []int{1, 2, 5, 8} {
 		// A fixed LCG drives the stream without math/rand, keeping the
@@ -269,9 +271,12 @@ func TestHarmonicMeanRingMatchesNaive(t *testing.T) {
 				ring.ObserveDownload(bits, seconds)
 				naive.ObserveDownload(bits, seconds)
 			}
-			if got, want := ring.Predict(0), naive.Predict(); got != want {
-				t.Fatalf("window %d, step %d: ring predicts %v, naive reference %v",
-					window, i, got, want)
+			want := naive.Predict()
+			for _, now := range []float64{float64(i), float64(i) + 0.5} {
+				if got := ring.Predict(now); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("window %d, step %d, now %v: ring predicts %v, naive reference %v",
+						window, i, now, got, want)
+				}
 			}
 		}
 	}

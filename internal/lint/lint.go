@@ -105,7 +105,7 @@ func DefaultConfig() Config {
 		// The hot-path set is exactly the per-event code the fleet engine's
 		// zero-alloc guards (testing.AllocsPerRun) pin dynamically: the
 		// player chunk-step core, the fleet drain/shard loop and event heap,
-		// and the bandwidth predictor ring.
+		// the bandwidth predictor ring and the trace integration.
 		HotPathFuncs: []string{
 			"internal/player:Advance", "internal/player:advance",
 			"internal/player:BeginChunk", "internal/player:beginChunk",
@@ -125,6 +125,7 @@ func DefaultConfig() Config {
 			"internal/fleet:gate",
 			"internal/bandwidth:ObserveDownload", "internal/bandwidth:Predict",
 			"internal/bandwidth:Reset",
+			"internal/trace:DownloadTime",
 		},
 	}
 }

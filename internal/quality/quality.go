@@ -94,15 +94,15 @@ func compressionScore(bppEff, c float64) float64 {
 
 // chunkScore returns the 0..1 compression score of chunk i at track level,
 // including a small deterministic per-chunk perturbation standing in for
-// frame-level measurement scatter.
-func chunkScore(v *video.Video, level, chunk int) float64 {
+// frame-level measurement scatter; id is v.ID(), which keys the scatter.
+func chunkScore(v *video.Video, id string, level, chunk int) float64 {
 	t := &v.Tracks[level]
 	px := float64(t.Res.Width) * float64(t.Res.Height) * v.FPS * v.ChunkDurSec
 	bpp := t.ChunkSizesBits[chunk] / px
 	bppEff := bpp / codecBppFactor(v.Codec)
 	s := compressionScore(bppEff, v.Complexity[chunk])
 	// ±0.02 deterministic scatter.
-	s += 0.02 * noise(v.ID(), level, chunk)
+	s += 0.02 * noise(id, level, chunk)
 	if s < 0 {
 		s = 0
 	}
@@ -125,7 +125,13 @@ func noise(id string, level, chunk int) float64 {
 // Chunk returns the quality of chunk i at track level under metric m.
 // VMAF values are in [0,100], PSNR in dB (roughly 22–50), SSIM in (0,1].
 func Chunk(v *video.Video, level, chunk int, m Metric) float64 {
-	s := chunkScore(v, level, chunk)
+	return chunkQuality(v, v.ID(), level, chunk, m)
+}
+
+// chunkQuality is Chunk with the video's ID passed in, so that NewTable
+// formats it once per table rather than once per cell.
+func chunkQuality(v *video.Video, id string, level, chunk int, m Metric) float64 {
+	s := chunkScore(v, id, level, chunk)
 	rung := ladderIndex(v.Tracks[level].Res)
 	switch m {
 	case VMAFTV:
@@ -169,10 +175,11 @@ type Table struct {
 // NewTable computes the full quality table of a video.
 func NewTable(v *video.Video, m Metric) *Table {
 	t := &Table{Metric: m, Values: make([][]float64, v.NumTracks())}
+	id := v.ID()
 	for l := range v.Tracks {
 		row := make([]float64, v.NumChunks())
 		for i := range row {
-			row[i] = Chunk(v, l, i, m)
+			row[i] = chunkQuality(v, id, l, i, m)
 		}
 		t.Values[l] = row
 	}

@@ -1,0 +1,133 @@
+package trace
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// refDownloadTime is the integration DownloadTime replaced, kept verbatim as
+// the reference: it sums every sample to rule out an all-zero trace, then
+// re-derives each window's index and end from the clock.
+func refDownloadTime(t *Trace, start, bits float64) float64 {
+	if bits <= 0 {
+		return 0
+	}
+	if len(t.Samples) == 0 {
+		return math.Inf(1)
+	}
+	// Guard against an all-zero trace, which would never complete.
+	total := 0.0
+	for _, s := range t.Samples {
+		total += s
+	}
+	if total <= 0 {
+		return math.Inf(1)
+	}
+
+	elapsed := 0.0
+	remaining := bits
+	now := start
+	for remaining > 0 {
+		idx := int(now/t.IntervalSec) % len(t.Samples)
+		if idx < 0 {
+			idx += len(t.Samples)
+		}
+		bw := t.Samples[idx]
+		// Time left inside the current sample window.
+		windowEnd := (math.Floor(now/t.IntervalSec) + 1) * t.IntervalSec
+		slot := windowEnd - now
+		if slot <= 0 {
+			slot = t.IntervalSec
+		}
+		if bw > 0 {
+			need := remaining / bw
+			if need <= slot {
+				return elapsed + need
+			}
+			remaining -= bw * slot
+		}
+		elapsed += slot
+		now = windowEnd
+	}
+	return elapsed
+}
+
+// outageHeavy returns a trace at least half of whose samples are zero, in
+// alternating runs of up to 10 zero and up to 5 positive windows.
+func outageHeavy(rng *rand.Rand, n int, intervalSec float64) *Trace {
+	s := make([]float64, 0, n)
+	for len(s) < n {
+		for k := 1 + rng.Intn(10); k > 0 && len(s) < n; k-- {
+			s = append(s, 0)
+		}
+		for k := 1 + rng.Intn(5); k > 0 && len(s) < n; k-- {
+			s = append(s, 1e5+rng.Float64()*8e6)
+		}
+	}
+	return &Trace{ID: "outage", IntervalSec: intervalSec, Samples: s}
+}
+
+// TestDownloadTimeMatchesReference pins DownloadTime bit for bit against
+// refDownloadTime on every kind of trace the repository builds, for
+// non-negative starts over three laps (exact window boundaries included)
+// and sizes from one bit up to three laps' volume.
+func TestDownloadTimeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	traces := []*Trace{GenLTE(0), GenLTE(7), GenLTE(123), GenFCC(0), GenFCC(5), GenFCC(77)}
+	for _, iv := range []float64{1, 2, 5, 0.5, 0.25} {
+		traces = append(traces,
+			Constant("c", 2.5e6, 120, iv),
+			Step("s", 5e5, 4e6, 7, 120, iv))
+	}
+	traces = append(traces,
+		outageHeavy(rng, 600, 1), outageHeavy(rng, 240, 0.25),
+		&Trace{ID: "one", IntervalSec: 1, Samples: []float64{3e6}},
+		&Trace{ID: "one-5s", IntervalSec: 5, Samples: []float64{7e5}},
+		&Trace{ID: "zero", IntervalSec: 1, Samples: make([]float64, 50)},
+		&Trace{ID: "zero-one", IntervalSec: 2, Samples: []float64{0}})
+
+	const perTrace = 5000
+	pairs := 0
+	for _, tr := range traces {
+		zeros := 0
+		for _, s := range tr.Samples {
+			if s == 0 {
+				zeros++
+			}
+		}
+		if tr.ID == "outage" && 2*zeros < len(tr.Samples) {
+			t.Fatalf("outage trace has %d zeros in %d samples, want at least half", zeros, len(tr.Samples))
+		}
+		maxBits := 3 * tr.Mean() * tr.Duration()
+		if maxBits <= 1 {
+			maxBits = 1e7 // all-zero trace: any size must read +Inf
+		}
+		for i := 0; i < perTrace; i++ {
+			start := rng.Float64() * 3 * tr.Duration()
+			switch i % 4 {
+			case 0: // exact window boundary
+				start = float64(rng.Intn(3*len(tr.Samples))) * tr.IntervalSec
+			case 1:
+				start = 0
+			}
+			// Log-uniform in [1, maxBits], with both ends exactly.
+			bits := math.Exp(rng.Float64() * math.Log(maxBits))
+			switch i % 7 {
+			case 0:
+				bits = 1
+			case 1:
+				bits = maxBits
+			}
+			got, want := tr.DownloadTime(start, bits), refDownloadTime(tr, start, bits)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s (interval %g s, %d samples): DownloadTime(%v, %v) = %v, reference %v",
+					tr.ID, tr.IntervalSec, len(tr.Samples), start, bits, got, want)
+			}
+			pairs++
+		}
+	}
+	if pairs < 100000 {
+		t.Fatalf("compared %d pairs, want at least 100000", pairs)
+	}
+}

@@ -50,47 +50,57 @@ func (t *Trace) BandwidthAt(tm float64) float64 {
 // bandwidth process (wrapping past the end). Outage samples (zero bandwidth)
 // simply contribute elapsed time with no progress.
 //
-// A zero- or negative-size transfer completes instantly.
+// A zero- or negative-size transfer completes instantly; on a trace with no
+// bandwidth at all the transfer never completes and DownloadTime is +Inf.
+//
+// The cost is O(windows crossed), independent of the trace length. The walk
+// counts windows by index from w = ⌊start/I⌋ (window w ends at (w+1)·I)
+// and never re-derives w from the clock: at intervals such as 0.1 s,
+// (k+1)·I/I can round just below k+1, which would hold the walk in window
+// k. An all-outage trace is detected after one lap of zero-bandwidth
+// windows.
 func (t *Trace) DownloadTime(start, bits float64) float64 {
 	if bits <= 0 {
 		return 0
 	}
-	if len(t.Samples) == 0 {
-		return math.Inf(1)
-	}
-	// Guard against an all-zero trace, which would never complete.
-	total := 0.0
-	for _, s := range t.Samples {
-		total += s
-	}
-	if total <= 0 {
+	n := len(t.Samples)
+	if n == 0 {
 		return math.Inf(1)
 	}
 
+	w := math.Floor(start / t.IntervalSec)
+	idx := int(w) % n
+	if idx < 0 {
+		idx += n
+	}
+	idle := 0 // consecutive zero-bandwidth windows
 	elapsed := 0.0
 	remaining := bits
 	now := start
 	for remaining > 0 {
-		idx := int(now/t.IntervalSec) % len(t.Samples)
-		if idx < 0 {
-			idx += len(t.Samples)
-		}
 		bw := t.Samples[idx]
 		// Time left inside the current sample window.
-		windowEnd := (math.Floor(now/t.IntervalSec) + 1) * t.IntervalSec
+		windowEnd := (w + 1) * t.IntervalSec
 		slot := windowEnd - now
 		if slot <= 0 {
 			slot = t.IntervalSec
 		}
 		if bw > 0 {
+			idle = 0
 			need := remaining / bw
 			if need <= slot {
 				return elapsed + need
 			}
 			remaining -= bw * slot
+		} else if idle++; idle >= n {
+			return math.Inf(1)
 		}
 		elapsed += slot
 		now = windowEnd
+		w++
+		if idx++; idx == n {
+			idx = 0
+		}
 	}
 	return elapsed
 }
@@ -155,6 +165,33 @@ func (t *Trace) Scale(f float64) *Trace {
 		out.Samples[i] = s * f
 	}
 	return out
+}
+
+// Slice returns the sub-trace covering [from, to) seconds, clamped to the
+// trace bounds.
+func (t *Trace) Slice(from, to float64) (*Trace, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	if from < 0 {
+		from = 0
+	}
+	if to > t.Duration() {
+		to = t.Duration()
+	}
+	if to <= from {
+		return nil, fmt.Errorf("trace %s: empty slice [%g, %g)", t.ID, from, to)
+	}
+	lo := int(from / t.IntervalSec)
+	hi := int(math.Ceil(to / t.IntervalSec))
+	if hi > len(t.Samples) {
+		hi = len(t.Samples)
+	}
+	return &Trace{
+		ID:          fmt.Sprintf("%s[%g:%g]", t.ID, from, to),
+		IntervalSec: t.IntervalSec,
+		Samples:     append([]float64(nil), t.Samples[lo:hi]...),
+	}, nil
 }
 
 // Validate reports whether the trace is usable for replay: a positive

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -77,6 +78,34 @@ func TestDownloadTimeWraps(t *testing.T) {
 	// One-second trace: 10e6 bits wraps around ten times.
 	if got := tr.DownloadTime(0, 10e6); !almostEqual(got, 10, 1e-9) {
 		t.Errorf("DownloadTime wrap = %v, want 10", got)
+	}
+}
+
+// TestDownloadTimeNonDyadicInterval is the window-boundary regression test.
+// At a 0.1 s interval, 4.3/0.1 rounds to just below 43, so a walk that
+// re-derives the window index from the clock never leaves window 42: it
+// charged every later bit at sample 42's rate (10 s instead of 1.045 s),
+// and with sample 42 at zero it never returned. Each call runs under a
+// deadline so a hang fails the test instead of the suite.
+func TestDownloadTimeNonDyadicInterval(t *testing.T) {
+	for _, c := range []struct{ dipBps, want float64 }{{0.1e6, 1.045}, {0, 1.05}} {
+		s := make([]float64, 100)
+		for i := range s {
+			s[i] = 1e6
+		}
+		s[42] = c.dipBps
+		tr := &Trace{ID: "decisecond", IntervalSec: 0.1, Samples: s}
+		// From 4.25 s: 0.05 s left in window 42 at the dip, then 1 Mbps.
+		done := make(chan float64, 1)
+		go func() { done <- tr.DownloadTime(4.25, 1e6) }()
+		select {
+		case got := <-done:
+			if !almostEqual(got, c.want, 1e-9) {
+				t.Errorf("sample 42 at %g bps: DownloadTime = %v, want %v", c.dipBps, got, c.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("sample 42 at %g bps: DownloadTime did not return within 5 s", c.dipBps)
+		}
 	}
 }
 
@@ -163,6 +192,25 @@ func TestScale(t *testing.T) {
 	}
 	if tr.Samples[0] != 1 {
 		t.Error("Scale mutated the original")
+	}
+}
+
+func TestSlice(t *testing.T) {
+	tr := &Trace{ID: "t", IntervalSec: 1, Samples: []float64{1, 2, 3, 4, 5}}
+	s, err := tr.Slice(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Samples) != 3 || s.Samples[0] != 2 || s.Samples[2] != 4 {
+		t.Errorf("slice = %v", s.Samples)
+	}
+	// Clamping.
+	s, err = tr.Slice(-5, 100)
+	if err != nil || len(s.Samples) != 5 {
+		t.Errorf("clamped slice = %v, %v", s, err)
+	}
+	if _, err := tr.Slice(4, 4); err == nil {
+		t.Error("empty slice accepted")
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint lint-fixtures build vet test race bench bench-telemetry bench-sweep bench-sweep-short soak soak-edge soak-fleet soak-crash bench-edge bench-fleet bench-fleet-short
+.PHONY: check lint lint-fixtures build vet test race bench bench-telemetry bench-sweep-short soak soak-edge soak-fleet soak-crash bench-fleet-short
 
 # check is the one-command tier-1 gate every PR must pass. The gate list
 # lives in scripts/check.sh alone; the targets below run its pieces locally.
@@ -43,14 +43,10 @@ bench-telemetry:
 		-run='TestZeroAllocUpdates|TestTelemetryDisabledAllocBound' \
 		./internal/telemetry ./internal/player
 
-# Sweep-memoization benchmark: cold pass, warm replay, disk replay over the
-# fig8/fig9/fig10 suite; writes cold-vs-warm timings to BENCH_sweep.json.
-bench-sweep:
-	BENCH_SWEEP_OUT=BENCH_sweep.json $(GO) test -run='TestSweepColdWarm$$' -count=1 -v .
-
-# Short-mode variant wired into `check`: same correctness gates (warm pass
-# does zero sim work, outputs byte-identical) at reduced trace count, no
-# artifact written.
+# Sweep-memoization gate wired into `check`: cold pass, warm replay and
+# disk replay over the fig8/fig9/fig10 suite at a reduced trace count (warm
+# pass does zero sim work, outputs byte-identical). Timings come from the
+# benchmark harness: `bash bench/run.sh` (see bench/README.md).
 bench-sweep-short:
 	$(GO) test -short -run='TestSweepColdWarm$$' -count=1 .
 
@@ -69,18 +65,13 @@ soak:
 soak-edge:
 	$(GO) test -race -run='TestEdgeChaosSoak$$' -count=1 -v ./internal/chaos
 
-# Edge-tier benchmark: a fixed seeded multi-video workload through the edge;
-# writes cache-hit ratio and bytes-served-per-origin to BENCH_edge.json.
-bench-edge:
-	BENCH_EDGE_OUT=BENCH_edge.json $(GO) test -run='TestEdgeBench$$' -count=1 -v .
-
 # Fleet-engine chaos smoke: 2000 discrete-event sessions with Poisson
 # arrivals and random trace offsets, sharded across 4 workers and run under
-# the race detector (the multi-worker cell); asserts the engine's livelock
-# and starvation invariants (exact event accounting, every session finishes
+# the race detector (the multi-worker cell); asserts the fleet contract,
+# fleet.Result.Invariants (exact event accounting, every session finishes
 # within the virtual-time deadline).
 soak-fleet:
-	$(GO) test -race -run='TestFleetChaosSmoke$$' -count=1 -v ./internal/chaos
+	$(GO) test -race -run='TestFleetChaosSmoke$$' -count=1 -v ./internal/fleet
 
 # Crash-tolerance soak: the fleet engine under seeded in-step panics, a
 # mid-run interrupt that forces a checkpoint, and a resume that must be
@@ -92,14 +83,8 @@ soak-fleet:
 soak-crash:
 	$(GO) test -race -run='TestCrashSoak$$' -count=1 -v ./internal/chaos
 
-# Fleet scaling benchmark over the full 200-trace corpus (lte:100,fcc:100):
-# a 1-worker 100k baseline and the headline multi-core 1M-session point
-# (every session live at virtual time 0); writes sessions/sec, events/sec,
-# peak RSS and the measured speedup-per-worker to BENCH_fleet.json.
-bench-fleet:
-	BENCH_FLEET_OUT=BENCH_fleet.json $(GO) test -timeout 30m -run='TestFleetBench$$' -count=1 -v .
-
-# Short-mode variant wired into `check`: one reduced multi-worker point
-# under the same per-worker sessions/sec floor, no artifact written.
+# Fleet throughput gate wired into `check`: one reduced multi-worker point
+# under the per-worker sessions/sec floor (fleet numbers come from
+# `bash bench/run.sh --workload fleet-cava`).
 bench-fleet-short:
 	$(GO) test -short -run='TestFleetBench$$' -count=1 .

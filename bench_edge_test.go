@@ -1,45 +1,24 @@
 package cava_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"cava/internal/dash"
 	"cava/internal/edge"
 	"cava/internal/video"
 )
 
-// benchEdgeReport is the BENCH_edge.json schema: the edge tier's cache and
-// origin-spread numbers for a fixed seeded multi-video workload.
-type benchEdgeReport struct {
-	Origins         int      `json:"origins"`
-	Videos          []string `json:"videos"`
-	Requests        int      `json:"requests"`
-	Workers         int      `json:"workers"`
-	CacheHitRatio   float64  `json:"cache_hit_ratio"`
-	Hits            uint64   `json:"hits"`
-	Misses          uint64   `json:"misses"`
-	Coalesced       uint64   `json:"coalesced"`
-	Evictions       uint64   `json:"evictions"`
-	ServedBytes     uint64   `json:"served_bytes"`
-	FetchedByOrigin []uint64 `json:"fetched_bytes_per_origin"`
-	WallSec         float64  `json:"wall_sec"`
-}
-
-// TestEdgeBench is the edge tier's benchmark and its sharding gate in one:
-// a fixed seeded workload of segment requests across three videos is pushed
-// through an edge fronting three full-catalog origins. The gate asserts the
-// cache absorbs the workload's re-requests (hit ratio above the structural
+// TestEdgeBench is the edge tier's cache and sharding gate: a fixed seeded
+// workload of segment requests across three videos is pushed through an
+// edge fronting three full-catalog origins. The gate asserts the cache
+// absorbs the workload's re-requests (hit ratio above the structural
 // floor) and that the consistent-hash ring spreads origin fetches by
-// content. With BENCH_EDGE_OUT set, the numbers are written there as
-// BENCH_edge.json.
+// content.
 func TestEdgeBench(t *testing.T) {
 	const (
 		origins  = 3
@@ -100,7 +79,6 @@ func TestEdgeBench(t *testing.T) {
 	}
 
 	handler := e.Handler()
-	start := time.Now()
 	var wg sync.WaitGroup
 	errs := make([]int, workers)
 	for w := 0; w < workers; w++ {
@@ -118,7 +96,6 @@ func TestEdgeBench(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	wallSec := time.Since(start).Seconds()
 
 	for w, n := range errs {
 		if n > 0 {
@@ -154,24 +131,5 @@ func TestEdgeBench(t *testing.T) {
 	if len(primaries) > 1 && fetched[busiest] == s.Origins[0].FetchedBytes+
 		s.Origins[1].FetchedBytes+s.Origins[2].FetchedBytes {
 		t.Errorf("one origin served all bytes despite %d distinct primaries: %v", len(primaries), fetched)
-	}
-
-	if out := os.Getenv("BENCH_EDGE_OUT"); out != "" {
-		rep := benchEdgeReport{
-			Origins: origins, Videos: ids, Requests: requests, Workers: workers,
-			CacheHitRatio: s.HitRatio(), Hits: s.Hits, Misses: s.Misses,
-			Coalesced: s.Coalesced, Evictions: s.Evictions,
-			ServedBytes: s.ServedBytes, FetchedByOrigin: fetched,
-			WallSec: wallSec,
-		}
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%d requests in %.2fs, hit ratio %.2f, report written to %s",
-			requests, wallSec, s.HitRatio(), out)
 	}
 }

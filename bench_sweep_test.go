@@ -1,39 +1,22 @@
 package cava_test
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
-	"time"
 
 	"cava/internal/cache"
 	"cava/internal/experiments"
 )
 
-// sweepSuite is the experiment set timed by TestSweepColdWarm: the Fig. 8/9
-// pair (which share one sweep) plus the Fig. 10 ablation (two sweeps of its
-// own), so the benchmark exercises both intra-pass reuse and the warm path.
+// sweepSuite is the experiment set replayed by TestSweepColdWarm: the Fig.
+// 8/9 pair (which share one sweep) plus the Fig. 10 ablation (two sweeps of
+// its own), so the gate exercises both intra-pass reuse and the warm path.
 var sweepSuite = []string{"fig8", "fig9", "fig10"}
 
-// benchSweepReport is the BENCH_sweep.json schema.
-type benchSweepReport struct {
-	Suite      []string `json:"suite"`
-	Traces     int      `json:"traces"`
-	ColdSec    float64  `json:"cold_sec"`
-	WarmSec    float64  `json:"warm_sec"`
-	Speedup    float64  `json:"speedup"`
-	SimMisses  uint64   `json:"sim_misses"`
-	SimHits    uint64   `json:"sim_hits"`
-	DiskMisses uint64   `json:"disk_pass_misses"`
-	DiskHits   uint64   `json:"disk_pass_hits"`
-}
-
-// TestSweepColdWarm is the memoization benchmark and its correctness gate in
-// one: a cold pass over sweepSuite populates a fresh cache, a warm pass must
-// replay entirely from it (zero new sim misses, byte-identical output), and a
-// third pass through a fresh Cache over the same -cache-dir style directory
-// must reload from disk without executing a session. With BENCH_SWEEP_OUT
-// set, the cold-vs-warm timings are written there as BENCH_sweep.json.
+// TestSweepColdWarm is the memoization correctness gate: a cold pass over
+// sweepSuite populates a fresh cache, a warm pass must replay entirely from
+// it (zero new sim misses, byte-identical output), and a third pass through
+// a fresh Cache over the same -cache-dir style directory must reload from
+// disk without executing a session.
 func TestSweepColdWarm(t *testing.T) {
 	traces := 6
 	if testing.Short() {
@@ -55,9 +38,7 @@ func TestSweepColdWarm(t *testing.T) {
 	}
 
 	c := cache.New(cache.WithDir(dir))
-	t0 := time.Now()
 	cold := runAll(c)
-	coldSec := time.Since(t0).Seconds()
 	cs := c.Stats(cache.KindSim)
 	if cs.Misses == 0 {
 		t.Fatal("cold pass executed no sweeps")
@@ -67,9 +48,7 @@ func TestSweepColdWarm(t *testing.T) {
 		t.Fatalf("cold stats = %+v: fig9 did not reuse fig8's sweep", cs)
 	}
 
-	t1 := time.Now()
 	warm := runAll(c)
-	warmSec := time.Since(t1).Seconds()
 	ws := c.Stats(cache.KindSim)
 	if ws.Misses != cs.Misses {
 		t.Fatalf("warm pass executed %d new sweeps (stats %+v)", ws.Misses-cs.Misses, ws)
@@ -95,26 +74,5 @@ func TestSweepColdWarm(t *testing.T) {
 		if disk[id] != text {
 			t.Errorf("%s: disk-loaded output differs from cold output", id)
 		}
-	}
-
-	if out := os.Getenv("BENCH_SWEEP_OUT"); out != "" {
-		rep := benchSweepReport{
-			Suite: sweepSuite, Traces: traces,
-			ColdSec: coldSec, WarmSec: warmSec,
-			SimMisses: ws.Misses, SimHits: ws.Hits,
-			DiskMisses: ds.Misses, DiskHits: ds.Hits,
-		}
-		if warmSec > 0 {
-			rep.Speedup = coldSec / warmSec
-		}
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("cold %.2fs, warm %.3fs (%.0fx), report written to %s",
-			coldSec, warmSec, rep.Speedup, out)
 	}
 }

@@ -2,6 +2,10 @@
 // ABR sessions in one process over a shared trace corpus, reporting
 // fleet-level QoE distributions and engine throughput.
 //
+// Every completed run is checked against the fleet contract
+// (fleet.Result.Invariants: exact event accounting, no vanished or
+// starved session); a violation is reported on stderr and exits 1.
+//
 // Long runs are crash-tolerant: -checkpoint-dir snapshots the engine
 // periodically and on SIGINT/SIGTERM, and -resume restores a run whose
 // final output is bit-identical to the uninterrupted one. Even without a
@@ -14,7 +18,7 @@
 //	fleetsim -sessions 2000 -scheme robustmpc -videos ED-youtube-h264
 //	fleetsim -sessions 1000000 -checkpoint-dir /tmp/fleet -checkpoint-every 60
 //	fleetsim -sessions 1000000 -checkpoint-dir /tmp/fleet -resume
-//	fleetsim -smoke                              (chaos invariants mode)
+//	fleetsim -arrival 0 -max-chunks 40           (the checked fleet, all at once)
 package main
 
 import (
@@ -32,12 +36,10 @@ import (
 	"time"
 
 	"cava/internal/abr"
-	"cava/internal/chaos"
 	"cava/internal/cliutil"
 	"cava/internal/fleet"
 	"cava/internal/metrics"
 	"cava/internal/player"
-	"cava/internal/trace"
 	"cava/internal/video"
 )
 
@@ -55,7 +57,6 @@ func main() {
 		ckptEvery  = flag.Float64("checkpoint-every", 60, "seconds between periodic checkpoints (with -checkpoint-dir; 0: only on interrupt)")
 		resumeRun  = flag.Bool("resume", false, "restore the run from -checkpoint-dir instead of starting fresh (same flags, any -workers)")
 		watchdog   = flag.Float64("watchdog", 0, "fail the run when any shard makes no event progress for this many wall seconds (0: disabled)")
-		smoke      = flag.Bool("smoke", false, "chaos smoke mode: run the fleet invariant checks and exit non-zero on violation")
 	)
 	flag.Parse()
 
@@ -71,17 +72,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	scheme := abr.Scheme{Name: *schemeName, New: factory}
-
-	if *smoke {
-		runSmoke(videos, traces, scheme, *sessions, *arrival, *workers, *seed, *maxChunks)
-		return
-	}
 
 	cfg := fleet.Config{
 		Videos:             videos,
 		Traces:             traces,
-		Scheme:             scheme,
+		Scheme:             abr.Scheme{Name: *schemeName, New: factory},
 		Player:             player.DefaultConfig(),
 		Sessions:           *sessions,
 		Workers:            *workers,
@@ -137,6 +132,12 @@ func main() {
 		fail(err)
 	}
 	reportQuarantines(res)
+	if errs := res.Invariants(cfg); len(errs) > 0 {
+		for _, e := range errs {
+			fmt.Fprintf(os.Stderr, "fleetsim: invariant violated: %v\n", e)
+		}
+		os.Exit(1)
+	}
 }
 
 // summarize prints the run header, engine throughput and the per-session
@@ -185,30 +186,6 @@ func reportQuarantines(res *fleet.Result) {
 	for _, q := range res.Quarantined {
 		fmt.Fprintf(os.Stderr, "  session %d at chunk %d: %s\n", q.SessionID, q.Chunk, q.Reason)
 	}
-}
-
-// runSmoke executes the chaos -fleet mode: invariant checks against the
-// discrete-event engine, exiting 1 when any invariant is violated.
-func runSmoke(videos []*video.Video, traces []*trace.Trace, scheme abr.Scheme,
-	sessions int, arrival float64, workers int, seed int64, maxChunks int) {
-	rep, err := chaos.RunFleet(chaos.FleetConfig{
-		Videos: videos, Traces: traces, Scheme: scheme,
-		Sessions: sessions, ArrivalRatePerSec: arrival, Workers: workers,
-		Seed: seed, MaxChunks: maxChunks,
-	})
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("fleet smoke: %d sessions, %d/%d events, horizon %.0f virtual s, slowest session %.0f s (deadline %.0f), %.2f wall s\n",
-		rep.Sessions, rep.Events, rep.ExpectedEvents, rep.VirtualSec,
-		rep.MaxSessionLenSec, rep.DeadlineVirtualSec, rep.WallSec)
-	if errs := rep.Invariants(); len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintf(os.Stderr, "fleetsim: invariant violated: %v\n", e)
-		}
-		os.Exit(1)
-	}
-	fmt.Println("invariants: OK")
 }
 
 // resolveVideos maps comma-separated dataset ids to videos.

@@ -1,8 +1,8 @@
 // Package bandwidth provides the application-level throughput predictors
 // ABR logic uses to estimate the network (§6.1): the harmonic mean of the
 // past five chunk downloads (robust to outliers, the paper's default for
-// every scheme), EWMA and last-sample alternatives, and a noisy oracle that
-// injects controlled prediction error for the §6.7 sensitivity study.
+// every scheme), and a noisy oracle that injects controlled prediction
+// error for the §6.7 sensitivity study.
 package bandwidth
 
 import (
@@ -87,75 +87,6 @@ func (h *HarmonicMean) Predict(float64) float64 { return h.est }
 
 // Reset implements Predictor.
 func (h *HarmonicMean) Reset() { h.head, h.count, h.est = 0, 0, 0 }
-
-// EWMA predicts with an exponentially weighted moving average of chunk
-// throughputs.
-type EWMA struct {
-	alpha float64
-	est   float64
-	seen  bool
-}
-
-// NewEWMA returns an EWMA predictor with the given smoothing factor in
-// (0,1]; higher alpha weighs recent samples more.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// ObserveDownload implements Predictor.
-func (e *EWMA) ObserveDownload(bits, seconds float64) {
-	if seconds <= 0 || bits <= 0 {
-		return
-	}
-	tp := bits / seconds
-	if !e.seen {
-		e.est, e.seen = tp, true
-		return
-	}
-	e.est = e.alpha*tp + (1-e.alpha)*e.est
-}
-
-// Predict implements Predictor.
-func (e *EWMA) Predict(float64) float64 {
-	if !e.seen {
-		return 0
-	}
-	return e.est
-}
-
-// Reset implements Predictor.
-func (e *EWMA) Reset() { e.est, e.seen = 0, false }
-
-// Last predicts with the throughput of the most recent download only.
-type Last struct {
-	est  float64
-	seen bool
-}
-
-// NewLast returns a last-sample predictor.
-func NewLast() *Last { return &Last{} }
-
-// ObserveDownload implements Predictor.
-func (l *Last) ObserveDownload(bits, seconds float64) {
-	if seconds <= 0 || bits <= 0 {
-		return
-	}
-	l.est, l.seen = bits/seconds, true
-}
-
-// Predict implements Predictor.
-func (l *Last) Predict(float64) float64 {
-	if !l.seen {
-		return 0
-	}
-	return l.est
-}
-
-// Reset implements Predictor.
-func (l *Last) Reset() { l.est, l.seen = 0, false }
 
 // NoisyOracle predicts the true bandwidth perturbed by a uniform relative
 // error in ±Err, reproducing the §6.7 controlled prediction-error study:

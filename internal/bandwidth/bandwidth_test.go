@@ -66,7 +66,7 @@ func TestHarmonicMeanAtMostArithmetic(t *testing.T) {
 }
 
 func TestPredictorsIgnoreInvalidObservations(t *testing.T) {
-	preds := []Predictor{NewHarmonicMean(5), NewEWMA(0.3), NewLast()}
+	preds := []Predictor{NewHarmonicMean(5)}
 	for _, p := range preds {
 		p.ObserveDownload(0, 1)
 		p.ObserveDownload(1e6, 0)
@@ -77,40 +77,8 @@ func TestPredictorsIgnoreInvalidObservations(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.ObserveDownload(2e6, 1)
-	if got := e.Predict(0); got != 2e6 {
-		t.Errorf("first sample = %v, want 2e6", got)
-	}
-	e.ObserveDownload(4e6, 1)
-	if got := e.Predict(0); math.Abs(got-3e6) > 1 {
-		t.Errorf("EWMA = %v, want 3e6", got)
-	}
-}
-
-func TestEWMABadAlphaCoerced(t *testing.T) {
-	e := NewEWMA(-1)
-	e.ObserveDownload(1e6, 1)
-	if e.Predict(0) != 1e6 {
-		t.Error("EWMA with coerced alpha broken")
-	}
-}
-
-func TestLast(t *testing.T) {
-	l := NewLast()
-	if l.Predict(0) != 0 {
-		t.Error("Last should predict 0 before observations")
-	}
-	l.ObserveDownload(3e6, 1)
-	l.ObserveDownload(6e6, 2)
-	if got := l.Predict(0); got != 3e6 {
-		t.Errorf("Last = %v, want 3e6", got)
-	}
-}
-
 func TestReset(t *testing.T) {
-	preds := []Predictor{NewHarmonicMean(5), NewEWMA(0.3), NewLast()}
+	preds := []Predictor{NewHarmonicMean(5)}
 	for _, p := range preds {
 		p.ObserveDownload(1e6, 1)
 		p.Reset()

@@ -2,7 +2,9 @@
 // concurrent resilient streaming clients against a fault-injected,
 // overload-protected testbed server sharing one trace-shaped bottleneck
 // link — the many-players-one-link regime PANDA studies — and checks
-// system-level invariants after each run:
+// system-level invariants after each run. With Config.Edge set, the
+// server is replaced by an edge tier in front of origin replicas, one of
+// which can be killed mid-run. The invariants:
 //
 //   - every session terminates (no livelock): a session that exceeds its
 //     wall-clock budget is counted as livelocked, and any livelock fails
@@ -35,7 +37,6 @@ import (
 	"cava/internal/chaos/leakcheck"
 	"cava/internal/dash"
 	"cava/internal/edge"
-	"cava/internal/telemetry"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -61,9 +62,11 @@ type Config struct {
 	TimeScale float64
 	// MaxChunks bounds each session's length in segments (default 8).
 	MaxChunks int
-	// Protection configures the server's overload protection; nil uses
-	// dash.DefaultProtection admitting half the session count (so the run
-	// exercises shedding), with a short queue timeout.
+	// Protection configures the front end's overload protection; nil uses
+	// dash.DefaultProtection admitting half the session count with a 0.1 s
+	// queue timeout (so a one-server run exercises shedding), or, with
+	// Edge set, every session with a 0.5 s timeout (the quantity under test
+	// is completion through failover, not shedding).
 	Protection *dash.ProtectionConfig
 	// Resilience configures the clients' fault tolerance; nil uses
 	// dash.DefaultResilience.
@@ -75,10 +78,8 @@ type Config struct {
 	// SettleWallTimeoutSec bounds the post-run goroutine drain wait
 	// (default 5).
 	SettleWallTimeoutSec float64
-	// Registry optionally collects server and client telemetry.
-	Registry *telemetry.Registry
 	// Edge, when non-nil, puts the edge/CDN tier between the clients and a
-	// set of origin replicas (RunEdge only; Run ignores it).
+	// set of fault-injected origin replicas in place of the one server.
 	Edge *EdgeTierConfig
 }
 
@@ -102,8 +103,17 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Protection == nil {
 		p := dash.DefaultProtection(maxInt(1, c.Sessions/2))
 		p.QueueTimeoutSec = 0.1
+		if c.Edge != nil {
+			p = dash.DefaultProtection(c.Sessions)
+			p.QueueTimeoutSec = 0.5
+		}
 		p.SessionIdleSec = 300 // no slot recycling inside one short run
 		c.Protection = &p
+	}
+	if c.Edge != nil && c.Edge.Origins <= 0 {
+		et := *c.Edge
+		et.Origins = 3
+		c.Edge = &et
 	}
 	if c.Resilience == nil {
 		c.Resilience = dash.DefaultResilience()
@@ -156,7 +166,8 @@ type Report struct {
 	// Admission and Breaker snapshot the protection layer's counters.
 	Admission dash.AdmissionStats
 	Breaker   dash.BreakerStats
-	// Faults snapshots the injector's counters.
+	// Faults snapshots the one server's fault injector (zero with an edge
+	// tier, where each origin injects its own).
 	Faults dash.FaultStats
 	// Observed503 counts 503 responses seen client-side; ObservedShed is
 	// the subset carrying Retry-After (i.e. honest load shedding, as
@@ -172,7 +183,7 @@ type Report struct {
 	LeakErr            error
 	// WallSec is the run's wall-clock duration.
 	WallSec float64
-	// Edge snapshots the edge tier's counters (RunEdge only; nil for Run).
+	// Edge snapshots the edge tier's counters (nil without an edge tier).
 	Edge *edge.Stats
 	// OriginKills and OriginRestarts count the origin-lifecycle controller's
 	// actions; EdgeHitsAfterRestart counts cache hits accrued after the
@@ -212,15 +223,45 @@ func (t *countingTransport) counts() (n503, nShed int) {
 	return t.n503, t.nShed503
 }
 
-// Run executes one chaos run and returns its report. An error means the
-// harness itself could not run (bad config, no listener); session-level
-// failures land in the report, not the error.
-func Run(cfg Config) (*Report, error) {
-	cfg, err := cfg.withDefaults()
+// backend is the system under test behind the shaped, protected front
+// end: one fault-injected server, or fault-injected origin replicas behind
+// an edge (Config.Edge).
+type backend struct {
+	handler  http.Handler
+	injector *dash.FaultInjector // the one server's; nil behind an edge
+	edge     *edge.Edge
+	origins  []*originInstance
+}
+
+// newBackend builds the backend cfg selects.
+func newBackend(cfg Config) (*backend, error) {
+	if cfg.Edge != nil {
+		return newEdgeBackend(cfg)
+	}
+	faultCfg, err := dash.FaultProfile(cfg.FaultProfile, cfg.Seed, cfg.TimeScale)
 	if err != nil {
 		return nil, err
 	}
-	faultCfg, err := dash.FaultProfile(cfg.FaultProfile, cfg.Seed, cfg.TimeScale)
+	injector := dash.NewFaultInjector(faultCfg, dash.NewServer(cfg.Video).Handler())
+	return &backend{handler: injector, injector: injector}, nil
+}
+
+// close drains the edge's background refreshers and kills every origin.
+func (b *backend) close() {
+	if b.edge != nil {
+		b.edge.Close()
+	}
+	for _, o := range b.origins {
+		o.kill()
+	}
+}
+
+// Run executes one chaos run and returns its report. An error means the
+// harness itself could not run (bad config, no listener, a killed origin
+// that could not rebind); session-level failures land in the report, not
+// the error.
+func Run(cfg Config) (*Report, error) {
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
@@ -228,20 +269,19 @@ func Run(cfg Config) (*Report, error) {
 	baseline := leakcheck.Snapshot()
 	start := time.Now()
 
+	b, err := newBackend(cfg)
+	if err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
+		b.close()
 		return nil, fmt.Errorf("chaos: listen: %w", err)
 	}
-	shaper := dash.NewShaper(cfg.Trace, cfg.TimeScale)
-	shaper.SetMetrics(cfg.Registry)
-	server := dash.NewServer(cfg.Video)
-	server.SetMetrics(cfg.Registry)
-	injector := dash.NewFaultInjector(faultCfg, server.Handler())
-	injector.SetMetrics(cfg.Registry)
-	protection := dash.Protect(*cfg.Protection, injector)
-	protection.SetMetrics(cfg.Registry)
+	protection := dash.Protect(*cfg.Protection, b.handler)
 	hsrv := dash.NewHTTPServer(protection.Handler())
-	go func() { _ = hsrv.Serve(dash.NewShapedListener(ln, shaper)) }()
+	shaped := dash.NewShapedListener(ln, dash.NewShaper(cfg.Trace, cfg.TimeScale))
+	go func() { _ = hsrv.Serve(shaped) }()
 
 	// One shared transport: sessions share the loopback the way real
 	// players share an edge, and one counter sees every response.
@@ -252,28 +292,43 @@ func Run(cfg Config) (*Report, error) {
 	}}
 	httpClient := &http.Client{Timeout: 5 * time.Minute, Transport: transport}
 
+	var kill *OriginKillPlan
+	staggerSec := 0.0
+	if cfg.Edge != nil {
+		kill, staggerSec = cfg.Edge.OriginKill, cfg.Edge.SessionStaggerSec
+	}
+	killer := b.startKiller(kill)
+
 	results := make([]SessionResult, cfg.Sessions)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Sessions; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			if staggerSec > 0 && cfg.Sessions > 1 {
+				time.Sleep(wallSeconds(staggerSec * float64(i) / float64(cfg.Sessions)))
+			}
 			results[i] = runSession(cfg, i, "http://"+ln.Addr().String(), httpClient)
 		}(i)
 	}
 	wg.Wait()
+	killer.wg.Wait()
 
 	rep := &Report{
 		Profile:            cfg.FaultProfile,
 		Sessions:           cfg.Sessions,
 		Results:            results,
 		Admission:          protection.AdmissionStats(),
-		Faults:             injector.Stats(),
 		GoroutinesBaseline: baseline.Count(),
 		ShedBudget:         shedBudget(cfg),
+		OriginKills:        killer.kills,
+		OriginRestarts:     killer.restarts,
 	}
-	if b := protection.Breaker(); b != nil {
-		rep.Breaker = b.Stats()
+	if b.injector != nil {
+		rep.Faults = b.injector.Stats()
+	}
+	if br := protection.Breaker(); br != nil {
+		rep.Breaker = br.Stats()
 	}
 	rep.Observed503, rep.ObservedShed = transport.counts()
 	for _, r := range results {
@@ -288,12 +343,27 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	// Teardown, then require the goroutine count to drain to baseline.
-	// protection.Close drains any request goroutine still parked in the
-	// admission queue before the leak check counts survivors.
+	// Teardown order matters for the leak check: stop accepting client
+	// traffic, drain any request goroutine still parked in the admission
+	// queue, snapshot the edge, drain its background refreshers and drop
+	// the origins, then close idle connections before requiring the
+	// baseline back.
 	_ = hsrv.Close()
 	protection.Close()
+	if b.edge != nil {
+		es := b.edge.Stats()
+		rep.Edge = &es
+		if killer.restarts > 0 && es.Hits > killer.hitsAtRestart {
+			rep.EdgeHitsAfterRestart = es.Hits - killer.hitsAtRestart
+		}
+	}
+	b.close()
 	httpClient.CloseIdleConnections()
+	if killer.err != nil {
+		// A failed rebind leaves the run unable to test recovery; that is a
+		// harness failure, not a system-under-test finding.
+		return nil, killer.err
+	}
 	rep.LeakErr = baseline.Settle(wallSeconds(cfg.SettleWallTimeoutSec))
 	rep.GoroutinesAfter = leakcheck.Snapshot().Count()
 	rep.WallSec = time.Since(start).Seconds()
@@ -315,7 +385,6 @@ func runSession(cfg Config, i int, baseURL string, httpClient *http.Client) Sess
 		MaxChunks:    cfg.MaxChunks,
 		Resilience:   &rcfg,
 		SessionID:    id,
-		Metrics:      cfg.Registry,
 	})
 	if err != nil {
 		out.Err = err

@@ -4,108 +4,39 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"time"
 
-	"cava/internal/abr"
 	"cava/internal/fleet"
-	"cava/internal/telemetry"
-	"cava/internal/trace"
-	"cava/internal/video"
 )
 
-// CrashConfig describes one crash-injection soak: the chaos harness's
-// answer to "does a long fleet run survive its own process?". Where
-// RunFleet proves the event engine schedules a healthy fleet, RunCrash
-// attacks the same engine three ways at once — seeded panics inside
-// randomly chosen sessions' chunk steps, a mid-run interrupt that forces a
-// checkpoint, and a resume that must land bit-identical to the run that
-// was never interrupted. Panic isolation, checkpoint/resume and event
-// accounting are all load-bearing at once, which is exactly the state a
-// production OOM-kill or crashing ABR scheme would find them in.
+// CrashConfig holds the crash soak's own settings. The fleet it attacks is
+// the fleet.Config passed to RunCrash, run as given; its Seed also drives
+// the fault schedule (which sessions panic, at which chunk), and the
+// interrupt cut is derived from the corpus. Same seed, same faults.
 type CrashConfig struct {
-	// Videos and Traces form the shared corpus (required).
-	Videos []*video.Video
-	Traces []*trace.Trace
-	// Scheme is the adaptation algorithm every session runs (required).
-	Scheme abr.Scheme
-	// Sessions is the fleet size (default 2000).
-	Sessions int
-	// Workers is the engine shard count (non-positive: GOMAXPROCS).
-	Workers int
-	// ArrivalRatePerSec staggers arrivals (default 20/s).
-	ArrivalRatePerSec float64
-	// Seed drives corpus assignment AND the fault schedule: which sessions
-	// panic, at which chunk, and where the interrupt cut lands relative to
-	// event progress. Same seed, same faults.
-	Seed int64
-	// MaxChunks bounds each session's length (default 40).
-	MaxChunks int
 	// Faults is how many sessions get a panic injected into one of their
-	// chunk steps (default 25). Victim chunks are drawn below every
-	// video's chunk budget, so every scheduled fault actually fires.
+	// chunk steps (default 25, at most the fleet size). Victim chunks are
+	// drawn below every video's chunk budget, so every scheduled fault
+	// actually fires.
 	Faults int
 	// CheckpointDir hosts the mid-run checkpoint (required): the run is
 	// interrupted once, checkpointed there, and resumed.
 	CheckpointDir string
-	// InterruptAfterEvents is the event count at which the run's context
-	// is cancelled (default one third of a lower bound on the actual
-	// event budget, derived from the shortest video in the corpus so the
-	// cut is always reached and the interrupt leg always engages).
-	InterruptAfterEvents int64
-	// Registry optionally collects the engine's telemetry across all
-	// three legs (baseline, interrupted, resumed).
-	Registry *telemetry.Registry
-}
-
-// withCrashDefaults validates the config and fills defaulted fields.
-func (c CrashConfig) withCrashDefaults() (CrashConfig, error) {
-	if len(c.Videos) == 0 || len(c.Traces) == 0 || c.Scheme.New == nil {
-		return c, errors.New("chaos: CrashConfig needs Videos, Traces and Scheme")
-	}
-	if c.CheckpointDir == "" {
-		return c, errors.New("chaos: CrashConfig needs a CheckpointDir for the interrupt/resume leg")
-	}
-	if c.Sessions <= 0 {
-		c.Sessions = 2000
-	}
-	if c.ArrivalRatePerSec <= 0 {
-		c.ArrivalRatePerSec = 20
-	}
-	if c.MaxChunks <= 0 {
-		c.MaxChunks = 40
-	}
-	if c.Faults <= 0 {
-		c.Faults = 25
-	}
-	if c.Faults > c.Sessions {
-		c.Faults = c.Sessions
-	}
-	// InterruptAfterEvents is defaulted in RunCrash: the real per-session
-	// event budget is min(video.NumChunks, MaxChunks), which needs the
-	// corpus scan that also bounds victim chunks.
-	return c, nil
 }
 
 // CrashReport aggregates one crash soak for invariant checking.
 type CrashReport struct {
-	// Sessions, Completed and Quarantined partition the fleet; every
-	// session must end up in exactly one of the latter two.
-	Sessions    int
-	Completed   int
-	Quarantined int
+	// Result is the final fleet Result: the resumed run's, or the second
+	// leg's when the interrupt never landed.
+	Result *fleet.Result
 	// FaultsInjected is the scheduled panic count; a healthy run
 	// quarantines exactly this many sessions — no faults lost, no
 	// collateral damage.
 	FaultsInjected int
-	// Events, ExpectedEvents and LostEvents echo the engine's accounting;
-	// Events != ExpectedEvents - LostEvents means the isolation path
-	// corrupted the schedule.
-	Events         int64
-	ExpectedEvents int64
-	LostEvents     int64
 	// Interrupted and Resumed report the checkpoint leg actually engaged:
 	// the cancel landed mid-run and the final result came from a resumed
 	// engine.
@@ -117,45 +48,64 @@ type CrashReport struct {
 	ResumeMatches bool
 	// WallSec is the soak's wall-clock duration (reporting only).
 	WallSec float64
+
+	cfg fleet.Config // the fleet every leg ran, for Result.Invariants
 }
 
-// RunCrash executes one crash soak: an uninterrupted baseline run with the
+// RunCrash executes one crash soak against the fleet cfg describes —
+// seeded panics inside randomly chosen sessions' chunk steps, a mid-run
+// interrupt that forces a checkpoint, and a resume that must land
+// bit-identical to the run that was never interrupted. Panic isolation,
+// checkpoint/resume and event accounting are all load-bearing at once,
+// which is exactly the state a production OOM-kill or crashing ABR scheme
+// would find them in. The legs: an uninterrupted baseline run with the
 // seeded faults, then the same run interrupted mid-flight (checkpoint on
-// the way out) and resumed to completion. An error means the harness
-// itself could not run; fault-tolerance violations land in the report.
-func RunCrash(cfg CrashConfig) (*CrashReport, error) {
-	cfg, err := cfg.withCrashDefaults()
-	if err != nil {
-		return nil, err
+// the way out) and resumed to completion. cfg.CrashHook is replaced by the
+// fault schedule. An error means the harness itself could not run;
+// fault-tolerance violations land in the report.
+func RunCrash(cfg fleet.Config, crash CrashConfig) (*CrashReport, error) {
+	if len(cfg.Videos) == 0 || len(cfg.Traces) == 0 || cfg.Scheme.New == nil {
+		return nil, errors.New("chaos: RunCrash needs a fleet with Videos, Traces and Scheme")
+	}
+	if crash.CheckpointDir == "" {
+		return nil, errors.New("chaos: RunCrash needs a CheckpointDir for the interrupt/resume leg")
+	}
+	if crash.Faults <= 0 {
+		crash.Faults = 25
+	}
+	if crash.Faults > cfg.Sessions {
+		crash.Faults = cfg.Sessions
 	}
 	start := time.Now()
 
 	// Victim chunks stay below every video's chunk budget so each fault is
 	// guaranteed to fire regardless of which video the session drew.
-	minBudget := cfg.MaxChunks
+	minBudget := math.MaxInt
 	for _, v := range cfg.Videos {
-		if n := v.NumChunks(); n < minBudget {
+		n := v.NumChunks()
+		if cfg.MaxChunks > 0 && cfg.MaxChunks < n {
+			n = cfg.MaxChunks
+		}
+		if n < minBudget {
 			minBudget = n
 		}
 	}
 	if minBudget < 2 {
 		return nil, fmt.Errorf("chaos: chunk budget %d leaves no room for mid-session faults", minBudget)
 	}
-	if cfg.InterruptAfterEvents <= 0 {
-		// One third of a lower bound on the total event count: every
-		// non-victim session steps at least minBudget chunks, and every
-		// victim fires at least one event before its panic. Deriving the
-		// cut from MaxChunks instead would overshoot on a corpus of short
-		// videos and the interrupt leg would never engage.
-		budget := int64(cfg.Sessions-cfg.Faults)*int64(minBudget) + int64(cfg.Faults)
-		cfg.InterruptAfterEvents = budget / 3
-		if cfg.InterruptAfterEvents < 1 {
-			cfg.InterruptAfterEvents = 1
-		}
+	// The cut is one third of a lower bound on the total event count:
+	// every non-victim session steps at least minBudget chunks, and every
+	// victim fires at least one event before its panic. Deriving the cut
+	// from MaxChunks instead would overshoot on a corpus of short videos
+	// and the interrupt leg would never engage.
+	budget := int64(cfg.Sessions-crash.Faults)*int64(minBudget) + int64(crash.Faults)
+	interruptAfterEvents := budget / 3
+	if interruptAfterEvents < 1 {
+		interruptAfterEvents = 1
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	victims := make(map[int32]int, cfg.Faults)
-	for len(victims) < cfg.Faults {
+	victims := make(map[int32]int, crash.Faults)
+	for len(victims) < crash.Faults {
 		id := int32(rng.Intn(cfg.Sessions))
 		if _, dup := victims[id]; dup {
 			continue
@@ -166,7 +116,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	// also trips the interrupt once the event count crosses the cut.
 	faultHook := func(counter *atomic.Int64, cancel context.CancelFunc) func(int32, int) {
 		return func(id int32, chunk int) {
-			if counter != nil && counter.Add(1) == cfg.InterruptAfterEvents {
+			if counter != nil && counter.Add(1) == interruptAfterEvents {
 				cancel()
 			}
 			if c, ok := victims[id]; ok && chunk == c {
@@ -176,21 +126,8 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 		}
 	}
 
-	base := fleet.Config{
-		Videos:             cfg.Videos,
-		Traces:             cfg.Traces,
-		Scheme:             cfg.Scheme,
-		Sessions:           cfg.Sessions,
-		Workers:            cfg.Workers,
-		ArrivalRatePerSec:  cfg.ArrivalRatePerSec,
-		RandomTraceOffsets: true,
-		Seed:               cfg.Seed,
-		MaxChunks:          cfg.MaxChunks,
-		Metrics:            cfg.Registry,
-	}
-
 	// Leg 1: the uninterrupted baseline, faults and all.
-	bcfg := base
+	bcfg := cfg
 	bcfg.CrashHook = faultHook(nil, nil)
 	want, err := fleet.Run(bcfg)
 	if err != nil {
@@ -201,13 +138,13 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var events atomic.Int64
-	icfg := base
+	icfg := cfg
 	icfg.CrashHook = faultHook(&events, cancel)
 	e, err := fleet.New(icfg)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: interrupted run: %w", err)
 	}
-	partial, runErr := e.RunContext(ctx, fleet.RunOptions{CheckpointDir: cfg.CheckpointDir})
+	partial, runErr := e.RunContext(ctx, fleet.RunOptions{CheckpointDir: crash.CheckpointDir})
 	interrupted := errors.Is(runErr, fleet.ErrInterrupted)
 	if runErr != nil && !interrupted {
 		return nil, fmt.Errorf("chaos: interrupted run: %w", runErr)
@@ -218,9 +155,9 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	final := partial
 	resumed := false
 	if interrupted {
-		rcfg := base
+		rcfg := cfg
 		rcfg.CrashHook = faultHook(nil, nil)
-		re, err := fleet.Resume(rcfg, cfg.CheckpointDir)
+		re, err := fleet.Resume(rcfg, crash.CheckpointDir)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: resume: %w", err)
 		}
@@ -231,17 +168,13 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	}
 
 	return &CrashReport{
-		Sessions:       final.Sessions,
-		Completed:      final.Completed,
-		Quarantined:    len(final.Quarantined),
+		Result:         final,
 		FaultsInjected: len(victims),
-		Events:         final.Events,
-		ExpectedEvents: final.ExpectedEvents,
-		LostEvents:     final.LostEvents,
 		Interrupted:    interrupted,
 		Resumed:        resumed,
 		ResumeMatches:  resultsMatch(want, final),
 		WallSec:        time.Since(start).Seconds(),
+		cfg:            cfg,
 	}, nil
 }
 
@@ -263,29 +196,21 @@ func resultsMatch(a, b *fleet.Result) bool {
 // Invariants checks the report against the crash-tolerance contract and
 // returns every violation (empty means the soak passed):
 //
+//   - the fleet contract holds around the faults (fleet.Result.Invariants:
+//     closed accounting Events == ExpectedEvents - LostEvents, completed +
+//     quarantined partitioning the population, and so on);
 //   - isolation is exact: every injected fault quarantined its session,
-//     and nothing else was quarantined;
-//   - the fleet completed around the faults: completed + quarantined
-//     partitions the population, and the event accounting closes as
-//     Events == ExpectedEvents - LostEvents with LostEvents > 0;
+//     nothing else was quarantined, and the faults cost events;
 //   - the checkpoint leg engaged: the run was interrupted and resumed;
 //   - resume is lossless: the resumed run's Result is bit-identical to
 //     the uninterrupted baseline's.
 func (r *CrashReport) Invariants() []error {
-	var out []error
-	if r.Completed+r.Quarantined != r.Sessions {
-		out = append(out, fmt.Errorf("chaos: %d completed + %d quarantined != %d sessions (sessions vanished)",
-			r.Completed, r.Quarantined, r.Sessions))
-	}
-	if r.Quarantined != r.FaultsInjected {
+	out := r.Result.Invariants(r.cfg)
+	if q := len(r.Result.Quarantined); q != r.FaultsInjected {
 		out = append(out, fmt.Errorf("chaos: %d sessions quarantined for %d injected faults (lost faults or collateral quarantine)",
-			r.Quarantined, r.FaultsInjected))
+			q, r.FaultsInjected))
 	}
-	if r.Events != r.ExpectedEvents-r.LostEvents {
-		out = append(out, fmt.Errorf("chaos: accounting open: %d events for %d expected - %d lost",
-			r.Events, r.ExpectedEvents, r.LostEvents))
-	}
-	if r.FaultsInjected > 0 && r.LostEvents <= 0 {
+	if r.FaultsInjected > 0 && r.Result.LostEvents <= 0 {
 		out = append(out, fmt.Errorf("chaos: %d faults injected but no events lost (faults did not land mid-session)",
 			r.FaultsInjected))
 	}

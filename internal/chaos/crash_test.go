@@ -6,22 +6,43 @@ import (
 	"strings"
 	"testing"
 
+	"cava/internal/abr"
 	"cava/internal/cache"
 	"cava/internal/chaos/leakcheck"
+	"cava/internal/core"
+	"cava/internal/fleet"
 	"cava/internal/telemetry"
+	"cava/internal/trace"
 	"cava/internal/video"
 )
 
+// crashTestFleet is the soak fleet: two thousand CAVA sessions of 40
+// chunks, Poisson arrivals at 20/s and random trace offsets over a mixed
+// LTE/FCC corpus, sharded across four workers.
+func crashTestFleet(seed int64) fleet.Config {
+	return fleet.Config{
+		Videos: []*video.Video{
+			video.FFmpegVideo(video.Title{Name: "ED", Genre: video.SciFi}, video.H264),
+			video.FFmpegVideo(video.Title{Name: "BBB", Genre: video.Animation}, video.H264),
+		},
+		Traces: []*trace.Trace{
+			trace.GenLTE(0), trace.GenLTE(1), trace.GenLTE(2), trace.GenFCC(0),
+		},
+		Scheme:             abr.Scheme{Name: "CAVA", Key: "cava", New: core.Factory()},
+		Sessions:           2000,
+		Workers:            4,
+		ArrivalRatePerSec:  20,
+		RandomTraceOffsets: true,
+		Seed:               seed,
+		MaxChunks:          40,
+	}
+}
+
 func TestCrashConfigValidation(t *testing.T) {
-	if _, err := RunCrash(CrashConfig{}); err == nil {
-		t.Fatal("RunCrash accepted an empty config")
+	if _, err := RunCrash(fleet.Config{}, CrashConfig{CheckpointDir: t.TempDir()}); err == nil {
+		t.Fatal("RunCrash accepted an empty fleet")
 	}
-	cfg := CrashConfig{
-		Videos: fleetTestConfig().Videos,
-		Traces: fleetTestConfig().Traces,
-		Scheme: fleetTestConfig().Scheme,
-	}
-	if _, err := RunCrash(cfg); err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
+	if _, err := RunCrash(crashTestFleet(13), CrashConfig{}); err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
 		t.Fatalf("RunCrash without CheckpointDir: %v", err)
 	}
 }
@@ -36,16 +57,9 @@ func TestCrashSoak(t *testing.T) {
 	defer leakcheck.Check(t)()
 	reg := telemetry.NewRegistry()
 
-	fc := fleetTestConfig()
-	rep, err := RunCrash(CrashConfig{
-		Videos:        fc.Videos,
-		Traces:        fc.Traces,
-		Scheme:        fc.Scheme,
-		Workers:       4,
-		Seed:          13,
-		CheckpointDir: t.TempDir(),
-		Registry:      reg,
-	})
+	cfg := crashTestFleet(13)
+	cfg.Metrics = reg
+	rep, err := RunCrash(cfg, CrashConfig{CheckpointDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,24 +72,25 @@ func TestCrashSoak(t *testing.T) {
 	if got := reg.Counter("fleet_checkpoints_written_total", "").Value(); rep.Interrupted && got == 0 {
 		t.Error("run was interrupted with a checkpoint dir but fleet_checkpoints_written_total stayed 0")
 	}
+	res := rep.Result
 	t.Logf("crash soak: %d sessions, %d quarantined of %d faults, %d/%d events (%d lost), interrupted=%v resumed=%v match=%v (%.2f wall s)",
-		rep.Sessions, rep.Quarantined, rep.FaultsInjected, rep.Events, rep.ExpectedEvents,
-		rep.LostEvents, rep.Interrupted, rep.Resumed, rep.ResumeMatches, rep.WallSec)
+		res.Sessions, len(res.Quarantined), rep.FaultsInjected, res.Events, res.ExpectedEvents,
+		res.LostEvents, rep.Interrupted, rep.Resumed, rep.ResumeMatches, rep.WallSec)
 
 	cacheCorruptionLeg(t, reg)
 }
 
-// TestCrashShortCorpusEngagesInterrupt pins the default interrupt cut
-// against a corpus of videos much shorter than MaxChunks: the cut must be
+// TestCrashShortCorpusEngagesInterrupt pins the interrupt cut against a
+// corpus of videos much shorter than MaxChunks: the cut must be
 // derived from the real per-session event budget (min NumChunks), so the
 // cancel still fires mid-run and the interrupt/resume leg engages. A
-// MaxChunks-derived default overshoots here — the event count never
+// MaxChunks-derived cut overshoots here — the event count never
 // reaches it and a healthy engine reports a spurious "interrupt leg
 // never engaged" violation.
 func TestCrashShortCorpusEngagesInterrupt(t *testing.T) {
 	defer leakcheck.Check(t)()
-	fc := fleetTestConfig()
-	short := []*video.Video{
+	cfg := crashTestFleet(29)
+	cfg.Videos = []*video.Video{
 		video.Generate(video.GenConfig{
 			Name: "crash-short-1", Genre: video.SciFi,
 			ChunkDurSec: 2, DurationSec: 12, Seed: 7,
@@ -85,18 +100,11 @@ func TestCrashShortCorpusEngagesInterrupt(t *testing.T) {
 			ChunkDurSec: 2, DurationSec: 16, Seed: 8,
 		}),
 	}
-	rep, err := RunCrash(CrashConfig{
-		Videos:        short,
-		Traces:        fc.Traces,
-		Scheme:        fc.Scheme,
-		Sessions:      800,
-		Workers:       2,
-		Faults:        4,
-		Seed:          29,
-		CheckpointDir: t.TempDir(),
-		// MaxChunks stays at its default (40), far above the 6-chunk
-		// shortest video: the cut has to come from the corpus.
-	})
+	cfg.Sessions = 800
+	cfg.Workers = 2
+	// MaxChunks stays at 40, far above the 6-chunk shortest video: the cut
+	// has to come from the corpus.
+	rep, err := RunCrash(cfg, CrashConfig{Faults: 4, CheckpointDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,11 @@ import (
 )
 
 func TestRunEdgeConfigValidation(t *testing.T) {
-	if _, err := RunEdge(testConfig()); err == nil {
-		t.Fatal("RunEdge accepted a config with no Edge tier")
-	}
 	cfg := testConfig()
 	cfg.Edge = &EdgeTierConfig{}
 	cfg.Video = nil
-	if _, err := RunEdge(cfg); err == nil {
-		t.Fatal("RunEdge accepted a config with no video")
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("Run accepted an edge-tier config with no video")
 	}
 }
 
@@ -51,7 +48,7 @@ func TestEdgeChaosSoak(t *testing.T) {
 		SessionStaggerSec: 1.0,
 	}
 
-	rep, err := RunEdge(cfg)
+	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +96,7 @@ func TestEdgeChaosCleanRun(t *testing.T) {
 	cfg.MaxChunks = 4
 	cfg.Edge = &EdgeTierConfig{Origins: 2}
 
-	rep, err := RunEdge(cfg)
+	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

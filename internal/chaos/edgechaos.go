@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"cava/internal/chaos/leakcheck"
 	"cava/internal/dash"
 	"cava/internal/edge"
 )
@@ -30,20 +29,17 @@ type OriginKillPlan struct {
 
 // EdgeTierConfig puts the edge/CDN tier between the chaos clients and a set
 // of origin replicas. Clients speak to the edge through the shared shaped
-// bottleneck; the edge fans out to unshaped local origins.
+// bottleneck; the edge fans out to unshaped local origins. The edge's
+// segment cache and per-attempt timeout keep the edge.Config defaults.
 type EdgeTierConfig struct {
 	// Origins is the number of origin replicas (default 3).
 	Origins int
-	// CacheBytes bounds the edge's segment cache (default 64 MiB).
-	CacheBytes int64
 	// ManifestSoftTTLSec / ManifestHardTTLSec tune the edge's
 	// stale-while-revalidate window (defaults 1 and 120 wall seconds; the
 	// soak sets a tiny soft TTL so staggered sessions exercise stale
 	// serving).
 	ManifestSoftTTLSec float64
 	ManifestHardTTLSec float64
-	// AttemptTimeoutSec bounds each edge→origin attempt (default 5).
-	AttemptTimeoutSec float64
 	// Breaker is the per-origin breaker policy (zero value = defaults).
 	Breaker dash.BreakerConfig
 	// OriginKill, when non-nil, schedules the origin-lifecycle fault.
@@ -52,14 +48,6 @@ type EdgeTierConfig struct {
 	// (default 0: all at once), so manifest requests arrive at distinct
 	// cache ages.
 	SessionStaggerSec float64
-}
-
-// withDefaults fills zero fields.
-func (c EdgeTierConfig) withDefaults() EdgeTierConfig {
-	if c.Origins <= 0 {
-		c.Origins = 3
-	}
-	return c
 }
 
 // originInstance is one restartable origin replica: a fixed address whose
@@ -115,210 +103,83 @@ func (o *originInstance) restart() error {
 	return nil
 }
 
-// RunEdge executes one chaos run with the edge tier in front of a set of
-// origin replicas, optionally killing and restarting an origin mid-run.
-// cfg.Edge selects the topology; the remaining Config fields keep their
-// Run semantics. Unlike Run, the default protection admits every session:
-// the quantity under test is completion through failover, not shedding.
-func RunEdge(cfg Config) (*Report, error) {
-	if cfg.Edge == nil {
-		return nil, errors.New("chaos: RunEdge needs Config.Edge")
-	}
-	if cfg.Protection == nil {
-		sessions := cfg.Sessions
-		if sessions <= 0 {
-			sessions = 8
-		}
-		p := dash.DefaultProtection(sessions)
-		p.QueueTimeoutSec = 0.5
-		p.SessionIdleSec = 300
-		cfg.Protection = &p
-	}
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	et := cfg.Edge.withDefaults()
-
-	baseline := leakcheck.Snapshot()
-	start := time.Now()
-
-	// Origin replicas: each runs the full single-video server behind its
-	// own fault injector (distinct seeds, same profile), on its own
-	// unshaped loopback listener.
-	origins := make([]*originInstance, et.Origins)
-	for i := range origins {
-		faultCfg, ferr := dash.FaultProfile(cfg.FaultProfile, cfg.Seed+int64(i)*101, cfg.TimeScale)
-		if ferr != nil {
-			return nil, ferr
-		}
-		server := dash.NewServer(cfg.Video)
-		server.SetMetrics(cfg.Registry)
-		injector := dash.NewFaultInjector(faultCfg, server.Handler())
-		origins[i], err = startOrigin(injector)
+// newEdgeBackend starts cfg.Edge.Origins origin replicas — each the full
+// single-video server behind its own fault injector (distinct seeds, same
+// profile) on its own unshaped loopback listener — and the edge in front.
+func newEdgeBackend(cfg Config) (*backend, error) {
+	b := &backend{}
+	urls := make([]string, cfg.Edge.Origins)
+	for i := range urls {
+		faultCfg, err := dash.FaultProfile(cfg.FaultProfile, cfg.Seed+int64(i)*101, cfg.TimeScale)
 		if err != nil {
-			for _, o := range origins {
-				if o != nil {
-					o.kill()
-				}
-			}
+			b.close()
+			return nil, err
+		}
+		o, err := startOrigin(dash.NewFaultInjector(faultCfg, dash.NewServer(cfg.Video).Handler()))
+		if err != nil {
+			b.close()
 			return nil, fmt.Errorf("chaos: origin listen: %w", err)
 		}
+		b.origins = append(b.origins, o)
+		urls[i] = "http://" + o.addr
 	}
-	originURLs := make([]string, len(origins))
-	for i, o := range origins {
-		originURLs[i] = "http://" + o.addr
-	}
-
+	et := cfg.Edge
 	eg, err := edge.New(edge.Config{
-		Origins:            originURLs,
+		Origins:            urls,
 		VideoID:            cfg.Video.ID(),
-		CacheBytes:         et.CacheBytes,
 		ManifestSoftTTLSec: et.ManifestSoftTTLSec,
 		ManifestHardTTLSec: et.ManifestHardTTLSec,
-		AttemptTimeoutSec:  et.AttemptTimeoutSec,
 		Breaker:            et.Breaker,
 		JitterSeed:         cfg.Seed,
 	})
 	if err != nil {
-		for _, o := range origins {
-			o.kill()
-		}
+		b.close()
 		return nil, err
 	}
-	eg.SetMetrics(cfg.Registry)
+	b.edge, b.handler = eg, eg.Handler()
+	return b, nil
+}
 
-	// The client-facing stack mirrors Run: overload protection in front,
-	// the trace-shaped bottleneck underneath — but the protected handler is
-	// the edge, not a single origin.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		eg.Close()
-		for _, o := range origins {
-			o.kill()
+// originKiller is the origin-lifecycle controller's outcome, readable once
+// wg is done.
+type originKiller struct {
+	wg              sync.WaitGroup
+	kills, restarts int
+	hitsAtRestart   uint64
+	err             error
+}
+
+// startKiller runs plan against the backend's origins: kill the target
+// mid-run, bring it back after the down window, and snapshot the edge's
+// hit counter at restart so the report can show the cache recovering. A
+// nil plan does nothing.
+func (b *backend) startKiller(plan *OriginKillPlan) *originKiller {
+	k := &originKiller{}
+	if plan == nil {
+		return k
+	}
+	target := plan.Target
+	if target < 0 || target >= len(b.origins) {
+		target = b.edge.OriginOrder("")[0] // the primary takes the hit
+	}
+	k.wg.Add(1)
+	go func() {
+		defer k.wg.Done()
+		time.Sleep(wallSeconds(plan.KillAfterSec))
+		b.origins[target].kill()
+		k.kills++
+		if plan.DownForSec <= 0 {
+			return
 		}
-		return nil, fmt.Errorf("chaos: listen: %w", err)
-	}
-	shaper := dash.NewShaper(cfg.Trace, cfg.TimeScale)
-	shaper.SetMetrics(cfg.Registry)
-	protection := dash.Protect(*cfg.Protection, eg.Handler())
-	protection.SetMetrics(cfg.Registry)
-	hsrv := dash.NewHTTPServer(protection.Handler())
-	go func() { _ = hsrv.Serve(dash.NewShapedListener(ln, shaper)) }()
-
-	transport := &countingTransport{inner: &http.Transport{
-		DialContext:           (&net.Dialer{Timeout: 10 * time.Second}).DialContext,
-		ResponseHeaderTimeout: 30 * time.Second,
-		MaxIdleConnsPerHost:   cfg.Sessions,
-	}}
-	httpClient := &http.Client{Timeout: 5 * time.Minute, Transport: transport}
-
-	// Origin-lifecycle controller: kill the target origin mid-run, bring it
-	// back after the down window, and snapshot the edge's hit counter at
-	// restart so the report can show the cache recovering.
-	var (
-		kills, restarts int
-		hitsAtRestart   uint64
-		restartErr      error
-		ctrlWG          sync.WaitGroup
-	)
-	if plan := et.OriginKill; plan != nil {
-		target := plan.Target
-		if target < 0 || target >= len(origins) {
-			target = eg.OriginOrder("")[0] // the primary takes the hit
+		time.Sleep(wallSeconds(plan.DownForSec))
+		if err := b.origins[target].restart(); err != nil {
+			k.err = err
+			return
 		}
-		ctrlWG.Add(1)
-		go func() {
-			defer ctrlWG.Done()
-			time.Sleep(wallSeconds(plan.KillAfterSec))
-			origins[target].kill()
-			kills++
-			if plan.DownForSec <= 0 {
-				return
-			}
-			time.Sleep(wallSeconds(plan.DownForSec))
-			if err := origins[target].restart(); err != nil {
-				restartErr = err
-				return
-			}
-			restarts++
-			hitsAtRestart = eg.Stats().Hits
-		}()
-	}
-
-	results := make([]SessionResult, cfg.Sessions)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if et.SessionStaggerSec > 0 && cfg.Sessions > 1 {
-				time.Sleep(wallSeconds(et.SessionStaggerSec * float64(i) / float64(cfg.Sessions)))
-			}
-			results[i] = runSession(cfg, i, "http://"+ln.Addr().String(), httpClient)
-		}(i)
-	}
-	wg.Wait()
-	ctrlWG.Wait()
-	if restartErr != nil {
-		// A failed rebind leaves the run unable to test recovery; that is a
-		// harness failure, not a system-under-test finding.
-		_ = hsrv.Close()
-		protection.Close()
-		eg.Close()
-		for _, o := range origins {
-			o.kill()
-		}
-		httpClient.CloseIdleConnections()
-		return nil, restartErr
-	}
-
-	rep := &Report{
-		Profile:            cfg.FaultProfile,
-		Sessions:           cfg.Sessions,
-		Results:            results,
-		Admission:          protection.AdmissionStats(),
-		GoroutinesBaseline: baseline.Count(),
-		ShedBudget:         shedBudget(cfg),
-		OriginKills:        kills,
-		OriginRestarts:     restarts,
-	}
-	if b := protection.Breaker(); b != nil {
-		rep.Breaker = b.Stats()
-	}
-	rep.Observed503, rep.ObservedShed = transport.counts()
-	for _, r := range results {
-		switch {
-		case r.Completed():
-			rep.Completed++
-		case r.Livelocked:
-			rep.Livelocked++
-			rep.Failed++
-		default:
-			rep.Failed++
-		}
-	}
-
-	// Teardown order matters for the leak check: stop accepting client
-	// traffic, drain the admission queue, drain the edge's background
-	// refreshers, then drop the origins and idle connections before
-	// requiring the baseline back.
-	_ = hsrv.Close()
-	protection.Close()
-	es := eg.Stats()
-	rep.Edge = &es
-	if rep.OriginRestarts > 0 && es.Hits > hitsAtRestart {
-		rep.EdgeHitsAfterRestart = es.Hits - hitsAtRestart
-	}
-	eg.Close()
-	for _, o := range origins {
-		o.kill()
-	}
-	httpClient.CloseIdleConnections()
-	rep.LeakErr = baseline.Settle(wallSeconds(cfg.SettleWallTimeoutSec))
-	rep.GoroutinesAfter = leakcheck.Snapshot().Count()
-	rep.WallSec = time.Since(start).Seconds()
-	return rep, nil
+		k.restarts++
+		k.hitsAtRestart = b.edge.Stats().Hits
+	}()
+	return k
 }
 
 // edgeInvariants extends Invariants for edge-tier runs: sessions must ride

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cava/internal/abr"
-	"cava/internal/bandwidth"
 	"cava/internal/player"
 	"cava/internal/telemetry"
 )
@@ -28,14 +27,11 @@ type ClientConfig struct {
 	// TimeScale must match the link shaper's scale so buffer dynamics run
 	// in the same virtual time as the network (1 for real time).
 	TimeScale float64
-	// StartupSec and MaxBufferSec mirror the simulator configuration
-	// (virtual seconds; zero selects player.DefaultStartupSec and
-	// player.DefaultMaxBufferSec).
-	StartupSec   float64
-	MaxBufferSec float64
-	// Predictor estimates bandwidth; nil uses the harmonic mean of the
-	// past 5 segments.
-	Predictor bandwidth.Predictor
+	// StartupSec mirrors the simulator configuration (virtual seconds;
+	// zero selects player.DefaultStartupSec). The buffer cap is
+	// player.DefaultMaxBufferSec and the bandwidth predictor the harmonic
+	// mean of the past 5 segments, as in the simulator.
+	StartupSec float64
 	// MaxChunks truncates the session after this many segments (0 = all),
 	// keeping integration tests fast.
 	MaxChunks int
@@ -235,11 +231,9 @@ func (c *Client) Run(ctx context.Context) (*player.Result, error) {
 
 	var s player.StepState
 	s.Init(view, m.VideoID, "live", algo, player.Config{
-		StartupSec:   c.cfg.StartupSec,
-		MaxBufferSec: c.cfg.MaxBufferSec,
-		Predictor:    c.cfg.Predictor,
-		Recorder:     c.cfg.Recorder,
-		SessionID:    c.cfg.SessionID,
+		StartupSec: c.cfg.StartupSec,
+		Recorder:   c.cfg.Recorder,
+		SessionID:  c.cfg.SessionID,
 	}, true)
 	s.LimitChunks(c.cfg.MaxChunks)
 

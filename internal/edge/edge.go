@@ -76,8 +76,6 @@ type Config struct {
 	RetryAfterSec float64
 	// JitterSeed seeds the failover backoff jitter.
 	JitterSeed int64
-	// VNodes is the ring's virtual-node count per origin (default 64).
-	VNodes int
 	// Breaker is the per-origin circuit-breaker policy (zero value =
 	// dash.DefaultBreakerConfig).
 	Breaker dash.BreakerConfig
@@ -221,7 +219,7 @@ func New(cfg Config) (*Edge, error) {
 	if len(cfg.Origins) == 0 {
 		return nil, errors.New("edge: Config needs at least one origin")
 	}
-	ring, err := NewRing(cfg.Origins, cfg.VNodes)
+	ring, err := NewRing(cfg.Origins, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func runEdgeChaos(opt Options) (*Result, error) {
 			OriginKill:         cell.kill,
 			SessionStaggerSec:  1.0,
 		}
-		rep, err := chaos.RunEdge(cfg)
+		rep, err := chaos.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("edge cell %s: %w", cell.name, err)
 		}

@@ -254,9 +254,8 @@ func TestFleetQuarantine(t *testing.T) {
 	if !strings.Contains(q.Stack, "advanceSession") {
 		t.Errorf("Stack does not reach the panicking step:\n%s", q.Stack)
 	}
-	if res.Events != res.ExpectedEvents-res.LostEvents {
-		t.Errorf("accounting open: events %d, expected %d, lost %d",
-			res.Events, res.ExpectedEvents, res.LostEvents)
+	for _, e := range res.Invariants(cfg) {
+		t.Errorf("invariant violated: %v", e)
 	}
 	if res.LostEvents <= 0 {
 		t.Errorf("LostEvents = %d, want > 0 for a mid-session quarantine", res.LostEvents)

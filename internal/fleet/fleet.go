@@ -447,6 +447,53 @@ func (e *Engine) chunkBudget(id int32) int {
 	return n
 }
 
+// starvationFactor sets the starvation deadline: no session may need more
+// than this many times the longest video in the catalog to finish. That is
+// generous against slow traces, while a session that a scheduling bug
+// stops draining overshoots it.
+const starvationFactor = 20
+
+// Invariants checks a completed run against the fleet contract and returns
+// every violation (empty means the run passed):
+//
+//   - no livelock or lost wakeups: Events == ExpectedEvents - LostEvents;
+//   - no session vanished: Completed + len(Quarantined) == Sessions;
+//   - every completed session left its samples: one SessionLenSec sample
+//     per completed session;
+//   - no runaway clock: VirtualSec is finite;
+//   - no starvation: no session took longer than 20× the longest video
+//     in cfg.Videos.
+//
+// A partial Result from an interrupted RunContext fails the accounting
+// rule by definition, so only completed runs are checked.
+func (r *Result) Invariants(cfg Config) []error {
+	var out []error
+	if r.Events != r.ExpectedEvents-r.LostEvents {
+		out = append(out, fmt.Errorf("fleet: processed %d events for %d expected - %d lost (livelock or lost wakeups)",
+			r.Events, r.ExpectedEvents, r.LostEvents))
+	}
+	if r.Completed+len(r.Quarantined) != r.Sessions {
+		out = append(out, fmt.Errorf("fleet: %d completed + %d quarantined != %d sessions (sessions vanished)",
+			r.Completed, len(r.Quarantined), r.Sessions))
+	}
+	if n := r.SessionLenSec.Len(); n != r.Completed {
+		out = append(out, fmt.Errorf("fleet: %d session-length samples for %d completed sessions (samples lost)",
+			n, r.Completed))
+	}
+	if math.IsInf(r.VirtualSec, 0) || math.IsNaN(r.VirtualSec) {
+		out = append(out, fmt.Errorf("fleet: virtual time is %v", r.VirtualSec))
+	}
+	longestSec := 0.0
+	for _, v := range cfg.Videos {
+		longestSec = math.Max(longestSec, v.Duration())
+	}
+	if slowestSec, deadlineSec := r.SessionLenSec.Percentile(100), starvationFactor*longestSec; slowestSec > deadlineSec {
+		out = append(out, fmt.Errorf("fleet: slowest session took %.1f virtual s, deadline %.1f (starved)",
+			slowestSec, deadlineSec))
+	}
+	return out
+}
+
 // Run builds an engine for cfg and drains it — the one-call frontend.
 func Run(cfg Config) (*Result, error) {
 	e, err := New(cfg)

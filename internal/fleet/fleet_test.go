@@ -6,10 +6,12 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"cava/internal/abr"
 	"cava/internal/bandwidth"
+	"cava/internal/core"
 	"cava/internal/metrics"
 	"cava/internal/player"
 	"cava/internal/sim"
@@ -180,16 +182,17 @@ func TestFleetSessionsEndMidHeap(t *testing.T) {
 		Name: "fleet-short", Genre: video.Nature,
 		ChunkDurSec: 2, DurationSec: 30, Seed: 3,
 	})
-	res, err := Run(Config{
+	cfg := Config{
 		Videos: []*video.Video{long, short},
 		Traces: []*trace.Trace{trace.GenLTE(2)},
 		Scheme: fixedScheme(1), Sessions: 20, Seed: 9, Collect: true,
-	})
+	}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Events != res.ExpectedEvents {
-		t.Errorf("processed %d events, expected %d", res.Events, res.ExpectedEvents)
+	for _, e := range res.Invariants(cfg) {
+		t.Errorf("invariant violated: %v", e)
 	}
 	lens := map[int]bool{}
 	for _, r := range res.Results {
@@ -328,10 +331,11 @@ func TestFleetZeroAllocPerEvent(t *testing.T) {
 		Name: "fleet-alloc", Genre: video.Animation,
 		ChunkDurSec: 2, DurationSec: 600, Seed: 5,
 	})
-	e, err := New(Config{
+	cfg := Config{
 		Videos: []*video.Video{v}, Traces: []*trace.Trace{trace.GenLTE(4)},
 		Scheme: fixedScheme(2), Sessions: 4, Workers: 1,
-	})
+	}
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,8 +359,8 @@ func TestFleetZeroAllocPerEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Events != res.ExpectedEvents {
-		t.Errorf("events %d != expected %d after alloc probe", res.Events, res.ExpectedEvents)
+	for _, bad := range res.Invariants(cfg) {
+		t.Errorf("invariant violated after alloc probe: %v", bad)
 	}
 }
 
@@ -508,5 +512,74 @@ func TestFleetMaxChunksBudget(t *testing.T) {
 		if len(r.Chunks) != 9 {
 			t.Fatalf("session ran %d chunks, want 9", len(r.Chunks))
 		}
+	}
+}
+
+// TestFleetChaosSmoke is the fleet soak: two thousand CAVA sessions with
+// Poisson arrivals and random trace offsets over a mixed LTE/FCC corpus,
+// sharded across four workers (a multi-worker cell even on one core, so
+// the race-enabled soak exercises the shard partition itself), checked
+// against the fleet contract in Result.Invariants.
+func TestFleetChaosSmoke(t *testing.T) {
+	cfg := Config{
+		Videos: []*video.Video{
+			video.FFmpegVideo(video.Title{Name: "ED", Genre: video.SciFi}, video.H264),
+			video.FFmpegVideo(video.Title{Name: "BBB", Genre: video.Animation}, video.H264),
+		},
+		Traces: []*trace.Trace{
+			trace.GenLTE(0), trace.GenLTE(1), trace.GenLTE(2), trace.GenFCC(0),
+		},
+		Scheme:             abr.Scheme{Name: "CAVA", Key: "cava", New: core.Factory()},
+		Sessions:           2000,
+		Workers:            4,
+		ArrivalRatePerSec:  20,
+		RandomTraceOffsets: true,
+		Seed:               11,
+		MaxChunks:          40, // bounded smoke; the benchmark runs full-length sessions
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range res.Invariants(cfg) {
+		t.Errorf("invariant violated: %v", e)
+	}
+	if res.Events != int64(2000*40) {
+		t.Errorf("processed %d events, want %d", res.Events, 2000*40)
+	}
+	t.Logf("fleet smoke: %d sessions, %d events, horizon %.0f virtual s, slowest session %.0f s, median rebuffer %.1f s",
+		res.Sessions, res.Events, res.VirtualSec, res.SessionLenSec.Percentile(100), res.RebufferSec.Median())
+}
+
+// TestFleetInvariantsCatchViolations pins that each rule actually fires: a
+// Result with a livelock signature, a vanished session, a missing sample,
+// a non-finite horizon and a starved session yields one violation apiece.
+func TestFleetInvariantsCatchViolations(t *testing.T) {
+	cfg := Config{Videos: []*video.Video{shortVideo()}} // 120 s: deadline 2400 s
+	res := &Result{
+		Sessions: 10, Events: 99, ExpectedEvents: 100, LostEvents: 0,
+		Completed: 8, Quarantined: []Quarantine{{SessionID: 4}},
+		VirtualSec:    math.Inf(1),
+		SessionLenSec: metrics.NewSorted([]float64{100, 100, 100, 100, 100, 100, 5000}),
+	}
+	errs := res.Invariants(cfg)
+	if len(errs) != 5 {
+		t.Fatalf("got %d violations, want 5: %v", len(errs), errs)
+	}
+	for i, want := range []string{"livelock", "vanished", "samples", "virtual time", "starved"} {
+		if !strings.Contains(errs[i].Error(), want) {
+			t.Errorf("violation %d = %q, want it to mention %q", i, errs[i], want)
+		}
+	}
+
+	// A healthy quarantine partitions the fleet and closes the accounting.
+	ok := &Result{
+		Sessions: 10, Events: 95, ExpectedEvents: 100, LostEvents: 5,
+		Completed: 9, Quarantined: []Quarantine{{SessionID: 4}},
+		VirtualSec:    300,
+		SessionLenSec: metrics.NewSorted([]float64{100, 100, 100, 100, 100, 100, 100, 100, 2400}),
+	}
+	if errs := ok.Invariants(cfg); len(errs) != 0 {
+		t.Errorf("healthy quarantined run flagged: %v", errs)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // The hotalloc analyzer guards the zero-alloc hot paths the fleet engine's
 // scale rests on: the player chunk-step core, the fleet drain/shard loop
 // and its event heap, and the bandwidth predictor ring all run once per
-// simulated event, and BENCH_fleet's 1M-session point only holds while
+// simulated event, and a fleet of 10⁵–10⁶ live sessions only fits while
 // those paths allocate nothing in the steady state. The dynamic guards
 // (testing.AllocsPerRun) catch a regression after the fact; this analyzer
 // names the construct that caused it at review time.

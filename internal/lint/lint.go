@@ -90,7 +90,7 @@ func DefaultConfig() Config {
 			"internal/sim", "internal/experiments", "internal/player",
 			"internal/video", "internal/trace", "internal/scene",
 			"internal/abr", "internal/metrics", "internal/cache",
-			"internal/qoe", "internal/quality", "internal/oracle",
+			"internal/quality", "internal/oracle",
 			"internal/report", "internal/core", "internal/bandwidth",
 			"internal/plot", "internal/cliutil", "internal/lint",
 			"internal/dash", "internal/edge", "internal/fleet",
@@ -98,7 +98,7 @@ func DefaultConfig() Config {
 		DeterminismAllowFiles: []string{"internal/dash/clock.go"},
 		UnitsPkgs: []string{
 			"internal/video", "internal/trace", "internal/player",
-			"internal/abr", "internal/bandwidth", "internal/qoe",
+			"internal/abr", "internal/bandwidth",
 			"internal/metrics", "internal/core", "internal/oracle",
 			"internal/edge", "internal/fleet",
 		},

@@ -33,16 +33,17 @@ go test -race -count=2 ./internal/sim ./internal/cache ./internal/telemetry ./in
 go test -bench=Telemetry -benchtime=100x -run='TestZeroAllocUpdates|TestTelemetryDisabledAllocBound' \
 	./internal/telemetry ./internal/player
 # Sweep-memoization gate: warm replay must do zero sim work and reproduce
-# the cold output byte-for-byte (short mode; `make bench-sweep` for timings).
+# the cold output byte-for-byte (short mode; timings come from
+# `bash bench/run.sh`).
 go test -short -run='TestSweepColdWarm$' -count=1 .
 # Fleet-engine gates: the zero-alloc-per-event guard and the shard
 # equivalence test run with the race tests above; here the reduced
 # multi-worker scaling point enforces the per-worker sessions/sec floor,
-# and the race-enabled fleet chaos smoke checks the discrete-event
-# engine's livelock and starvation invariants over 2000 virtual sessions
-# sharded across 4 workers.
+# and the race-enabled fleet chaos smoke checks the fleet contract
+# (fleet.Result.Invariants: exact event accounting, no vanished or starved
+# session) over 2000 virtual sessions sharded across 4 workers.
 go test -short -run='TestFleetBench$' -count=1 .
-go test -race -run='TestFleetChaosSmoke$' -count=1 ./internal/chaos
+go test -race -run='TestFleetChaosSmoke$' -count=1 ./internal/fleet
 # Chaos soak: 32 concurrent sessions vs the lossy fault profile behind
 # admission control, race-enabled. Asserts no livelock, bounded honest
 # shedding (503 + Retry-After), and goroutines back to baseline.

@@ -27,7 +27,6 @@ import (
 	"cava/internal/abr"
 	"cava/internal/cache"
 	"cava/internal/cliutil"
-	"cava/internal/core"
 	"cava/internal/player"
 	"cava/internal/quality"
 	"cava/internal/report"
@@ -36,45 +35,6 @@ import (
 	"cava/internal/trace"
 	"cava/internal/video"
 )
-
-func schemeByName(name string) (abr.Scheme, error) {
-	switch name {
-	case "cava":
-		return abr.Scheme{Name: "CAVA", New: core.Factory()}, nil
-	case "cava-p1", "cava-p12", "cava-p123":
-		return abr.Scheme{Name: "CAVA-" + name[5:], New: core.Variant(name[5:])}, nil
-	case "mpc":
-		return abr.Scheme{Name: "MPC", New: func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, false) }}, nil
-	case "robustmpc":
-		return abr.Scheme{Name: "RobustMPC", New: func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, true) }}, nil
-	case "panda-max-sum":
-		return abr.Scheme{Name: "PANDA/CQ max-sum", New: func(v *video.Video) abr.Algorithm {
-			return abr.NewPANDACQ(v, cache.Shared.QualityTable(v, quality.PSNR), abr.MaxSum)
-		}}, nil
-	case "panda-max-min":
-		return abr.Scheme{Name: "PANDA/CQ max-min", New: func(v *video.Video) abr.Algorithm {
-			return abr.NewPANDACQ(v, cache.Shared.QualityTable(v, quality.PSNR), abr.MaxMin)
-		}}, nil
-	case "bolae-peak", "bolae-avg", "bolae-seg":
-		variant := map[string]abr.BOLAVariant{
-			"bolae-peak": abr.BOLAPeak, "bolae-avg": abr.BOLAAvg, "bolae-seg": abr.BOLASeg,
-		}[name]
-		probe := abr.NewBOLAE(cache.Shared.Generate(video.DatasetConfigs()[0]), variant, true)
-		return abr.Scheme{Name: probe.Name(), New: func(v *video.Video) abr.Algorithm {
-			return abr.NewBOLAE(v, variant, true)
-		}}, nil
-	case "bba1":
-		return abr.Scheme{Name: "BBA-1", New: func(v *video.Video) abr.Algorithm { return abr.NewBBA1(v, 0, 0) }}, nil
-	case "rba":
-		return abr.Scheme{Name: "RBA", New: func(v *video.Video) abr.Algorithm { return abr.NewRBA(v, 4) }}, nil
-	case "pia":
-		return abr.Scheme{Name: "PIA", New: func(v *video.Video) abr.Algorithm { return abr.NewPIA(v) }}, nil
-	case "festive":
-		return abr.Scheme{Name: "FESTIVE", New: func(v *video.Video) abr.Algorithm { return abr.NewFESTIVE(v) }}, nil
-	default:
-		return abr.Scheme{}, fmt.Errorf("unknown scheme %q", name)
-	}
-}
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "trace" {
@@ -90,7 +50,7 @@ func main() {
 func runSweep() {
 	var (
 		videosFlag  = flag.String("videos", "ED-ffmpeg-h264", "comma-separated video ids")
-		schemesFlag = flag.String("schemes", "cava,mpc,robustmpc,panda-max-sum,panda-max-min", "comma-separated schemes")
+		schemesFlag = flag.String("schemes", "cava,mpc,robustmpc,panda-max-sum,panda-max-min", "comma-separated schemes (see cava-sim -list-schemes)")
 		set         = flag.String("set", "lte", "trace family: lte or fcc")
 		traces      = flag.Int("traces", 50, "traces per set")
 		format      = flag.String("format", "csv", "output format: csv or json")
@@ -115,7 +75,7 @@ func runSweep() {
 	}
 	var schemes []abr.Scheme
 	for _, name := range strings.Split(*schemesFlag, ",") {
-		sc, err := schemeByName(strings.TrimSpace(name))
+		sc, err := cliutil.Scheme(strings.TrimSpace(name))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "abrexport: %v\n", err)
 			os.Exit(2)
@@ -186,7 +146,7 @@ func runTrace(args []string) error {
 		in        = fs.String("in", "", "read events from a JSONL dump instead of simulating")
 		videoID   = fs.String("video", "ED-ffmpeg-h264", "video id to simulate")
 		traceSpec = fs.String("trace", "lte:0", "trace spec (lte:<i>, fcc:<i>, const:<mbps>, mahimahi:<path>)")
-		scheme    = fs.String("scheme", "cava", "scheme name (see cliutil registry)")
+		scheme    = fs.String("scheme", "cava", "scheme name (see cava-sim -list-schemes)")
 		format    = fs.String("format", "table", "output format: table or jsonl")
 		out       = fs.String("out", "-", "output path ('-' = stdout)")
 	)

@@ -52,7 +52,7 @@ func main() {
 		traceSpec = flag.String("trace", "lte:0", "shaping trace: lte:<i>, fcc:<i>, const:<mbps>, none")
 		scale     = flag.Float64("scale", 60, "time compression factor")
 		run       = flag.Bool("run", false, "also run a client session and print its metrics")
-		scheme    = flag.String("scheme", "cava", "client scheme: cava, bolae-peak, bolae-avg, bolae-seg")
+		scheme    = flag.String("scheme", "cava", "client scheme (see cava-sim -list-schemes)")
 		chunksN   = flag.Int("chunks", 0, "client: stop after N chunks (0 = all)")
 		faults    = flag.String("faults", "none", "fault profile: none, transient, lossy, outage")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")

@@ -15,11 +15,11 @@ import (
 	"time"
 
 	"cava/internal/abr"
-	"cava/internal/core"
 	"cava/internal/dash"
 	"cava/internal/metrics"
 	"cava/internal/quality"
 	"cava/internal/scene"
+	"cava/internal/sim"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -34,13 +34,7 @@ func main() {
 	qt := quality.NewTable(v, quality.VMAFPhone)
 	cats := scene.ClassifyDefault(v)
 
-	schemes := []struct {
-		name    string
-		factory abr.Factory
-	}{
-		{"CAVA", core.Factory()},
-		{"BOLA-E (seg)", func(v *video.Video) abr.Algorithm { return abr.NewBOLAE(v, abr.BOLASeg, true) }},
-	}
+	schemes := []abr.Scheme{sim.CAVA, sim.BOLAESeg}
 
 	fmt.Printf("streaming %s over %s (mean %.1f Mbps), %gx time scale, %d chunks\n\n",
 		v.ID(), tr.ID, tr.Mean()/1e6, *scale, *chunks)
@@ -58,7 +52,7 @@ func main() {
 
 		client, err := dash.NewClient(dash.ClientConfig{
 			BaseURL:      "http://" + ln.Addr().String(),
-			NewAlgorithm: sc.factory,
+			NewAlgorithm: sc.New,
 			TimeScale:    *scale,
 			MaxChunks:    *chunks,
 		})
@@ -73,7 +67,7 @@ func main() {
 		}
 		s := metrics.Summarize(res, qt, cats)
 		fmt.Printf("%-14s wall %4.1fs | Q4 %.1f | low %.1f%% | rebuf %.1fs | chg %.2f | %.1f MB\n",
-			sc.name, time.Since(start).Seconds(), s.Q4Quality, s.LowQualityPct,
+			sc.Name, time.Since(start).Seconds(), s.Q4Quality, s.LowQualityPct,
 			s.RebufferSec, s.QualityChange, s.DataMB)
 	}
 }

@@ -13,11 +13,11 @@ import (
 	"text/tabwriter"
 
 	"cava/internal/abr"
-	"cava/internal/core"
 	"cava/internal/metrics"
 	"cava/internal/player"
 	"cava/internal/quality"
 	"cava/internal/scene"
+	"cava/internal/sim"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -30,11 +30,7 @@ func main() {
 	qt := quality.NewTable(v, quality.VMAFPhone)
 	cats := scene.ClassifyDefault(v)
 
-	schemes := []abr.Scheme{
-		{Name: "CAVA", New: core.Factory()},
-		{Name: "RobustMPC", New: func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, true) }},
-		{Name: "FESTIVE", New: func(v *video.Video) abr.Algorithm { return abr.NewFESTIVE(v) }},
-	}
+	schemes := []abr.Scheme{sim.CAVA, sim.RobustMPC, sim.FESTIVE}
 
 	fmt.Printf("3 competing %s clients, joins 41s apart, link = LTE x3\n\n", v.Name)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

@@ -18,6 +18,7 @@ import (
 	"cava/internal/player"
 	"cava/internal/quality"
 	"cava/internal/scene"
+	"cava/internal/sim"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -47,7 +48,7 @@ func main() {
 	}{
 		{"CAVA-live2", liveCAVA(2)},
 		{"CAVA-live5", liveCAVA(5)},
-		{"RobustMPC", func() abr.Algorithm { return abr.NewMPC(v, true) }},
+		{"RobustMPC", func() abr.Algorithm { return sim.RobustMPC.New(v) }},
 	}
 
 	fmt.Printf("live streaming %s over %d LTE traces (10s startup, 1-chunk encode delay)\n\n", v.ID(), *traces)

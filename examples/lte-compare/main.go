@@ -12,7 +12,6 @@ import (
 	"text/tabwriter"
 
 	"cava/internal/abr"
-	"cava/internal/core"
 	"cava/internal/metrics"
 	"cava/internal/quality"
 	"cava/internal/sim"
@@ -26,19 +25,8 @@ func main() {
 
 	v := video.FFmpegVideo(video.Title{Name: "ED", Genre: video.SciFi}, video.H264)
 	schemes := []abr.Scheme{
-		{Name: "CAVA", New: core.Factory()},
-		{Name: "MPC", New: func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, false) }},
-		{Name: "RobustMPC", New: func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, true) }},
-		{Name: "PANDA/CQ max-min", New: func(v *video.Video) abr.Algorithm {
-			return abr.NewPANDACQ(v, quality.NewTable(v, quality.PSNR), abr.MaxMin)
-		}},
-		{Name: "BOLA-E (seg)", New: func(v *video.Video) abr.Algorithm {
-			return abr.NewBOLAE(v, abr.BOLASeg, true)
-		}},
-		{Name: "BBA-1", New: func(v *video.Video) abr.Algorithm { return abr.NewBBA1(v, 0, 0) }},
-		{Name: "RBA", New: func(v *video.Video) abr.Algorithm { return abr.NewRBA(v, 4) }},
-		{Name: "PIA", New: func(v *video.Video) abr.Algorithm { return abr.NewPIA(v) }},
-		{Name: "FESTIVE", New: func(v *video.Video) abr.Algorithm { return abr.NewFESTIVE(v) }},
+		sim.CAVA, sim.MPC, sim.RobustMPC, sim.PANDAMaxMin, sim.BOLAESeg,
+		sim.BBA1, sim.RBA, sim.PIA, sim.FESTIVE,
 	}
 
 	fmt.Printf("video %s over %d LTE traces (VMAF phone model)\n\n", v.ID(), *traces)

@@ -9,40 +9,15 @@ import (
 	"cava/internal/player"
 	"cava/internal/quality"
 	"cava/internal/scene"
+	"cava/internal/sim"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
 
-// allSchemes is every scheme in the repository, for cross-cutting tests.
-func allSchemes() []abr.Scheme {
-	return []abr.Scheme{
-		{Name: "CAVA", New: core.Factory()},
-		{Name: "CAVA-p1", New: core.Variant("p1")},
-		{Name: "CAVA-p12", New: core.Variant("p12")},
-		{Name: "CAVA-live5", New: core.Live(5)},
-		{Name: "MPC", New: func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, false) }},
-		{Name: "RobustMPC", New: func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, true) }},
-		{Name: "PANDA-sum", New: func(v *video.Video) abr.Algorithm {
-			return abr.NewPANDACQ(v, quality.NewTable(v, quality.PSNR), abr.MaxSum)
-		}},
-		{Name: "PANDA-min", New: func(v *video.Video) abr.Algorithm {
-			return abr.NewPANDACQ(v, quality.NewTable(v, quality.PSNR), abr.MaxMin)
-		}},
-		{Name: "BOLA", New: func(v *video.Video) abr.Algorithm { return abr.NewBOLAE(v, abr.BOLAAvg, false) }},
-		{Name: "BOLA-E peak", New: func(v *video.Video) abr.Algorithm { return abr.NewBOLAE(v, abr.BOLAPeak, true) }},
-		{Name: "BOLA-E avg", New: func(v *video.Video) abr.Algorithm { return abr.NewBOLAE(v, abr.BOLAAvg, true) }},
-		{Name: "BOLA-E seg", New: func(v *video.Video) abr.Algorithm { return abr.NewBOLAE(v, abr.BOLASeg, true) }},
-		{Name: "BBA-1", New: func(v *video.Video) abr.Algorithm { return abr.NewBBA1(v, 0, 0) }},
-		{Name: "RBA", New: func(v *video.Video) abr.Algorithm { return abr.NewRBA(v, 4) }},
-		{Name: "PIA", New: func(v *video.Video) abr.Algorithm { return abr.NewPIA(v) }},
-		{Name: "FESTIVE", New: func(v *video.Video) abr.Algorithm { return abr.NewFESTIVE(v) }},
-	}
-}
-
-// TestEverySchemeOnEveryVideo streams every scheme over every dataset video
-// (plus the 4x-capped encode) on LTE and FCC traces and checks session
-// invariants end to end. This is the repository's broadest integration
-// sweep: ~500 full sessions.
+// TestEverySchemeOnEveryVideo streams every roster scheme, plus CAVA's live
+// variant, over every dataset video (plus the 4x-capped encode) on LTE and
+// FCC traces and checks session invariants end to end. This is the
+// repository's broadest integration sweep: ~600 full sessions.
 func TestEverySchemeOnEveryVideo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("broad integration sweep")
@@ -50,11 +25,12 @@ func TestEverySchemeOnEveryVideo(t *testing.T) {
 	videos := append(video.Dataset(), video.Cap4xED())
 	traces := []*trace.Trace{trace.GenLTE(0), trace.GenFCC(0)}
 	cfg := player.DefaultConfig()
+	schemes := append(sim.SchemeAll(), abr.Scheme{Name: "cava-live5", New: core.Live(5)})
 	for _, v := range videos {
 		qt := quality.NewTable(v, quality.VMAFPhone)
 		cats := scene.ClassifyDefault(v)
 		for _, tr := range traces {
-			for _, sc := range allSchemes() {
+			for _, sc := range schemes {
 				res, err := player.Simulate(v, tr, sc.New(v), cfg)
 				if err != nil {
 					t.Fatalf("%s / %s / %s: %v", v.ID(), tr.ID, sc.Name, err)
@@ -91,12 +67,7 @@ func TestHeadlineOrdering(t *testing.T) {
 	cfg := player.DefaultConfig()
 
 	agg := map[string][]metrics.Summary{}
-	schemes := []abr.Scheme{
-		{Name: "CAVA", New: core.Factory()},
-		{Name: "RobustMPC", New: func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, true) }},
-		{Name: "RBA", New: func(v *video.Video) abr.Algorithm { return abr.NewRBA(v, 4) }},
-		{Name: "BBA-1", New: func(v *video.Video) abr.Algorithm { return abr.NewBBA1(v, 0, 0) }},
-	}
+	schemes := []abr.Scheme{sim.CAVA, sim.RobustMPC, sim.RBA, sim.BBA1}
 	const n = 25
 	for _, sc := range schemes {
 		for i := 0; i < n; i++ {

@@ -101,7 +101,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.MaxChunks = 8
 	}
 	if c.Protection == nil {
-		p := dash.DefaultProtection(maxInt(1, c.Sessions/2))
+		p := dash.DefaultProtection(max(1, c.Sessions/2))
 		p.QueueTimeoutSec = 0.1
 		if c.Edge != nil {
 			p = dash.DefaultProtection(c.Sessions)
@@ -471,11 +471,4 @@ func Sweep(base Config, profiles []string, sessionCounts []int) ([]*Report, erro
 // wallSeconds converts float seconds to a duration.
 func wallSeconds(sec float64) time.Duration {
 	return time.Duration(sec * float64(time.Second))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

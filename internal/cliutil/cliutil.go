@@ -1,20 +1,17 @@
 // Package cliutil holds the flag-parsing helpers shared by the command-line
 // tools: trace specs ("lte:3", "fcc:10", "const:2.5", "mahimahi:<path>")
-// and the scheme registry mapping CLI names to abr factories.
+// and CLI-name lookups over the scheme roster (sim.Roster).
 package cliutil
 
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
 	"cava/internal/abr"
-	"cava/internal/core"
-	"cava/internal/quality"
+	"cava/internal/sim"
 	"cava/internal/trace"
-	"cava/internal/video"
 )
 
 // ParseTrace resolves a trace spec:
@@ -106,48 +103,29 @@ func ParseCorpus(spec string) ([]*trace.Trace, error) {
 	return out, nil
 }
 
-// Schemes maps every CLI scheme name to a factory.
-func Schemes() map[string]abr.Factory {
-	return map[string]abr.Factory{
-		"cava":      core.Factory(),
-		"cava-p1":   core.Variant("p1"),
-		"cava-p12":  core.Variant("p12"),
-		"cava-auto": core.AutoFactory(),
-		"mpc":       func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, false) },
-		"robustmpc": func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, true) },
-		"panda-max-sum": func(v *video.Video) abr.Algorithm {
-			return abr.NewPANDACQ(v, quality.NewTable(v, quality.PSNR), abr.MaxSum)
-		},
-		"panda-max-min": func(v *video.Video) abr.Algorithm {
-			return abr.NewPANDACQ(v, quality.NewTable(v, quality.PSNR), abr.MaxMin)
-		},
-		"bba1":       func(v *video.Video) abr.Algorithm { return abr.NewBBA1(v, 0, 0) },
-		"rba":        func(v *video.Video) abr.Algorithm { return abr.NewRBA(v, 4) },
-		"pia":        func(v *video.Video) abr.Algorithm { return abr.NewPIA(v) },
-		"festive":    func(v *video.Video) abr.Algorithm { return abr.NewFESTIVE(v) },
-		"bola-avg":   func(v *video.Video) abr.Algorithm { return abr.NewBOLAE(v, abr.BOLAAvg, false) },
-		"bolae-peak": func(v *video.Video) abr.Algorithm { return abr.NewBOLAE(v, abr.BOLAPeak, true) },
-		"bolae-avg":  func(v *video.Video) abr.Algorithm { return abr.NewBOLAE(v, abr.BOLAAvg, true) },
-		"bolae-seg":  func(v *video.Video) abr.Algorithm { return abr.NewBOLAE(v, abr.BOLASeg, true) },
+// Scheme resolves a CLI scheme name to its roster scheme (see
+// sim.Roster), labelled with the algorithm's own name as result tables
+// print it. An unknown name's error lists the valid ones.
+func Scheme(name string) (abr.Scheme, error) {
+	for _, e := range sim.Roster() {
+		if e.CLI == name {
+			return e.Scheme, nil
+		}
 	}
+	return abr.Scheme{}, fmt.Errorf("unknown scheme %q (have %s)", name, strings.Join(SchemeNames(), ", "))
 }
 
-// SchemeByName resolves one scheme, with a helpful error listing the names.
+// SchemeByName resolves a CLI scheme name to its factory.
 func SchemeByName(name string) (abr.Factory, error) {
-	reg := Schemes()
-	if f, ok := reg[name]; ok {
-		return f, nil
-	}
-	return nil, fmt.Errorf("unknown scheme %q (have %s)", name, strings.Join(SchemeNames(), ", "))
+	sc, err := Scheme(name)
+	return sc.New, err
 }
 
-// SchemeNames lists the registry keys in sorted order.
+// SchemeNames lists the CLI scheme names in sorted order.
 func SchemeNames() []string {
-	reg := Schemes()
-	names := make([]string, 0, len(reg))
-	for n := range reg {
-		names = append(names, n)
+	var names []string
+	for _, e := range sim.Roster() {
+		names = append(names, e.CLI)
 	}
-	sort.Strings(names)
 	return names
 }

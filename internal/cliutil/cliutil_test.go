@@ -106,4 +106,7 @@ func TestSchemeByNameUnknown(t *testing.T) {
 	if _, err := SchemeByName("nope"); err == nil {
 		t.Error("unknown scheme accepted")
 	}
+	if _, err := Scheme("cava-p123"); err == nil {
+		t.Error("non-roster alias cava-p123 accepted")
+	}
 }

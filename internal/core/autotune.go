@@ -103,9 +103,6 @@ func (c *CAVA) Tune(p Params) {
 	c.p = p
 }
 
-// CurrentParams exposes the active tunables (for tests and logging).
-func (c *CAVA) CurrentParams() Params { return c.p }
-
 // AutoCAVA wraps CAVA with online regime detection over the observed
 // per-chunk throughputs, re-tuning every AdaptEvery decisions.
 type AutoCAVA struct {

@@ -40,10 +40,10 @@ func TestTunePreservesStructure(t *testing.T) {
 	p.RefLevel = 0   // must be ignored by Tune
 	p.NumClasses = 8 // must be ignored by Tune
 	c.Tune(p)
-	if c.CurrentParams().AlphaComplex != 1.2 {
+	if c.p.AlphaComplex != 1.2 {
 		t.Error("tunable not applied")
 	}
-	if c.CurrentParams().RefLevel != DefaultParams().RefLevel {
+	if c.p.RefLevel != DefaultParams().RefLevel {
 		t.Error("structural RefLevel changed by Tune")
 	}
 	after := c.Categories()
@@ -68,7 +68,7 @@ func TestAutoCAVAAdaptsToRegime(t *testing.T) {
 	if a.Regime() != RegimeStable {
 		t.Errorf("regime = %v after stable samples", a.Regime())
 	}
-	if a.CurrentParams().UMax != paramsFor(RegimeStable).UMax {
+	if a.p.UMax != paramsFor(RegimeStable).UMax {
 		t.Error("stable params not applied")
 	}
 	// Now volatile samples flip the regime.
@@ -80,7 +80,7 @@ func TestAutoCAVAAdaptsToRegime(t *testing.T) {
 	if a.Regime() != RegimeVolatile {
 		t.Errorf("regime = %v after volatile samples", a.Regime())
 	}
-	if a.CurrentParams().Q4NoInflateBuffer != paramsFor(RegimeVolatile).Q4NoInflateBuffer {
+	if a.p.Q4NoInflateBuffer != paramsFor(RegimeVolatile).Q4NoInflateBuffer {
 		t.Error("volatile params not applied")
 	}
 }

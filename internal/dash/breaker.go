@@ -294,7 +294,7 @@ func (b *Breaker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	pass, probe, retrySec := b.admit()
 	if !pass {
 		b.shorted.Inc()
-		writeShed(w, retrySec, "circuit open")
+		WriteShed(w, retrySec, "overloaded: circuit open")
 		return
 	}
 	sw := &statusWriter{ResponseWriter: w}
@@ -307,13 +307,15 @@ func (b *Breaker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	panicked = false
 }
 
-// writeShed answers a shed request: 503 with a Retry-After hint, the
-// contract the resilient client's backoff understands.
-func writeShed(w http.ResponseWriter, retryAfterSec float64, reason string) {
+// WriteShed answers a shed request: 503 with the given body and a
+// Retry-After hint in whole seconds, rounded up, at least 1. It is the
+// contract the resilient client's backoff understands, shared by the
+// origin's overload protection and the edge.
+func WriteShed(w http.ResponseWriter, retryAfterSec float64, body string) {
 	sec := int(retryAfterSec + 0.999) // ceil; Retry-After is whole seconds
 	if sec < 1 {
 		sec = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(sec))
-	http.Error(w, "overloaded: "+reason, http.StatusServiceUnavailable)
+	http.Error(w, body, http.StatusServiceUnavailable)
 }

@@ -45,49 +45,6 @@ func FuzzReadMPD(f *testing.F) {
 	})
 }
 
-func FuzzReadHLSMedia(f *testing.F) {
-	var seed bytes.Buffer
-	WriteHLSMedia(&seed, BuildManifest(testVideo()), 2)
-	f.Add(seed.String())
-	f.Add("#EXTM3U\n#EXTINF:2,\nseg/0/0\n")
-	f.Add("#EXTM3U\n#EXT-X-BITRATE:x\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, in string) {
-		tr, err := ReadHLSMedia(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		if len(tr.URIs) == 0 {
-			t.Fatal("accepted playlist with no segments")
-		}
-		if len(tr.URIs) != len(tr.SegmentDur) || len(tr.URIs) != len(tr.SegmentBits) {
-			t.Fatal("parallel slices diverged")
-		}
-	})
-}
-
-func FuzzReadHLSMaster(f *testing.F) {
-	var seed bytes.Buffer
-	WriteHLSMaster(&seed, BuildManifest(testVideo()))
-	f.Add(seed.String())
-	f.Add("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=1\nv.m3u8\n")
-	f.Add("#EXTM3U\n")
-	f.Fuzz(func(t *testing.T, in string) {
-		vs, err := ReadHLSMaster(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		if len(vs) == 0 {
-			t.Fatal("accepted master with no variants")
-		}
-		for _, v := range vs {
-			if v.URI == "" {
-				t.Fatal("variant without URI")
-			}
-		}
-	})
-}
-
 func FuzzParseISODuration(f *testing.F) {
 	f.Add("PT600S")
 	f.Add("PT1H2M3S")

@@ -5,16 +5,14 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
-	"strings"
 )
 
 // HLS interop. HLS is the other dominant ABR protocol; per the paper's
 // §3.2 footnote, HLS recently added per-segment size information
 // (EXT-X-BITRATE), which is what makes VBR-aware adaptation possible there.
 // WriteHLSMaster/WriteHLSMedia render a Manifest as a master playlist plus
-// one media playlist per track; ReadHLSMedia parses a media playlist back
-// into one track's segment series.
+// one media playlist per track. The export is write-only: the repository's
+// own client reads the MPD.
 
 // WriteHLSMaster renders the master playlist. Media playlists are
 // addressed as "track_<id>.m3u8".
@@ -56,155 +54,4 @@ func WriteHLSMedia(w io.Writer, m *Manifest, trackID int) error {
 	}
 	fmt.Fprintln(bw, "#EXT-X-ENDLIST")
 	return bw.Flush()
-}
-
-// HLSMediaTrack is the result of parsing one media playlist.
-type HLSMediaTrack struct {
-	// TargetDuration is the declared maximum segment duration (seconds).
-	TargetDuration float64
-	// SegmentDur holds each segment's EXTINF duration.
-	SegmentDur []float64
-	// SegmentBits holds each segment's size in bits, reconstructed from
-	// EXT-X-BITRATE × duration (0 when the tag is absent).
-	SegmentBits []float64
-	// URIs holds the segment addresses.
-	URIs []string
-}
-
-// ReadHLSMedia parses a media playlist.
-func ReadHLSMedia(r io.Reader) (*HLSMediaTrack, error) {
-	sc := bufio.NewScanner(r)
-	if !sc.Scan() || strings.TrimSpace(sc.Text()) != "#EXTM3U" {
-		return nil, fmt.Errorf("dash: not an m3u8 playlist")
-	}
-	out := &HLSMediaTrack{}
-	var pendingBitrateKbps float64
-	var pendingDur float64
-	haveDur := false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "" || line == "#EXT-X-ENDLIST":
-			continue
-		case strings.HasPrefix(line, "#EXT-X-TARGETDURATION:"):
-			v, err := strconv.ParseFloat(strings.TrimPrefix(line, "#EXT-X-TARGETDURATION:"), 64)
-			if err != nil {
-				return nil, fmt.Errorf("dash: bad target duration in %q", line)
-			}
-			out.TargetDuration = v
-		case strings.HasPrefix(line, "#EXT-X-BITRATE:"):
-			v, err := strconv.ParseFloat(strings.TrimPrefix(line, "#EXT-X-BITRATE:"), 64)
-			if err != nil {
-				return nil, fmt.Errorf("dash: bad bitrate in %q", line)
-			}
-			pendingBitrateKbps = v
-		case strings.HasPrefix(line, "#EXTINF:"):
-			val := strings.TrimPrefix(line, "#EXTINF:")
-			if i := strings.Index(val, ","); i >= 0 {
-				val = val[:i]
-			}
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("dash: bad EXTINF in %q", line)
-			}
-			pendingDur = v
-			haveDur = true
-		case strings.HasPrefix(line, "#"):
-			continue // unknown tag
-		default:
-			if !haveDur {
-				return nil, fmt.Errorf("dash: segment %q without EXTINF", line)
-			}
-			out.URIs = append(out.URIs, line)
-			out.SegmentDur = append(out.SegmentDur, pendingDur)
-			out.SegmentBits = append(out.SegmentBits, pendingBitrateKbps*1000*pendingDur)
-			pendingBitrateKbps = 0
-			haveDur = false
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(out.URIs) == 0 {
-		return nil, fmt.Errorf("dash: playlist has no segments")
-	}
-	return out, nil
-}
-
-// HLSMasterVariant is one entry of a parsed master playlist.
-type HLSMasterVariant struct {
-	Bandwidth        float64 // peak, bits/sec
-	AverageBandwidth float64
-	Width, Height    int
-	URI              string
-}
-
-// ReadHLSMaster parses a master playlist's variant list.
-func ReadHLSMaster(r io.Reader) ([]HLSMasterVariant, error) {
-	sc := bufio.NewScanner(r)
-	if !sc.Scan() || strings.TrimSpace(sc.Text()) != "#EXTM3U" {
-		return nil, fmt.Errorf("dash: not an m3u8 playlist")
-	}
-	var out []HLSMasterVariant
-	var pending *HLSMasterVariant
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "#EXT-X-STREAM-INF:"):
-			v := HLSMasterVariant{}
-			for _, attr := range splitHLSAttrs(strings.TrimPrefix(line, "#EXT-X-STREAM-INF:")) {
-				kv := strings.SplitN(attr, "=", 2)
-				if len(kv) != 2 {
-					continue
-				}
-				switch kv[0] {
-				case "BANDWIDTH":
-					v.Bandwidth, _ = strconv.ParseFloat(kv[1], 64)
-				case "AVERAGE-BANDWIDTH":
-					v.AverageBandwidth, _ = strconv.ParseFloat(kv[1], 64)
-				case "RESOLUTION":
-					if i := strings.Index(kv[1], "x"); i > 0 {
-						v.Width, _ = strconv.Atoi(kv[1][:i])
-						v.Height, _ = strconv.Atoi(kv[1][i+1:])
-					}
-				}
-			}
-			pending = &v
-		case line == "" || strings.HasPrefix(line, "#"):
-			continue
-		default:
-			if pending != nil {
-				pending.URI = line
-				out = append(out, *pending)
-				pending = nil
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("dash: master playlist has no variants")
-	}
-	return out, nil
-}
-
-// splitHLSAttrs splits an attribute list on commas outside quoted strings.
-func splitHLSAttrs(s string) []string {
-	var out []string
-	depth := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			depth = !depth
-		case ',':
-			if !depth {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	out = append(out, s[start:])
-	return out
 }

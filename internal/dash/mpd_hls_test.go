@@ -96,77 +96,63 @@ func TestISODuration(t *testing.T) {
 	}
 }
 
-func TestHLSMasterRoundTrip(t *testing.T) {
-	v := testVideo()
-	m := BuildManifest(v)
-	var buf bytes.Buffer
-	if err := WriteHLSMaster(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	variants, err := ReadHLSMaster(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(variants) != len(m.Tracks) {
-		t.Fatalf("%d variants, want %d", len(variants), len(m.Tracks))
-	}
-	for i, vt := range variants {
-		if vt.Height != m.Tracks[i].Height {
-			t.Errorf("variant %d height %d, want %d", i, vt.Height, m.Tracks[i].Height)
-		}
-		if math.Abs(vt.AverageBandwidth-m.Tracks[i].DeclaredBitrateBps) > 1 {
-			t.Errorf("variant %d average bandwidth drifted", i)
-		}
-		if vt.Bandwidth < vt.AverageBandwidth {
-			t.Errorf("variant %d peak below average", i)
-		}
-		if vt.URI == "" {
-			t.Errorf("variant %d missing URI", i)
-		}
+// goldenManifest is a two-track, two-segment manifest small enough to
+// spell out its playlists in full.
+func goldenManifest() *Manifest {
+	return &Manifest{
+		VideoID:     "tiny",
+		ChunkDurSec: 2.5,
+		FPS:         24,
+		Tracks: []ManifestTrack{
+			{ID: 0, Resolution: "144p", Width: 256, Height: 144,
+				DeclaredBitrateBps: 100e3, PeakBitrateBps: 150e3, SegmentBits: []float64{250e3, 375e3}},
+			{ID: 1, Resolution: "240p", Width: 426, Height: 240,
+				DeclaredBitrateBps: 200.4e3, PeakBitrateBps: 300.6e3, SegmentBits: []float64{500e3, 751.5e3}},
+		},
 	}
 }
 
-func TestHLSMediaRoundTrip(t *testing.T) {
-	v := testVideo()
-	m := BuildManifest(v)
+// TestHLSMasterGolden pins the master playlist's exact bytes.
+func TestHLSMasterGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHLSMedia(&buf, m, 3); err != nil {
+	if err := WriteHLSMaster(&buf, goldenManifest()); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ReadHLSMedia(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.SegmentBits) != v.NumChunks() {
-		t.Fatalf("%d segments, want %d", len(tr.SegmentBits), v.NumChunks())
-	}
-	if tr.TargetDuration < m.ChunkDurSec {
-		t.Errorf("target duration %v below chunk duration", tr.TargetDuration)
-	}
-	// EXT-X-BITRATE is kbps-rounded; sizes must agree within 0.1%.
-	for i := range tr.SegmentBits {
-		want := v.ChunkSize(3, i)
-		if rel := math.Abs(tr.SegmentBits[i]-want) / want; rel > 0.01 {
-			t.Fatalf("segment %d size off by %.2f%%", i, rel*100)
-		}
-	}
-	if tr.URIs[0] != "seg/3/0" {
-		t.Errorf("first URI = %q", tr.URIs[0])
+	want := `#EXTM3U
+#EXT-X-VERSION:7
+## video tiny
+#EXT-X-STREAM-INF:BANDWIDTH=150000,AVERAGE-BANDWIDTH=100000,RESOLUTION=256x144,FRAME-RATE=24.000
+track_0.m3u8
+#EXT-X-STREAM-INF:BANDWIDTH=300600,AVERAGE-BANDWIDTH=200400,RESOLUTION=426x240,FRAME-RATE=24.000
+track_1.m3u8
+`
+	if got := buf.String(); got != want {
+		t.Errorf("master playlist:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-func TestHLSMediaErrors(t *testing.T) {
-	if _, err := ReadHLSMedia(strings.NewReader("nope")); err == nil {
-		t.Error("non-playlist accepted")
+// TestHLSMediaGolden pins a media playlist's exact bytes, including the
+// per-segment EXT-X-BITRATE tags (kbps, rounded) that carry VBR sizes.
+func TestHLSMediaGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteHLSMedia(&buf, goldenManifest(), 1); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadHLSMedia(strings.NewReader("#EXTM3U\nseg/0/0\n")); err == nil {
-		t.Error("segment without EXTINF accepted")
-	}
-	if _, err := ReadHLSMedia(strings.NewReader("#EXTM3U\n#EXT-X-ENDLIST\n")); err == nil {
-		t.Error("empty playlist accepted")
-	}
-	if _, err := ReadHLSMaster(strings.NewReader("#EXTM3U\n")); err == nil {
-		t.Error("variant-less master accepted")
+	want := `#EXTM3U
+#EXT-X-VERSION:7
+#EXT-X-TARGETDURATION:3
+#EXT-X-MEDIA-SEQUENCE:0
+#EXT-X-PLAYLIST-TYPE:VOD
+#EXT-X-BITRATE:200
+#EXTINF:2.500,
+seg/1/0
+#EXT-X-BITRATE:301
+#EXTINF:2.500,
+seg/1/1
+#EXT-X-ENDLIST
+`
+	if got := buf.String(); got != want {
+		t.Errorf("media playlist:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -175,13 +161,6 @@ func TestWriteHLSMediaBadTrack(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteHLSMedia(&buf, m, 99); err == nil {
 		t.Error("out-of-range track accepted")
-	}
-}
-
-func TestSplitHLSAttrs(t *testing.T) {
-	got := splitHLSAttrs(`BANDWIDTH=1,CODECS="a,b",RESOLUTION=1x2`)
-	if len(got) != 3 || got[1] != `CODECS="a,b"` {
-		t.Errorf("splitHLSAttrs = %v", got)
 	}
 }
 
@@ -203,24 +182,20 @@ func TestServerServesMPDAndHLS(t *testing.T) {
 		t.Error("served MPD lost segments")
 	}
 
-	resp, err = http.Get(srv.URL + "/master.m3u8")
-	if err != nil {
+	// The playlists are served exactly as the writers render them.
+	var want bytes.Buffer
+	if err := WriteHLSMaster(&want, BuildManifest(v)); err != nil {
 		t.Fatal(err)
 	}
-	variants, err := ReadHLSMaster(resp.Body)
-	resp.Body.Close()
-	if err != nil || len(variants) != v.NumTracks() {
-		t.Fatalf("served master playlist bad: %v (%d variants)", err, len(variants))
+	if code, got := get(t, srv.URL+"/master.m3u8"); code != http.StatusOK || got != want.String() {
+		t.Errorf("served master playlist (status %d) differs from WriteHLSMaster:\n%s", code, got)
 	}
-
-	resp, err = http.Get(srv.URL + "/track_2.m3u8")
-	if err != nil {
+	want.Reset()
+	if err := WriteHLSMedia(&want, BuildManifest(v), 2); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ReadHLSMedia(resp.Body)
-	resp.Body.Close()
-	if err != nil || len(tr.SegmentBits) != v.NumChunks() {
-		t.Fatalf("served media playlist bad: %v", err)
+	if code, got := get(t, srv.URL+"/track_2.m3u8"); code != http.StatusOK || got != want.String() {
+		t.Errorf("served media playlist (status %d) differs from WriteHLSMedia:\n%s", code, got)
 	}
 
 	resp, _ = http.Get(srv.URL + "/track_99.m3u8")

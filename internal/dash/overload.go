@@ -313,7 +313,7 @@ func (p *Protection) shedWith(w http.ResponseWriter, reason string, retrySec flo
 	}
 	p.mu.Unlock()
 	p.shed[reason].Inc()
-	writeShed(w, retrySec, reason)
+	WriteShed(w, retrySec, "overloaded: "+reason)
 }
 
 // Saturated reports whether the server should refuse new work: the session

@@ -585,12 +585,7 @@ func (e *Edge) shed(w http.ResponseWriter, reason string) {
 	e.shedCount++
 	e.smu.Unlock()
 	e.cShed.Inc()
-	sec := int(e.cfg.RetryAfterSec + 0.999)
-	if sec < 1 {
-		sec = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(sec))
-	http.Error(w, "edge: "+reason, http.StatusServiceUnavailable)
+	dash.WriteShed(w, e.cfg.RetryAfterSec, "edge: "+reason)
 }
 
 // syncEvictions mirrors the segment cache's eviction count into the

@@ -72,9 +72,6 @@ func NewRing(names []string, vnodes int) (*Ring, error) {
 // Origins returns the number of origins on the ring.
 func (r *Ring) Origins() int { return r.origins }
 
-// Primary returns the origin index owning key.
-func (r *Ring) Primary(key string) int { return r.Order(key)[0] }
-
 // Order returns every origin index exactly once, primary first, in the
 // clockwise order a failover should try them.
 func (r *Ring) Order(key string) []int {

@@ -37,9 +37,6 @@ func TestRingOrderIsAPermutation(t *testing.T) {
 			}
 			seen[oi] = true
 		}
-		if got := r.Primary(key); got != order[0] {
-			t.Fatalf("Primary(%q) = %d, Order[0] = %d", key, got, order[0])
-		}
 	}
 }
 
@@ -55,7 +52,7 @@ func TestRingBalance(t *testing.T) {
 	const keys = 3000
 	counts := make([]int, len(names))
 	for k := 0; k < keys; k++ {
-		counts[r.Primary(fmt.Sprintf("video-%d", k))]++
+		counts[r.Order(fmt.Sprintf("video-%d", k))[0]]++
 	}
 	for i, c := range counts {
 		if c < keys/10 {
@@ -85,13 +82,12 @@ func TestRingStability(t *testing.T) {
 	}
 	for k := 0; k < 500; k++ {
 		key := fmt.Sprintf("video-%d", k)
-		p := r1.Primary(key)
-		if q := r2.Primary(key); q != p {
+		p := r1.Order(key)[0]
+		if q := r2.Order(key)[0]; q != p {
 			t.Fatalf("rings disagree on %q: %d vs %d", key, p, q)
 		}
-		if p != 2 && shrunk.Primary(key) != p {
-			t.Errorf("key %q moved from origin %d to %d when origin 2 left",
-				key, p, shrunk.Primary(key))
+		if q := shrunk.Order(key)[0]; p != 2 && q != p {
+			t.Errorf("key %q moved from origin %d to %d when origin 2 left", key, p, q)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"cava/internal/abr"
-	"cava/internal/core"
 	"cava/internal/quality"
 	"cava/internal/sim"
 	"cava/internal/trace"
@@ -23,10 +22,7 @@ func init() {
 // manual intervention — the adaptation Oboe argues for.
 func runAutoTune(opt Options) (*Result, error) {
 	v := edYouTube()
-	schemes := []abr.Scheme{
-		{Name: "CAVA", New: core.Factory()},
-		{Name: "CAVA-auto", New: core.AutoFactory()},
-	}
+	schemes := []abr.Scheme{sim.CAVA, sim.CAVAAuto}
 	header := []string{"traces", "scheme", "Q4 qual", "low-qual %", "rebuf (s)", "qual chg", "data MB"}
 	var rows [][]string
 	run := func(label string, traces []*trace.Trace, metric quality.Metric) error {

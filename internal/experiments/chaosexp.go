@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"cava/internal/chaos"
+	"cava/internal/sim"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -27,7 +28,7 @@ func runChaos(opt Options) (*Result, error) {
 		// One ample shared link: overload and faults do the damage, not
 		// raw starvation.
 		Trace:     trace.Constant("link40", 40e6, 1200, 1),
-		Scheme:    cavaScheme(),
+		Scheme:    sim.CAVA,
 		Seed:      seed,
 		TimeScale: 240,
 		MaxChunks: 6,

@@ -6,6 +6,7 @@ import (
 
 	"cava/internal/chaos"
 	"cava/internal/dash"
+	"cava/internal/sim"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -26,7 +27,7 @@ func runEdgeChaos(opt Options) (*Result, error) {
 	base := chaos.Config{
 		Video:     opt.cache().Generate(video.FFmpegConfig(video.Title{Name: "ED", Genre: video.SciFi}, video.H264)),
 		Trace:     trace.Constant("link40", 40e6, 1200, 1),
-		Scheme:    cavaScheme(),
+		Scheme:    sim.CAVA,
 		Seed:      seed,
 		TimeScale: 240,
 		MaxChunks: 6,

@@ -40,15 +40,15 @@ func runFig4(opt Options) (*Result, error) {
 	bestGap := math.Inf(-1)
 	for ti := 0; ti < 12; ti++ {
 		cand := trace.GenLTE(ti)
-		cres, err := player.Simulate(v, cand, cavaScheme().New(v), cfg)
+		cres, err := player.Simulate(v, cand, sim.CAVA.New(v), cfg)
 		if err != nil {
 			return nil, err
 		}
-		bres, err := player.Simulate(v, cand, bbaScheme().New(v), cfg)
+		bres, err := player.Simulate(v, cand, sim.BBA1.New(v), cfg)
 		if err != nil {
 			return nil, err
 		}
-		rres, err := player.Simulate(v, cand, rbaScheme().New(v), cfg)
+		rres, err := player.Simulate(v, cand, sim.RBA.New(v), cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +79,7 @@ func runFig4(opt Options) (*Result, error) {
 	var timelines []string
 	var qualSeries [][]float64
 	var schemesOrder []string
-	for _, sc := range []abr.Scheme{bbaScheme(), rbaScheme(), cavaScheme()} {
+	for _, sc := range []abr.Scheme{sim.BBA1, sim.RBA, sim.CAVA} {
 		res, err := player.Simulate(v, tr, sc.New(v), cfg)
 		if err != nil {
 			return nil, err
@@ -300,14 +300,12 @@ func runFig9(opt Options) (*Result, error) {
 // either variant stalls.
 func runFig10(opt Options) (*Result, error) {
 	v := edFFmpeg()
+	// Full CAVA, under its ablation label.
+	cavaP123 := abr.Scheme{Name: "CAVA-p123", New: core.Variant("p123")}
 	res, err := sim.Run(sim.Request{
-		Videos: []*video.Video{v},
-		Traces: trace.GenLTESet(opt.traces()),
-		Schemes: []abr.Scheme{
-			{Name: "CAVA-p1", New: core.Variant("p1")},
-			{Name: "CAVA-p12", New: core.Variant("p12")},
-			{Name: "CAVA-p123", New: core.Variant("p123")},
-		},
+		Videos:  []*video.Video{v},
+		Traces:  trace.GenLTESet(opt.traces()),
+		Schemes: []abr.Scheme{sim.CAVAP1, sim.CAVAP12, cavaP123},
 		Config:  defaultConfig(),
 		Metric:  quality.VMAFPhone,
 		Workers: opt.Workers,
@@ -355,12 +353,9 @@ func runFig10(opt Options) (*Result, error) {
 		harsher = append(harsher, tr.Scale(0.85))
 	}
 	res2, err := sim.Run(sim.Request{
-		Videos: []*video.Video{v},
-		Traces: harsher,
-		Schemes: []abr.Scheme{
-			{Name: "CAVA-p12", New: core.Variant("p12")},
-			{Name: "CAVA-p123", New: core.Variant("p123")},
-		},
+		Videos:  []*video.Video{v},
+		Traces:  harsher,
+		Schemes: []abr.Scheme{sim.CAVAP12, cavaP123},
 		Config:  defaultConfig(),
 		Metric:  quality.VMAFPhone,
 		Workers: opt.Workers,

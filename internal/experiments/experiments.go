@@ -18,10 +18,9 @@ import (
 
 	"cava/internal/abr"
 	"cava/internal/cache"
-	"cava/internal/core"
 	"cava/internal/metrics"
 	"cava/internal/player"
-	"cava/internal/quality"
+	"cava/internal/sim"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -128,63 +127,9 @@ func edFFmpeg() *video.Video {
 	return cache.Shared.Generate(video.FFmpegConfig(video.Title{Name: "ED", Genre: video.SciFi}, video.H264))
 }
 
-// Scheme factories shared across experiments. PANDA/CQ consumes per-chunk
-// quality values; it receives the PSNR surface (the quality metadata a
-// 2014-era pipeline would carry), while evaluation uses VMAF (§6.1) — see
-// DESIGN.md's substitution notes.
-func cavaScheme() abr.Scheme { return abr.Scheme{Name: "CAVA", New: core.Factory()} }
-
-func mpcScheme(robust bool) abr.Scheme {
-	name := "MPC"
-	if robust {
-		name = "RobustMPC"
-	}
-	return abr.Scheme{Name: name, New: func(v *video.Video) abr.Algorithm {
-		return abr.NewMPC(v, robust)
-	}}
-}
-
-func pandaScheme(mode abr.PANDAMode) abr.Scheme {
-	name := "PANDA/CQ max-sum"
-	if mode == abr.MaxMin {
-		name = "PANDA/CQ max-min"
-	}
-	return abr.Scheme{Name: name, New: func(v *video.Video) abr.Algorithm {
-		// The factory runs once per session; the PSNR table only depends on
-		// the video, so share it process-wide instead of rebuilding it for
-		// every (trace, scheme) session of a sweep.
-		return abr.NewPANDACQ(v, cache.Shared.QualityTable(v, quality.PSNR), mode)
-	}}
-}
-
-func bbaScheme() abr.Scheme {
-	return abr.Scheme{Name: "BBA-1", New: func(v *video.Video) abr.Algorithm {
-		return abr.NewBBA1(v, 0, 0)
-	}}
-}
-
-func rbaScheme() abr.Scheme {
-	return abr.Scheme{Name: "RBA", New: func(v *video.Video) abr.Algorithm {
-		return abr.NewRBA(v, 4)
-	}}
-}
-
-func bolaScheme(variant abr.BOLAVariant, enhanced bool) abr.Scheme {
-	probe := abr.NewBOLAE(edYouTube(), variant, enhanced)
-	return abr.Scheme{Name: probe.Name(), New: func(v *video.Video) abr.Algorithm {
-		return abr.NewBOLAE(v, variant, enhanced)
-	}}
-}
-
 // comparisonSchemes is the Fig. 8 / Table 1 scheme set.
 func comparisonSchemes() []abr.Scheme {
-	return []abr.Scheme{
-		cavaScheme(),
-		mpcScheme(false),
-		mpcScheme(true),
-		pandaScheme(abr.MaxSum),
-		pandaScheme(abr.MaxMin),
-	}
+	return []abr.Scheme{sim.CAVA, sim.MPC, sim.RobustMPC, sim.PANDAMaxSum, sim.PANDAMaxMin}
 }
 
 // cdfDeciles formats a sample's CDF at the 10th..90th percentiles.

@@ -107,7 +107,7 @@ func runLiveExt(opt Options) (*Result, error) {
 		mk(2, "CAVA-live2"),
 		mk(5, "CAVA-live5"),
 		mk(20, "CAVA-live20"),
-		{name: "RobustMPC-live", make: func() abr.Algorithm { return abr.NewMPC(v, true) }},
+		{name: "RobustMPC-live", make: func() abr.Algorithm { return sim.RobustMPC.New(v) }},
 		{name: "CAVA (VoD ref)", make: func() abr.Algorithm { return core.New(v) }, vod: true},
 	}
 

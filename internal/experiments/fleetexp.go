@@ -8,6 +8,7 @@ import (
 	"cava/internal/fleet"
 	"cava/internal/metrics"
 	"cava/internal/quality"
+	"cava/internal/sim"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -30,7 +31,7 @@ func runFleet(opt Options) (*Result, error) {
 	nTraces := opt.traces()
 	traces := append(trace.GenLTESet((nTraces+1)/2), trace.GenFCCSet(nTraces/2)...)
 	sessions := 25 * nTraces
-	schemes := []abr.Scheme{cavaScheme(), mpcScheme(true), bbaScheme(), rbaScheme()}
+	schemes := []abr.Scheme{sim.CAVA, sim.RobustMPC, sim.BBA1, sim.RBA}
 
 	header := []string{"scheme", "metric", "p10", "p50", "p90", "p99"}
 	var rows [][]string

@@ -8,8 +8,8 @@ import (
 	"cava/internal/metrics"
 	"cava/internal/player"
 	"cava/internal/quality"
+	"cava/internal/sim"
 	"cava/internal/trace"
-	"cava/internal/video"
 )
 
 func init() {
@@ -31,13 +31,7 @@ func runMultiClient(opt Options) (*Result, error) {
 	qt := opt.cache().QualityTable(v, quality.VMAFPhone)
 	cats := opt.cache().Categories(v)
 
-	schemes := []abr.Scheme{
-		cavaScheme(),
-		mpcScheme(true),
-		{Name: "FESTIVE", New: func(v *video.Video) abr.Algorithm { return abr.NewFESTIVE(v) }},
-		bolaScheme(abr.BOLASeg, true),
-		rbaScheme(),
-	}
+	schemes := []abr.Scheme{sim.CAVA, sim.RobustMPC, sim.FESTIVE, sim.BOLAESeg, sim.RBA}
 
 	header := []string{"scheme", "Jain(bytes)", "Q4 qual", "low-qual %", "rebuf (s)", "qual chg"}
 	var rows [][]string

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"strings"
 
+	"cava/internal/abr"
 	"cava/internal/metrics"
 	"cava/internal/oracle"
 	"cava/internal/player"
 	"cava/internal/quality"
+	"cava/internal/sim"
 	"cava/internal/trace"
 )
 
@@ -62,21 +64,12 @@ func runOracle(opt Options) (*Result, error) {
 		}
 		add("Oracle", metrics.Summarize(ores, qt, cats))
 
-		for _, sc := range []struct {
-			name string
-		}{{"CAVA"}, {"RobustMPC"}} {
-			var res *player.Result
-			var serr error
-			switch sc.name {
-			case "CAVA":
-				res, serr = player.Simulate(v, tr, cavaScheme().New(v), cfg)
-			case "RobustMPC":
-				res, serr = player.Simulate(v, tr, mpcScheme(true).New(v), cfg)
+		for _, sc := range []abr.Scheme{sim.CAVA, sim.RobustMPC} {
+			res, err := player.Simulate(v, tr, sc.New(v), cfg)
+			if err != nil {
+				return nil, err
 			}
-			if serr != nil {
-				return nil, serr
-			}
-			add(sc.name, metrics.Summarize(res, qt, cats))
+			add(sc.Name, metrics.Summarize(res, qt, cats))
 		}
 	}
 

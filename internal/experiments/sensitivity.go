@@ -91,7 +91,7 @@ func runStartup(opt Options) (*Result, error) {
 		res, err := sim.Run(sim.Request{
 			Videos:  []*video.Video{v},
 			Traces:  traces,
-			Schemes: []abr.Scheme{cavaScheme(), mpcScheme(true)},
+			Schemes: []abr.Scheme{sim.CAVA, sim.RobustMPC},
 			Config:  cfg,
 			Metric:  quality.VMAFPhone,
 			Workers: opt.Workers,
@@ -129,7 +129,7 @@ func runChunkDur(opt Options) (*Result, error) {
 	res, err := sim.Run(sim.Request{
 		Videos:  vids,
 		Traces:  traces,
-		Schemes: []abr.Scheme{cavaScheme(), mpcScheme(true), pandaScheme(abr.MaxMin)},
+		Schemes: []abr.Scheme{sim.CAVA, sim.RobustMPC, sim.PANDAMaxMin},
 		Config:  defaultConfig(),
 		Metric:  quality.VMAFPhone,
 		Workers: opt.Workers,
@@ -159,16 +159,8 @@ func runChunkDur(opt Options) (*Result, error) {
 func runBaselines(opt Options) (*Result, error) {
 	v := edFFmpeg()
 	schemes := []abr.Scheme{
-		cavaScheme(),
-		{Name: "PIA", New: func(v *video.Video) abr.Algorithm { return abr.NewPIA(v) }},
-		{Name: "FESTIVE", New: func(v *video.Video) abr.Algorithm { return abr.NewFESTIVE(v) }},
-		mpcScheme(false),
-		mpcScheme(true),
-		pandaScheme(abr.MaxMin),
-		bolaScheme(abr.BOLASeg, true),
-		{Name: "BOLA (avg)", New: func(v *video.Video) abr.Algorithm { return abr.NewBOLAE(v, abr.BOLAAvg, false) }},
-		bbaScheme(),
-		rbaScheme(),
+		sim.CAVA, sim.PIA, sim.FESTIVE, sim.MPC, sim.RobustMPC,
+		sim.PANDAMaxMin, sim.BOLAESeg, sim.BOLAAvg, sim.BBA1, sim.RBA,
 	}
 	res, err := sim.Run(sim.Request{
 		Videos:  []*video.Video{v},

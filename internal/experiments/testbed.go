@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cava/internal/abr"
-	"cava/internal/core"
 	"cava/internal/dash"
 	"cava/internal/metrics"
 	"cava/internal/player"
@@ -26,16 +25,6 @@ func init() {
 	register("robustness", "§6.8 under faults: resilient client vs fault profiles (seeded injection)", runRobustness)
 }
 
-// bolaComparisonSchemes is the §6.8 scheme set.
-func bolaComparisonSchemes() []abr.Scheme {
-	return []abr.Scheme{
-		cavaScheme(),
-		bolaScheme(abr.BOLAPeak, true),
-		bolaScheme(abr.BOLAAvg, true),
-		bolaScheme(abr.BOLASeg, true),
-	}
-}
-
 // runFig11 compares CAVA with the three BOLA-E declared-bitrate variants.
 // The algorithms are byte-identical to the ones the live HTTP testbed runs
 // (see the "live" experiment); the trace-replay path makes the 200-trace
@@ -46,7 +35,7 @@ func runFig11(opt Options) (*Result, error) {
 	res, err := sim.Run(sim.Request{
 		Videos:  []*video.Video{v},
 		Traces:  trace.GenLTESet(opt.traces()),
-		Schemes: bolaComparisonSchemes(),
+		Schemes: []abr.Scheme{sim.CAVA, sim.BOLAEPeak, sim.BOLAEAvg, sim.BOLAESeg},
 		Config:  defaultConfig(),
 		Metric:  quality.VMAFPhone,
 		Workers: opt.Workers,
@@ -97,7 +86,7 @@ func runTable2(opt Options) (*Result, error) {
 	res, err := sim.Run(sim.Request{
 		Videos:  videos,
 		Traces:  trace.GenLTESet(opt.traces()),
-		Schemes: []abr.Scheme{cavaScheme(), bolaScheme(abr.BOLASeg, true)},
+		Schemes: []abr.Scheme{sim.CAVA, sim.BOLAESeg},
 		Config:  defaultConfig(),
 		Metric:  quality.VMAFPhone,
 		Workers: opt.Workers,
@@ -136,7 +125,7 @@ func runLive(opt Options) (*Result, error) {
 	qt := opt.cache().QualityTable(v, quality.VMAFPhone)
 	cats := opt.cache().Categories(v)
 
-	factories := []abr.Scheme{cavaScheme(), bolaScheme(abr.BOLASeg, true)}
+	factories := []abr.Scheme{sim.CAVA, sim.BOLAESeg}
 	header := []string{"trace", "scheme", "Q4 qual", "low-qual %", "rebuf (s)", "qual chg", "data MB", "wall (s)"}
 	var rows [][]string
 	for ti := 0; ti < nTraces; ti++ {
@@ -219,7 +208,7 @@ func runRobustness(opt Options) (*Result, error) {
 	cats := opt.cache().Categories(v)
 	tr := trace.GenLTE(0)
 
-	schemes := []abr.Scheme{cavaScheme(), bolaScheme(abr.BOLASeg, true)}
+	schemes := []abr.Scheme{sim.CAVA, sim.BOLAESeg}
 	header := []string{"profile", "scheme", "retries", "trunc", "abandon", "skip",
 		"rebuf (s)", "Q4 qual", "data MB", "injected"}
 	var rows [][]string
@@ -251,7 +240,3 @@ func runRobustness(opt Options) (*Result, error) {
 		tr.ID, maxChunks, scale, seed)
 	return &Result{ID: "robustness", Title: Title("robustness"), Text: sb.String()}, nil
 }
-
-// Referenced by runLive indirectly; keep core imported for the default
-// scheme factory used in bolaComparisonSchemes.
-var _ = core.Factory

@@ -39,12 +39,12 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"cava/internal/abr"
 	"cava/internal/cache"
@@ -68,7 +68,7 @@ type Config struct {
 	// Scheme is the adaptation algorithm every session runs (one fresh
 	// instance per session, built lazily at the session's first event).
 	// The factory must be safe for concurrent calls, the same contract
-	// sim.Run's worker pool already imposes on every registry scheme.
+	// sim.Run's worker pool already imposes on every roster scheme.
 	Scheme abr.Scheme
 	// Player is the shared player configuration (§6.1 defaults when zero).
 	Player player.Config
@@ -336,26 +336,13 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Run drains every shard's event queue to completion — concurrently when
-// the engine has more than one shard — merges the per-shard tallies in
-// shard-index order, and returns the aggregated fleet result. For long
-// runs that need checkpointing, interruption or a watchdog, use
-// RunContext instead.
+// Run drains every shard's event queue to completion, one goroutine per
+// shard, merges the per-shard tallies in shard-index order, and returns the
+// aggregated fleet result. It is RunContext with no checkpointing,
+// interruption or watchdog, so every run goes through the one supervised
+// loop.
 func (e *Engine) Run() (*Result, error) {
-	if len(e.shards) == 1 {
-		e.shards[0].drain(nil)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(e.shards))
-		for i := range e.shards {
-			go func(sh *shard) {
-				defer wg.Done()
-				sh.drain(nil)
-			}(&e.shards[i])
-		}
-		wg.Wait()
-	}
-	return e.merge()
+	return e.RunContext(context.Background(), RunOptions{})
 }
 
 // merge folds the quiescent per-shard tallies in shard-index order and
@@ -501,18 +488,4 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return e.Run()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -35,7 +35,7 @@ func fixedScheme(level int) abr.Scheme {
 
 // TestFleetEquivalence pins the tentpole contract: player.Simulate and a
 // one-session fleet drive the same StepState core, so their Results must be
-// identical — bit for bit, per chunk — for every scheme in the registry.
+// identical — bit for bit, per chunk — for every scheme in the roster.
 func TestFleetEquivalence(t *testing.T) {
 	v := shortVideo()
 	tr := trace.GenLTE(3)

@@ -38,10 +38,20 @@ type shard struct {
 	quarantined []Quarantine
 	lostEvents  int64
 
-	// progress mirrors events after every batch for the RunContext
-	// watchdog, which samples it from the supervisor goroutine.
+	// progress publishes events for the RunContext watchdog, which samples
+	// it from the supervisor goroutine. drain stores it at most once per
+	// progressEvents events, and the padding gives it a cache line of its
+	// own: shards sit side by side in one slice, and the store must not
+	// evict the next shard's hot fields.
+	_        [64]byte
 	progress atomic.Int64
+	_        [56]byte
 }
+
+// progressEvents is how many events a shard processes between progress
+// stores. drain publishes after the first batch that reaches the mark, so
+// the watchdog's view lags by at most this many events or one batch.
+const progressEvents = 64
 
 // init primes the shard for the session-id range [lo, hi): the heap is
 // preallocated to the shard size and seeded with the range's arrivals
@@ -50,30 +60,28 @@ func (sh *shard) init(e *Engine, lo, hi int32) {
 	size := int(hi - lo)
 	sh.e = e
 	sh.heap = newEventHeap(size)
-	sh.batch = make([]int32, 0, minInt(size, 4096))
+	sh.batch = make([]int32, 0, min(size, 4096))
 	sh.stepFn = sh.stepSession
 	for id := lo; id < hi; id++ {
 		sh.heap.push(event{wakeSec: e.sessions[id].arrivalSec, id: id})
 	}
 }
 
-// drain runs the shard to completion, one virtual instant at a time. A
-// supervised run (ctl non-nil) additionally checks the control barrier
-// between batches — parking for checkpoints, returning early on abort —
-// and publishes its event progress for the watchdog.
+// drain runs the shard to completion, one virtual instant at a time. It
+// checks the control barrier between batches — parking for checkpoints,
+// returning early on abort — and publishes its event progress for the
+// watchdog.
 func (sh *shard) drain(ctl *control) {
-	if ctl == nil {
-		for sh.heap.len() > 0 {
-			sh.runBatch()
-		}
-		return
-	}
+	var publishAt int64
 	for sh.heap.len() > 0 {
 		if !ctl.gate() {
 			return
 		}
 		sh.runBatch()
-		sh.progress.Store(sh.events)
+		if sh.events >= publishAt {
+			sh.progress.Store(sh.events)
+			publishAt = sh.events + progressEvents
+		}
 	}
 	sh.progress.Store(shardFinished)
 	ctl.shardDone()
@@ -191,7 +199,7 @@ func (sh *shard) finishSession(id int32, s *session) {
 	e.completionSec[id] = doneSec
 	e.sessionLenSec[id] = res.SessionSec
 	e.dataMB[id] = res.TotalBits / 8 / 1e6
-	chunks := float64(maxInt(s.chunks, 1))
+	chunks := float64(max(s.chunks, 1))
 	e.avgQuality[id] = s.qualSum / chunks
 	e.qualityChange[id] = s.qualChangeSum / chunks
 	e.avgLevel[id] = float64(s.levelSum) / chunks

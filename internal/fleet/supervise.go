@@ -131,12 +131,12 @@ func (c *control) abortAll() {
 	c.abort.Store(true)
 }
 
-// RunContext drains the fleet like Run under a supervisor: the run can be
-// checkpointed periodically, interrupted via the context (checkpoint-then-
-// return with the partial population), and is watched for shards that stop
-// making progress. On cancellation it returns the partial Result together
-// with an error wrapping ErrInterrupted. Like Run, it consumes the engine:
-// call it once.
+// RunContext drains every shard, one goroutine each, under a supervisor:
+// the run can be checkpointed periodically, interrupted via the context
+// (checkpoint-then-return with the partial population), and is watched for
+// shards that stop making progress. On cancellation it returns the partial
+// Result together with an error wrapping ErrInterrupted. It consumes the
+// engine: call it (or Run) once.
 func (e *Engine) RunContext(ctx context.Context, opts RunOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

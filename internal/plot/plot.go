@@ -1,5 +1,5 @@
 // Package plot renders small terminal charts — sparklines, CDF step plots
-// and bar charts — so cmd/abreval and the examples can show the paper's
+// and quality strip charts — so cmd/abreval and the examples can show the paper's
 // figures directly in the terminal without any plotting dependency.
 package plot
 
@@ -143,38 +143,6 @@ func axisLabels(lo, hi float64, width int) string {
 		return left + " … " + right
 	}
 	return left + strings.Repeat(" ", pad/2) + mid + strings.Repeat(" ", pad-pad/2) + right
-}
-
-// Bars renders a labeled horizontal bar chart scaled to the widest value.
-func Bars(labels []string, values []float64, width int) string {
-	if len(labels) != len(values) {
-		return "(label/value mismatch)\n"
-	}
-	if width < 10 {
-		width = 10
-	}
-	maxV := 0.0
-	maxLabel := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	var sb strings.Builder
-	for i, v := range values {
-		n := 0
-		if maxV > 0 {
-			n = int(v / maxV * float64(width))
-		}
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(&sb, "%-*s |%s %.4g\n", maxLabel, labels[i], strings.Repeat("█", n), v)
-	}
-	return sb.String()
 }
 
 // Timeline renders a quality/level series as rows of a compact strip chart,

@@ -101,26 +101,6 @@ func TestCDFPlotDegenerate(t *testing.T) {
 	}
 }
 
-func TestBars(t *testing.T) {
-	out := Bars([]string{"CAVA", "RobustMPC"}, []float64{2, 4}, 20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d bar lines", len(lines))
-	}
-	if strings.Count(lines[1], "█") != 20 {
-		t.Errorf("max bar not full width: %q", lines[1])
-	}
-	if strings.Count(lines[0], "█") != 10 {
-		t.Errorf("half bar wrong: %q", lines[0])
-	}
-	if !strings.Contains(Bars([]string{"x"}, []float64{1, 2}, 10), "mismatch") {
-		t.Error("mismatched inputs not reported")
-	}
-	if !strings.Contains(Bars([]string{"z"}, []float64{0}, 10), "z") {
-		t.Error("zero bar missing label")
-	}
-}
-
 func TestTimeline(t *testing.T) {
 	vals := make([]float64, 100)
 	hl := make([]bool, 100)

@@ -152,35 +152,6 @@ func WriteJSON(w io.Writer, rows []Row) error {
 	return enc.Encode(rows)
 }
 
-// ReadJSON parses rows written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Row, error) {
-	var rows []Row
-	if err := json.NewDecoder(r).Decode(&rows); err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
-	return rows, nil
-}
-
-// GroupMeans aggregates rows per scheme with a field selector, preserving
-// scheme order of first appearance.
-func GroupMeans(rows []Row, field func(Row) float64) ([]string, []float64) {
-	var order []string
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for _, r := range rows {
-		if _, seen := sums[r.Scheme]; !seen {
-			order = append(order, r.Scheme)
-		}
-		sums[r.Scheme] += field(r)
-		counts[r.Scheme]++
-	}
-	means := make([]float64, len(order))
-	for i, s := range order {
-		means[i] = sums[s] / float64(counts[s])
-	}
-	return order, means
-}
-
 // Summaries reconstructs metric summaries from rows (for downstream code
 // that speaks the metrics types).
 func Summaries(rows []Row) []metrics.Summary {

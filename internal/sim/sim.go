@@ -11,7 +11,6 @@ import (
 
 	"cava/internal/abr"
 	"cava/internal/cache"
-	"cava/internal/cliutil"
 	"cava/internal/metrics"
 	"cava/internal/player"
 	"cava/internal/quality"
@@ -20,24 +19,6 @@ import (
 	"cava/internal/trace"
 	"cava/internal/video"
 )
-
-// SchemeAll returns every scheme in the CLI registry as a sweep entry, in
-// sorted name order — the complete comparison set. The fleet engine's
-// equivalence test pins player.Simulate against a one-session fleet for
-// each of these.
-func SchemeAll() []abr.Scheme {
-	reg := cliutil.Schemes()
-	names := make([]string, 0, len(reg))
-	for n := range reg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]abr.Scheme, 0, len(names))
-	for _, n := range names {
-		out = append(out, abr.Scheme{Name: n, New: reg[n]})
-	}
-	return out
-}
 
 // Request describes one sweep.
 type Request struct {

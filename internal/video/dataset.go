@@ -146,28 +146,6 @@ func YouTubeSetConfigs() []GenConfig {
 	return out
 }
 
-// YouTubeSet generates the 8 YouTube-encoded videos (Table 1's rows).
-func YouTubeSet() []*Video {
-	var out []*Video
-	for _, cfg := range YouTubeSetConfigs() {
-		out = append(out, Generate(cfg))
-	}
-	return out
-}
-
-// FFmpegSet returns the 8 FFmpeg-encoded videos for the given codec order:
-// H.264 first, then H.265.
-func FFmpegSet() []*Video {
-	var out []*Video
-	for _, t := range OpenTitles {
-		out = append(out, FFmpegVideo(t, H264))
-	}
-	for _, t := range OpenTitles {
-		out = append(out, FFmpegVideo(t, H265))
-	}
-	return out
-}
-
 // ConfigByID finds the dataset configuration for an ID string (e.g.
 // "ED-ffmpeg-h264") without generating any video.
 func ConfigByID(id string) (GenConfig, bool) {

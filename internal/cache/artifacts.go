@@ -14,7 +14,7 @@ import (
 // the underlying values are immutable once computed. Every helper works on
 // a nil cache by computing directly.
 
-// Artifact kinds, used as Stats keys and telemetry label values.
+// Artifact kinds, used as Stats keys.
 const (
 	KindVideo   = "video"
 	KindQuality = "quality"

@@ -23,11 +23,8 @@
 // <name>.corrupt and falls back to recomputation, so a damaged entry can
 // degrade one request's latency but never poison a memoized figure.
 //
-// Telemetry: cache_hits_total{kind}, cache_misses_total{kind},
-// cache_corrupt_entries_total{kind} and cache_bytes_total (serialized
-// bytes moved through the JSON layer) when a registry is attached with
-// WithMetrics; Stats exposes the same counts programmatically for tests.
-// A nil *Cache disables caching: every helper computes directly.
+// Stats(kind) is the cache's one ledger of hits, misses and quarantined
+// entries. A nil *Cache disables caching: every helper computes directly.
 package cache
 
 import (
@@ -38,8 +35,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"cava/internal/telemetry"
 )
 
 // Cache is a concurrent get-or-compute store. Use New; the zero value is
@@ -49,8 +44,6 @@ type Cache struct {
 	entries map[string]*entry
 	stats   map[string]*Stats
 	dir     string
-	reg     *telemetry.Registry
-	bytes   *telemetry.Counter
 }
 
 // entry is one in-flight or completed computation.
@@ -75,16 +68,6 @@ type Option func(*Cache)
 // WithDir enables the on-disk JSON layer rooted at dir (created lazily).
 func WithDir(dir string) Option {
 	return func(c *Cache) { c.dir = dir }
-}
-
-// WithMetrics mirrors the hit/miss/bytes counters into a telemetry
-// registry as cache_hits_total{kind=...}, cache_misses_total{kind=...} and
-// cache_bytes_total.
-func WithMetrics(reg *telemetry.Registry) Option {
-	return func(c *Cache) {
-		c.reg = reg
-		c.bytes = reg.Counter("cache_bytes_total", "serialized bytes moved through the cache JSON layer")
-	}
 }
 
 // New returns an empty cache.
@@ -129,31 +112,26 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// count records one outcome for a kind, mirroring to the registry when
-// attached. Callers hold no lock.
+// count records one outcome for a kind. Callers hold no lock.
 func (c *Cache) count(kind string, hit bool) {
 	c.mu.Lock()
-	s := c.stats[kind]
-	if s == nil {
-		s = &Stats{}
-		c.stats[kind] = s
-	}
+	defer c.mu.Unlock()
+	s := c.statsLocked(kind)
 	if hit {
 		s.Hits++
 	} else {
 		s.Misses++
 	}
-	reg := c.reg
-	c.mu.Unlock()
-	if reg != nil {
-		if hit {
-			reg.Counter("cache_hits_total", "cache requests served without computing",
-				telemetry.Label{Name: "kind", Value: kind}).Inc()
-		} else {
-			reg.Counter("cache_misses_total", "cache requests that ran the computation",
-				telemetry.Label{Name: "kind", Value: kind}).Inc()
-		}
+}
+
+// statsLocked returns kind's counters, creating them on first use.
+func (c *Cache) statsLocked(kind string) *Stats {
+	s := c.stats[kind]
+	if s == nil {
+		s = &Stats{}
+		c.stats[kind] = s
 	}
+	return s
 }
 
 // GetOrCompute returns the value stored under kind/key, computing and
@@ -205,7 +183,6 @@ func GetOrComputeJSON[T any](c *Cache, kind, key string, compute func() (T, erro
 		if data, ok := c.readDisk(kind, key); ok {
 			var out T
 			if jerr := json.Unmarshal(data, &out); jerr == nil {
-				c.addBytes(len(data))
 				return diskLoaded[T]{out}, nil
 			}
 			// A corrupt or stale-format file is ignored and overwritten.
@@ -215,7 +192,6 @@ func GetOrComputeJSON[T any](c *Cache, kind, key string, compute func() (T, erro
 			return nil, err
 		}
 		if data, jerr := json.Marshal(out); jerr == nil {
-			c.addBytes(len(data))
 			c.writeDisk(kind, key, data)
 		}
 		return out, nil
@@ -240,25 +216,10 @@ type diskLoaded[T any] struct{ val T }
 // reclassify converts the most recent miss of a kind into a hit.
 func (c *Cache) reclassify(kind string) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if s := c.stats[kind]; s != nil && s.Misses > 0 {
 		s.Misses--
 		s.Hits++
-	}
-	reg := c.reg
-	c.mu.Unlock()
-	if reg != nil {
-		reg.Counter("cache_hits_total", "cache requests served without computing",
-			telemetry.Label{Name: "kind", Value: kind}).Inc()
-		// Registry counters are monotonic; expose the correction as a
-		// dedicated counter instead of decrementing the miss count.
-		reg.Counter("cache_disk_loads_total", "misses satisfied by the on-disk layer",
-			telemetry.Label{Name: "kind", Value: kind}).Inc()
-	}
-}
-
-func (c *Cache) addBytes(n int) {
-	if c.bytes != nil {
-		c.bytes.Add(uint64(n))
 	}
 }
 
@@ -338,22 +299,12 @@ func (c *Cache) readDisk(kind, key string) ([]byte, bool) {
 
 // quarantineDisk moves a corrupt entry aside so the recomputed value can
 // take its place while the damaged bytes stay inspectable, and counts the
-// event (Stats.Corrupt, cache_corrupt_entries_total{kind}).
+// event in Stats.Corrupt.
 func (c *Cache) quarantineDisk(kind, path string) {
 	_ = os.Rename(path, path+".corrupt") // best-effort: losing the evidence must not fail the request
 	c.mu.Lock()
-	s := c.stats[kind]
-	if s == nil {
-		s = &Stats{}
-		c.stats[kind] = s
-	}
-	s.Corrupt++
-	reg := c.reg
-	c.mu.Unlock()
-	if reg != nil {
-		reg.Counter("cache_corrupt_entries_total", "disk cache entries that failed checksum verification and were quarantined",
-			telemetry.Label{Name: "kind", Value: kind}).Inc()
-	}
+	defer c.mu.Unlock()
+	c.statsLocked(kind).Corrupt++
 }
 
 // writeDisk persists one checksummed entry via a temp-file write, sync and

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"cava/internal/quality"
-	"cava/internal/telemetry"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -142,25 +141,19 @@ func TestGetOrComputeJSONDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheTelemetryCounters pins the per-kind counters Stats reports,
+// the cache's only ledger: JSON requests count like any other, and kinds
+// do not share counts.
 func TestCacheTelemetryCounters(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	c := New(WithMetrics(reg))
+	c := New()
 	for i := 0; i < 3; i++ {
 		GetOrComputeJSON(c, "sim", "k", func() (int, error) { return 7, nil })
 	}
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
+	if s := c.Stats("sim"); s != (Stats{Hits: 2, Misses: 1}) {
+		t.Errorf("sim stats = %+v, want 2 hits 1 miss", s)
 	}
-	text := sb.String()
-	for _, want := range []string{
-		`cache_hits_total{kind="sim"} 2`,
-		`cache_misses_total{kind="sim"} 1`,
-		`cache_bytes_total`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q:\n%s", want, text)
-		}
+	if s := c.Stats("video"); s != (Stats{}) {
+		t.Errorf("untouched kind stats = %+v, want zero", s)
 	}
 }
 
@@ -282,8 +275,8 @@ func TestStringSummary(t *testing.T) {
 
 // TestCacheDiskCorruptionQuarantine pins the hardened disk layer: a framed
 // entry whose payload no longer matches its checksum is detected on read,
-// quarantined as <name>.corrupt, counted (Stats.Corrupt and
-// cache_corrupt_entries_total), and transparently recomputed — the damaged
+// quarantined as <name>.corrupt, counted in Stats.Corrupt, and
+// transparently recomputed — the damaged
 // bytes never reach a caller.
 func TestCacheDiskCorruptionQuarantine(t *testing.T) {
 	type payload struct {
@@ -309,8 +302,7 @@ func TestCacheDiskCorruptionQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := telemetry.NewRegistry()
-	fresh := New(WithDir(dir), WithMetrics(reg))
+	fresh := New(WithDir(dir))
 	recomputed := 0
 	got, err := GetOrComputeJSON(fresh, "sweep", "deadbeef", func() (payload, error) {
 		recomputed++
@@ -327,13 +319,6 @@ func TestCacheDiskCorruptionQuarantine(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Errorf("corrupt entry not quarantined: %v", err)
-	}
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `cache_corrupt_entries_total{kind="sweep"} 1`) {
-		t.Errorf("exposition missing corrupt counter:\n%s", sb.String())
 	}
 
 	// The recomputed entry replaced the damaged one: a third process reads

@@ -408,12 +408,12 @@ func runSession(cfg Config, i int, baseURL string, httpClient *http.Client) Sess
 }
 
 // shedBudget bounds acceptable shedding: each session may be refused on
-// every manifest attempt (two representations per resilient attempt) plus
-// one round of slack — anything past that means the server is amplifying
-// load instead of shedding it.
+// every manifest attempt (one JSON request per resilient attempt) plus one
+// round of slack — anything past that means the server is amplifying load
+// instead of shedding it.
 func shedBudget(cfg Config) int {
 	attempts := cfg.Resilience.MaxRetries + 1
-	return cfg.Sessions * (2*attempts + 2)
+	return cfg.Sessions * (attempts + 1)
 }
 
 // Invariants checks the report against the harness's robustness

@@ -114,11 +114,6 @@ type Breaker struct {
 	openedAt    time.Time
 	probes      int // in-flight probes while half-open
 	stats       BreakerStats
-
-	// Telemetry (nil-safe).
-	stateGauge  *telemetry.Gauge
-	transitions map[BreakerState]*telemetry.Counter
-	shorted     *telemetry.Counter
 }
 
 // NewBreaker wraps inner with the breaker policy.
@@ -157,17 +152,22 @@ func (b *Breaker) WithClock(c Clock) *Breaker {
 	return b
 }
 
-// SetMetrics registers the breaker's gauges and counters on reg (nil
-// disables). Call before serving.
+// SetMetrics exposes the breaker's Stats on reg (nil disables). Scraping
+// reads Stats, never State, so it cannot move an open breaker to
+// half-open.
 func (b *Breaker) SetMetrics(reg *telemetry.Registry) {
-	b.stateGauge = reg.Gauge("dash_breaker_state", "circuit-breaker state (0 closed, 1 open, 2 half-open)")
-	b.transitions = make(map[BreakerState]*telemetry.Counter)
-	for _, s := range []BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen} {
-		b.transitions[s] = reg.Counter("dash_breaker_transitions_total",
-			"circuit-breaker state transitions", telemetry.Label{Name: "to", Value: s.String()})
+	reg.GaugeFunc("dash_breaker_state", "circuit-breaker state (0 closed, 1 open, 2 half-open)",
+		func() float64 { return float64(b.Stats().State) })
+	for to, field := range map[BreakerState]func(BreakerStats) int{
+		BreakerClosed:   func(s BreakerStats) int { return s.Closes },
+		BreakerOpen:     func(s BreakerStats) int { return s.Opens },
+		BreakerHalfOpen: func(s BreakerStats) int { return s.HalfOpens },
+	} {
+		reg.CounterFunc("dash_breaker_transitions_total", "circuit-breaker state transitions",
+			func() uint64 { return uint64(field(b.Stats())) }, telemetry.Label{Name: "to", Value: to.String()})
 	}
-	b.shorted = reg.Counter("dash_breaker_short_circuit_total",
-		"requests answered 503 by the open breaker")
+	reg.CounterFunc("dash_breaker_short_circuit_total", "requests answered 503 by the open breaker",
+		func() uint64 { return uint64(b.Stats().ShortCircuits) })
 }
 
 // Stats returns a snapshot of the breaker's counters and current state.
@@ -205,8 +205,6 @@ func (b *Breaker) transitionLocked(to BreakerState) {
 		b.stats.Closes++
 		b.consecFails = 0
 	}
-	b.stateGauge.Set(float64(to))
-	b.transitions[to].Inc()
 }
 
 // advanceLocked applies the time-driven open → half-open transition.
@@ -293,7 +291,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 func (b *Breaker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	pass, probe, retrySec := b.admit()
 	if !pass {
-		b.shorted.Inc()
 		WriteShed(w, retrySec, "overloaded: circuit open")
 		return
 	}

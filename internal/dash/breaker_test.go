@@ -3,7 +3,6 @@ package dash
 import (
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -130,24 +129,33 @@ func TestBreakerAbortedHandlerCountsAsFailure(t *testing.T) {
 	}
 }
 
+// TestBreakerMetricsExposition walks a served breaker through every
+// transition, then trips it and short-circuits through Allow, and checks
+// that every series reads its BreakerStats field.
 func TestBreakerMetricsExposition(t *testing.T) {
 	fc := NewFakeClock(time.Unix(1000, 0))
 	reg := telemetry.NewRegistry()
-	b := NewBreaker(BreakerConfig{ConsecutiveFailures: 1, OpenSec: 5}, failNTimes(1<<30)).WithClock(fc)
+	b := NewBreaker(BreakerConfig{ConsecutiveFailures: 1, OpenSec: 5}, failNTimes(2)).WithClock(fc)
 	b.SetMetrics(reg)
-	doReq(t, b, "/a") // opens
-	doReq(t, b, "/a") // short-circuits
-
-	w := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	body := w.Body.String()
-	for _, want := range []string{
-		`dash_breaker_transitions_total{to="open"} 1`,
-		"dash_breaker_short_circuit_total 1",
-		"dash_breaker_state 1",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition missing %q:\n%s", want, body)
-		}
+	doReq(t, b, "/a") // fails: closed → open
+	doReq(t, b, "/a") // short-circuited by ServeHTTP
+	fc.Advance(6 * time.Second)
+	doReq(t, b, "/a") // half-open probe fails: → open
+	fc.Advance(6 * time.Second)
+	doReq(t, b, "/a") // probe succeeds: → closed
+	b.Observe(false, true)
+	if pass, _, _ := b.Allow(); pass {
+		t.Fatal("open breaker admitted an attempt")
 	}
+	s := b.Stats()
+	if s.Opens != 3 || s.HalfOpens != 2 || s.Closes != 1 || s.ShortCircuits != 2 || s.State != BreakerOpen {
+		t.Fatalf("stats = %+v, want 3 opens, 2 half-opens, 1 close, 2 short circuits, open", s)
+	}
+	assertSeries(t, reg, map[string]int{
+		"dash_breaker_state":                             int(s.State),
+		`dash_breaker_transitions_total{to="closed"}`:    s.Closes,
+		`dash_breaker_transitions_total{to="open"}`:      s.Opens,
+		`dash_breaker_transitions_total{to="half_open"}`: s.HalfOpens,
+		"dash_breaker_short_circuit_total":               s.ShortCircuits,
+	})
 }

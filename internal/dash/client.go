@@ -138,28 +138,11 @@ func (c *Client) Close() {
 	c.cfg.HTTPClient.CloseIdleConnections()
 }
 
-// FetchManifest retrieves and validates the manifest: the native JSON
-// format first, falling back to a DASH MPD (so the client can stream from
-// any server that publishes /manifest.mpd with the segment-size
-// descriptor).
+// FetchManifest retrieves and validates the native JSON manifest. A
+// non-200 answer is a *statusError carrying any Retry-After hint, so the
+// resilient retry loop can honor a shed.
 func (c *Client) FetchManifest(ctx context.Context) (*Manifest, error) {
-	m, jsonErr := c.fetchManifestAs(ctx, "/manifest.json", DecodeManifest)
-	if jsonErr == nil {
-		return m, nil
-	}
-	m, mpdErr := c.fetchManifestAs(ctx, "/manifest.mpd", ReadMPD)
-	if mpdErr == nil {
-		return m, nil
-	}
-	// Wrap (not flatten) the primary error so a Retry-After hint on a shed
-	// response survives for the resilient retry loop to honor.
-	return nil, fmt.Errorf("dash: fetching manifest: %w (MPD fallback: %v)", jsonErr, mpdErr)
-}
-
-// fetchManifestAs retrieves one manifest representation.
-func (c *Client) fetchManifestAs(ctx context.Context, path string,
-	decode func(io.Reader) (*Manifest, error)) (*Manifest, error) {
-	req, err := c.newRequest(ctx, path)
+	req, err := c.newRequest(ctx, "/manifest.json")
 	if err != nil {
 		return nil, err
 	}
@@ -170,12 +153,12 @@ func (c *Client) fetchManifestAs(ctx context.Context, path string,
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return nil, &statusError{
-			msg:           fmt.Sprintf("status %s", resp.Status),
+			msg:           fmt.Sprintf("dash: fetching manifest: status %s", resp.Status),
 			code:          resp.StatusCode,
 			retryAfterSec: parseRetryAfterSec(resp.Header),
 		}
 	}
-	return decode(resp.Body)
+	return DecodeManifest(resp.Body)
 }
 
 // Run streams the video and returns the session result in virtual time.

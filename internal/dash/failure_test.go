@@ -132,40 +132,6 @@ func TestVirtualNowAdvances(t *testing.T) {
 	}
 }
 
-func TestClientMPDFallback(t *testing.T) {
-	v := testVideo()
-	m := BuildManifest(v)
-	full := NewServer(v)
-	// A server that only speaks MPD (and segments): the JSON endpoint 404s.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/manifest.mpd":
-			WriteMPD(w, m)
-		case r.URL.Path == "/manifest.json":
-			http.NotFound(w, r)
-		default:
-			full.Handler().ServeHTTP(w, r)
-		}
-	}))
-	defer srv.Close()
-	c, _ := NewClient(ClientConfig{BaseURL: srv.URL, NewAlgorithm: core.Factory(), MaxChunks: 3})
-	got, err := c.FetchManifest(context.Background())
-	if err != nil {
-		t.Fatalf("MPD fallback failed: %v", err)
-	}
-	if got.NumSegments() != v.NumChunks() {
-		t.Error("fallback manifest lost segments")
-	}
-	// And a short session must stream through it.
-	res, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Chunks) != 3 {
-		t.Errorf("streamed %d chunks via MPD manifest", len(res.Chunks))
-	}
-}
-
 // --- Resilient fetch pipeline ------------------------------------------------
 
 // flakyOnce wraps a handler so the FIRST attempt at each segment path fails

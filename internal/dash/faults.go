@@ -120,13 +120,11 @@ type FaultInjector struct {
 	attempts map[string]uint64
 	stats    FaultStats
 
-	// Telemetry (nil-safe). faultsTot is labeled by fault type; rec, when
-	// set, receives a KindFault decision-trace event per injected fault so
-	// server-side causes line up with client-side retries in one timeline.
-	reqsTot   *telemetry.Counter
-	faultsTot map[string]*telemetry.Counter
-	rec       telemetry.Recorder
-	session   string
+	// rec, when set, receives a KindFault decision-trace event per
+	// injected fault so server-side causes line up with client-side
+	// retries in one timeline.
+	rec     telemetry.Recorder
+	session string
 }
 
 // NewFaultInjector wraps inner with the fault model. A nil-effect (inactive)
@@ -148,13 +146,21 @@ func (f *FaultInjector) WithClock(c Clock) *FaultInjector {
 	return f
 }
 
-// SetMetrics registers the injector's counters on reg (nil disables).
+// SetMetrics exposes the injector's Stats on reg (nil disables), one
+// dash_faults_injected_total series per fault type.
 func (f *FaultInjector) SetMetrics(reg *telemetry.Registry) {
-	f.reqsTot = reg.Counter("dash_faults_requests_total", "requests seen by the fault injector")
-	f.faultsTot = make(map[string]*telemetry.Counter)
-	for _, typ := range []string{"outage", "reset", "error", "truncate", "latency", "stall"} {
-		f.faultsTot[typ] = reg.Counter("dash_faults_injected_total",
-			"faults injected by type", telemetry.Label{Name: "type", Value: typ})
+	reg.CounterFunc("dash_faults_requests_total", "requests seen by the fault injector",
+		func() uint64 { return uint64(f.Stats().Requests) })
+	for typ, field := range map[string]func(FaultStats) int{
+		"outage":   func(s FaultStats) int { return s.OutageRejections },
+		"reset":    func(s FaultStats) int { return s.Resets },
+		"error":    func(s FaultStats) int { return s.Errors },
+		"truncate": func(s FaultStats) int { return s.Truncations },
+		"latency":  func(s FaultStats) int { return s.Latencies },
+		"stall":    func(s FaultStats) int { return s.Stalls },
+	} {
+		reg.CounterFunc("dash_faults_injected_total", "faults injected by type",
+			func() uint64 { return uint64(field(f.Stats())) }, telemetry.Label{Name: "type", Value: typ})
 	}
 }
 
@@ -252,10 +258,8 @@ func (f *FaultInjector) plan(path string) decision {
 	}
 	f.mu.Unlock()
 
-	f.reqsTot.Inc()
-	for _, typ := range d.types() {
-		f.faultsTot[typ].Inc()
-		if f.rec != nil {
+	if f.rec != nil {
+		for _, typ := range d.types() {
 			track, index := -1, -1
 			if t, i, err := parseSegmentPath(path); err == nil {
 				track, index = t, i

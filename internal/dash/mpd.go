@@ -9,11 +9,11 @@ import (
 	"strings"
 )
 
-// DASH MPD interop: the JSON Manifest is this repository's native format,
-// but real deployments speak MPEG-DASH Media Presentation Descriptions.
-// WriteMPD/ReadMPD convert a Manifest to and from a static on-demand MPD
-// with one video AdaptationSet and SegmentTemplate addressing that matches
-// this package's segment URLs.
+// DASH MPD export: the JSON Manifest is this repository's native format
+// (the one the client reads), but real deployments speak MPEG-DASH Media
+// Presentation Descriptions. WriteMPD renders a Manifest as a static
+// on-demand MPD with one video AdaptationSet and SegmentTemplate
+// addressing that matches this package's segment URLs.
 //
 // Standard MPDs do not carry exact per-segment sizes (players learn them
 // from segment indexes); since per-chunk sizes are exactly the information
@@ -79,33 +79,6 @@ func isoDuration(sec float64) string {
 	return fmt.Sprintf("PT%gS", sec)
 }
 
-// parseISODuration accepts the PT…S / PT…M…S / PT…H…M…S forms.
-func parseISODuration(s string) (float64, error) {
-	orig := s
-	if !strings.HasPrefix(s, "PT") {
-		return 0, fmt.Errorf("dash: bad ISO duration %q", orig)
-	}
-	s = s[2:]
-	total := 0.0
-	for _, unit := range []struct {
-		suffix string
-		mult   float64
-	}{{"H", 3600}, {"M", 60}, {"S", 1}} {
-		if i := strings.Index(s, unit.suffix); i >= 0 {
-			v, err := strconv.ParseFloat(s[:i], 64)
-			if err != nil {
-				return 0, fmt.Errorf("dash: bad ISO duration %q", orig)
-			}
-			total += v * unit.mult
-			s = s[i+1:]
-		}
-	}
-	if s != "" {
-		return 0, fmt.Errorf("dash: bad ISO duration %q", orig)
-	}
-	return total, nil
-}
-
 // WriteMPD renders the manifest as a static on-demand DASH MPD.
 func WriteMPD(w io.Writer, m *Manifest) error {
 	if err := m.Validate(); err != nil {
@@ -145,8 +118,8 @@ func WriteMPD(w io.Writer, m *Manifest) error {
 			Codecs:    "avc1.640028",
 			SegmentTemplate: segmentTplXML{
 				Media:       "seg/$RepresentationID$/$Number$",
-				Timescale:   1,
-				Duration:    int(math.Round(m.ChunkDurSec)),
+				Timescale:   1000, // milliseconds, so fractional chunk durations survive
+				Duration:    int(math.Round(m.ChunkDurSec * 1000)),
 				StartNumber: 0,
 			},
 			Supplemental: []supplementalXML{
@@ -168,90 +141,4 @@ func WriteMPD(w io.Writer, m *Manifest) error {
 	}
 	_, err := io.WriteString(w, "\n")
 	return err
-}
-
-// ReadMPD parses an MPD written by WriteMPD (or any single-period,
-// single-video-AdaptationSet MPD carrying the segment-sizes descriptor)
-// back into a Manifest.
-func ReadMPD(r io.Reader) (*Manifest, error) {
-	var doc mpdXML
-	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("dash: parsing MPD: %w", err)
-	}
-	if len(doc.Period.AdaptationSets) == 0 {
-		return nil, fmt.Errorf("dash: MPD has no AdaptationSet")
-	}
-	var aset *adaptationXML
-	for i := range doc.Period.AdaptationSets {
-		a := &doc.Period.AdaptationSets[i]
-		if a.ContentType == "video" || a.ContentType == "" {
-			aset = a
-			break
-		}
-	}
-	if aset == nil {
-		return nil, fmt.Errorf("dash: MPD has no video AdaptationSet")
-	}
-
-	m := &Manifest{VideoID: "mpd"}
-	if doc.ProgramInformation != nil && doc.ProgramInformation.Title != "" {
-		m.VideoID = doc.ProgramInformation.Title
-	}
-	if fr, err := strconv.ParseFloat(aset.FrameRate, 64); err == nil {
-		m.FPS = fr
-	}
-	for _, rep := range aset.Representations {
-		if m.ChunkDurSec == 0 && rep.SegmentTemplate.Duration > 0 {
-			ts := rep.SegmentTemplate.Timescale
-			if ts <= 0 {
-				ts = 1
-			}
-			m.ChunkDurSec = float64(rep.SegmentTemplate.Duration) / float64(ts)
-		}
-		id, err := strconv.Atoi(rep.ID)
-		if err != nil {
-			return nil, fmt.Errorf("dash: bad representation id %q", rep.ID)
-		}
-		mt := ManifestTrack{
-			ID:                 id,
-			Resolution:         fmt.Sprintf("%dp", rep.Height),
-			Width:              rep.Width,
-			Height:             rep.Height,
-			DeclaredBitrateBps: float64(rep.Bandwidth),
-		}
-		for _, sp := range rep.Supplemental {
-			switch sp.SchemeIDURI {
-			case segmentSizesScheme:
-				for _, f := range strings.Split(sp.Value, ",") {
-					v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-					if err != nil {
-						return nil, fmt.Errorf("dash: bad segment size %q", f)
-					}
-					mt.SegmentBits = append(mt.SegmentBits, v)
-				}
-			case "urn:cava:peak-bitrate:2018":
-				if v, err := strconv.ParseFloat(sp.Value, 64); err == nil {
-					mt.PeakBitrateBps = v
-				}
-			}
-		}
-		if mt.PeakBitrateBps == 0 {
-			mt.PeakBitrateBps = mt.DeclaredBitrateBps
-		}
-		m.Tracks = append(m.Tracks, mt)
-	}
-	// Verify the declared presentation duration is consistent when present.
-	if doc.MediaPresentationDuration != "" && m.ChunkDurSec > 0 {
-		if d, err := parseISODuration(doc.MediaPresentationDuration); err == nil {
-			want := float64(m.NumSegments()) * m.ChunkDurSec
-			if math.Abs(d-want) > m.ChunkDurSec {
-				return nil, fmt.Errorf("dash: MPD duration %gs inconsistent with %d segments of %gs",
-					d, m.NumSegments(), m.ChunkDurSec)
-			}
-		}
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

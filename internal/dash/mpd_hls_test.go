@@ -2,97 +2,53 @@ package dash
 
 import (
 	"bytes"
+	"encoding/xml"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
 
+// TestMPDRoundTrip decodes a full video's MPD with encoding/xml and checks
+// that every representation carries its track and every segment size (in
+// whole bits) through the segment-sizes descriptor.
 func TestMPDRoundTrip(t *testing.T) {
-	v := testVideo()
-	m := BuildManifest(v)
+	m := BuildManifest(testVideo())
 	var buf bytes.Buffer
 	if err := WriteMPD(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "urn:mpeg:dash:schema:mpd:2011") {
-		t.Error("MPD missing schema namespace")
-	}
-	got, err := ReadMPD(&buf)
-	if err != nil {
+	var doc mpdXML
+	if err := xml.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if got.VideoID != m.VideoID {
-		t.Errorf("VideoID = %q, want %q", got.VideoID, m.VideoID)
+	if doc.Xmlns != "urn:mpeg:dash:schema:mpd:2011" || len(doc.Period.AdaptationSets) != 1 {
+		t.Fatalf("MPD structure: xmlns %q, %d adaptation sets", doc.Xmlns, len(doc.Period.AdaptationSets))
 	}
-	if got.ChunkDurSec != m.ChunkDurSec || len(got.Tracks) != len(m.Tracks) {
-		t.Fatalf("structure lost: dur=%v tracks=%d", got.ChunkDurSec, len(got.Tracks))
+	reps := doc.Period.AdaptationSets[0].Representations
+	if len(reps) != len(m.Tracks) {
+		t.Fatalf("%d representations, want %d", len(reps), len(m.Tracks))
 	}
-	for li := range got.Tracks {
-		if got.Tracks[li].Height != m.Tracks[li].Height {
-			t.Errorf("track %d height mismatch", li)
+	for i, rep := range reps {
+		tr := m.Tracks[i]
+		if rep.ID != strconv.Itoa(tr.ID) || rep.Height != tr.Height ||
+			float64(rep.SegmentTemplate.Duration) != m.ChunkDurSec*float64(rep.SegmentTemplate.Timescale) {
+			t.Errorf("representation %d = %+v, want track %+v", i, rep, tr)
 		}
-		if len(got.Tracks[li].SegmentBits) != len(m.Tracks[li].SegmentBits) {
-			t.Fatalf("track %d segment count mismatch", li)
+		if rep.Supplemental[0].SchemeIDURI != segmentSizesScheme {
+			t.Fatalf("representation %d: first descriptor %q", i, rep.Supplemental[0].SchemeIDURI)
 		}
-		for ci := range got.Tracks[li].SegmentBits {
-			// Sizes are rounded to whole bits in the descriptor.
-			if math.Abs(got.Tracks[li].SegmentBits[ci]-m.Tracks[li].SegmentBits[ci]) > 0.5 {
-				t.Fatalf("track %d segment %d size drifted", li, ci)
+		sizes := strings.Split(rep.Supplemental[0].Value, ",")
+		if len(sizes) != len(tr.SegmentBits) {
+			t.Fatalf("representation %d: %d sizes, want %d", i, len(sizes), len(tr.SegmentBits))
+		}
+		for ci, sz := range sizes {
+			if want := strconv.FormatInt(int64(math.Round(tr.SegmentBits[ci])), 10); sz != want {
+				t.Fatalf("representation %d segment %d: size %s, want %s", i, ci, sz, want)
 			}
 		}
-	}
-	// The reconstructed manifest must still drive a client view.
-	if err := got.ToVideo().Validate(); err != nil {
-		t.Errorf("client view from MPD invalid: %v", err)
-	}
-}
-
-func TestMPDErrors(t *testing.T) {
-	if _, err := ReadMPD(strings.NewReader("not xml")); err == nil {
-		t.Error("garbage accepted as MPD")
-	}
-	if _, err := ReadMPD(strings.NewReader(`<?xml version="1.0"?><MPD><Period id="0" duration="PT1S"></Period></MPD>`)); err == nil {
-		t.Error("MPD without adaptation sets accepted")
-	}
-	// Inconsistent declared duration.
-	v := testVideo()
-	var buf bytes.Buffer
-	if err := WriteMPD(&buf, BuildManifest(v)); err != nil {
-		t.Fatal(err)
-	}
-	bad := strings.Replace(buf.String(), `mediaPresentationDuration="PT600S"`,
-		`mediaPresentationDuration="PT9S"`, 1)
-	if !strings.Contains(buf.String(), `PT600S`) {
-		t.Skip("duration attribute format changed")
-	}
-	if _, err := ReadMPD(strings.NewReader(bad)); err == nil {
-		t.Error("inconsistent MPD duration accepted")
-	}
-}
-
-func TestISODuration(t *testing.T) {
-	cases := map[string]float64{
-		"PT600S":    600,
-		"PT10M":     600,
-		"PT1H10M5S": 4205,
-		"PT2.5S":    2.5,
-		"PT1H":      3600,
-	}
-	for in, want := range cases {
-		got, err := parseISODuration(in)
-		if err != nil || got != want {
-			t.Errorf("parseISODuration(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "600", "PTXS", "PT5X"} {
-		if _, err := parseISODuration(bad); err == nil {
-			t.Errorf("parseISODuration(%q) accepted", bad)
-		}
-	}
-	if isoDuration(600) != "PT600S" {
-		t.Errorf("isoDuration(600) = %s", isoDuration(600))
 	}
 }
 
@@ -109,6 +65,39 @@ func goldenManifest() *Manifest {
 			{ID: 1, Resolution: "240p", Width: 426, Height: 240,
 				DeclaredBitrateBps: 200.4e3, PeakBitrateBps: 300.6e3, SegmentBits: []float64{500e3, 751.5e3}},
 		},
+	}
+}
+
+// TestMPDGolden pins the MPD's exact bytes, including the segment-sizes
+// and peak-bitrate descriptors that carry the VBR information.
+func TestMPDGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteMPD(&buf, goldenManifest()); err != nil {
+		t.Fatal(err)
+	}
+	want := `<?xml version="1.0" encoding="UTF-8"?>
+<MPD xmlns="urn:mpeg:dash:schema:mpd:2011" type="static" profiles="urn:mpeg:dash:profile:isoff-on-demand:2011" mediaPresentationDuration="PT5S" minBufferTime="PT5S">
+  <ProgramInformation>
+    <Title>tiny</Title>
+  </ProgramInformation>
+  <Period id="0" duration="PT5S">
+    <AdaptationSet contentType="video" segmentAlignment="true" frameRate="24">
+      <Representation id="0" width="256" height="144" bandwidth="100000" codecs="avc1.640028">
+        <SegmentTemplate media="seg/$RepresentationID$/$Number$" timescale="1000" duration="2500" startNumber="0"></SegmentTemplate>
+        <SupplementalProperty schemeIdUri="urn:cava:segment-sizes:2018" value="250000,375000"></SupplementalProperty>
+        <SupplementalProperty schemeIdUri="urn:cava:peak-bitrate:2018" value="150000"></SupplementalProperty>
+      </Representation>
+      <Representation id="1" width="426" height="240" bandwidth="200400" codecs="avc1.640028">
+        <SegmentTemplate media="seg/$RepresentationID$/$Number$" timescale="1000" duration="2500" startNumber="0"></SegmentTemplate>
+        <SupplementalProperty schemeIdUri="urn:cava:segment-sizes:2018" value="500000,751500"></SupplementalProperty>
+        <SupplementalProperty schemeIdUri="urn:cava:peak-bitrate:2018" value="300600"></SupplementalProperty>
+      </Representation>
+    </AdaptationSet>
+  </Period>
+</MPD>
+`
+	if got := buf.String(); got != want {
+		t.Errorf("MPD:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -169,21 +158,15 @@ func TestServerServesMPDAndHLS(t *testing.T) {
 	srv := httptest.NewServer(NewServer(v).Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/manifest.mpd")
-	if err != nil {
+	// The MPD and playlists are served exactly as the writers render them.
+	var want bytes.Buffer
+	if err := WriteMPD(&want, BuildManifest(v)); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadMPD(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("served MPD unreadable: %v", err)
+	if code, got := get(t, srv.URL+"/manifest.mpd"); code != http.StatusOK || got != want.String() {
+		t.Errorf("served MPD (status %d) differs from WriteMPD:\n%s", code, got)
 	}
-	if m.NumSegments() != v.NumChunks() {
-		t.Error("served MPD lost segments")
-	}
-
-	// The playlists are served exactly as the writers render them.
-	var want bytes.Buffer
+	want.Reset()
 	if err := WriteHLSMaster(&want, BuildManifest(v)); err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +181,7 @@ func TestServerServesMPDAndHLS(t *testing.T) {
 		t.Errorf("served media playlist (status %d) differs from WriteHLSMedia:\n%s", code, got)
 	}
 
-	resp, _ = http.Get(srv.URL + "/track_99.m3u8")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("bogus media playlist status %d", resp.StatusCode)
+	if code, _ := get(t, srv.URL+"/track_99.m3u8"); code != http.StatusNotFound {
+		t.Errorf("bogus media playlist status %d", code)
 	}
 }

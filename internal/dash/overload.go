@@ -66,7 +66,7 @@ type ProtectionConfig struct {
 	// requests per wall second (0 = no rate limit).
 	RatePerSessionPerSec float64
 	// SessionBurst is each session's bucket capacity in requests
-	// (default 8 when rate limiting is on).
+	// (default 25 when rate limiting is on).
 	SessionBurst float64
 	// RetryAfterSec is the Retry-After hint on shed responses, in seconds
 	// (default 1).
@@ -92,22 +92,25 @@ func DefaultProtection(maxSessions int) ProtectionConfig {
 	}
 }
 
-// withDefaults fills zero fields with the standard policy values.
+// withDefaults fills zero fields from DefaultProtection. MaxSessions,
+// RatePerSessionPerSec and Breaker stay as given: each switches a
+// mechanism on, and their zero value means off.
 func (c ProtectionConfig) withDefaults() ProtectionConfig {
+	d := DefaultProtection(0)
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
+		c.QueueDepth = d.QueueDepth
 	}
 	if c.QueueTimeoutSec <= 0 {
-		c.QueueTimeoutSec = 2
+		c.QueueTimeoutSec = d.QueueTimeoutSec
 	}
 	if c.SessionIdleSec <= 0 {
-		c.SessionIdleSec = 30
+		c.SessionIdleSec = d.SessionIdleSec
 	}
 	if c.RatePerSessionPerSec > 0 && c.SessionBurst <= 0 {
-		c.SessionBurst = 8
+		c.SessionBurst = d.SessionBurst
 	}
 	if c.RetryAfterSec <= 0 {
-		c.RetryAfterSec = 1
+		c.RetryAfterSec = d.RetryAfterSec
 	}
 	return c
 }
@@ -160,12 +163,9 @@ type Protection struct {
 	// Close can prove the admission queue is empty before returning.
 	drain sync.WaitGroup
 
-	// Telemetry handles (nil-safe).
-	activeGauge  *telemetry.Gauge
-	waitingGauge *telemetry.Gauge
-	inflight     *telemetry.Gauge
-	admitted     *telemetry.Counter
-	shed         map[string]*telemetry.Counter
+	// inflight is the one series with no AdmissionStats field behind it
+	// (nil-safe; SetMetrics wires it).
+	inflight *telemetry.Gauge
 }
 
 // Protect wraps inner with the overload-protection policy.
@@ -193,17 +193,31 @@ func (p *Protection) WithClock(c Clock) *Protection {
 	return p
 }
 
-// SetMetrics registers the protection layer's gauges and counters on reg
-// (nil disables). Call before serving.
+// SetMetrics exposes the protection layer on reg (nil disables): the
+// counters read AdmissionStats, the session gauges read the session table
+// and queue under the lock (without expiring idle sessions), and only the
+// in-flight gauge is a handle. Call before serving.
 func (p *Protection) SetMetrics(reg *telemetry.Registry) {
-	p.activeGauge = reg.Gauge("dash_admission_active_sessions", "client sessions currently holding a slot")
-	p.waitingGauge = reg.Gauge("dash_admission_waiting_sessions", "new sessions queued for a slot")
+	reg.GaugeFunc("dash_admission_active_sessions", "client sessions currently holding a slot", func() float64 {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return float64(len(p.sessions))
+	})
+	reg.GaugeFunc("dash_admission_waiting_sessions", "new sessions queued for a slot", func() float64 {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return float64(p.waiting)
+	})
 	p.inflight = reg.Gauge("dash_admission_inflight_requests", "admitted requests currently being served")
-	p.admitted = reg.Counter("dash_admission_admitted_total", "requests admitted to the inner handler")
-	p.shed = make(map[string]*telemetry.Counter)
-	for _, reason := range []string{"queue_full", "queue_timeout", "rate_limited"} {
-		p.shed[reason] = reg.Counter("dash_admission_shed_total",
-			"requests shed with 503 + Retry-After", telemetry.Label{Name: "reason", Value: reason})
+	reg.CounterFunc("dash_admission_admitted_total", "requests admitted to the inner handler",
+		func() uint64 { return uint64(p.AdmissionStats().Admitted) })
+	for reason, field := range map[string]func(AdmissionStats) int{
+		"queue_full":    func(s AdmissionStats) int { return s.ShedQueueFull },
+		"queue_timeout": func(s AdmissionStats) int { return s.ShedQueueTimeout },
+		"rate_limited":  func(s AdmissionStats) int { return s.ShedRateLimited },
+	} {
+		reg.CounterFunc("dash_admission_shed_total", "requests shed with 503 + Retry-After",
+			func() uint64 { return uint64(field(p.AdmissionStats())) }, telemetry.Label{Name: "reason", Value: reason})
 	}
 	if p.breaker != nil {
 		p.breaker.SetMetrics(reg)
@@ -250,7 +264,6 @@ func (p *Protection) expireLocked(now time.Time) {
 			delete(p.sessions, k)
 		}
 	}
-	p.activeGauge.Set(float64(len(p.sessions)))
 }
 
 // admitOutcome classifies one admission decision.
@@ -281,7 +294,6 @@ func (p *Protection) tryAdmit(key string) (admitOutcome, float64) {
 		if n := len(p.sessions); n > p.stats.PeakSessions {
 			p.stats.PeakSessions = n
 		}
-		p.activeGauge.Set(float64(len(p.sessions)))
 	}
 	s.lastSeen = now
 	if p.cfg.RatePerSessionPerSec > 0 {
@@ -312,7 +324,6 @@ func (p *Protection) shedWith(w http.ResponseWriter, reason string, retrySec flo
 		p.stats.ShedRateLimited++
 	}
 	p.mu.Unlock()
-	p.shed[reason].Inc()
 	WriteShed(w, retrySec, "overloaded: "+reason)
 }
 
@@ -361,7 +372,6 @@ func (p *Protection) Handler() http.Handler {
 			p.shedWith(w, reason, retrySec)
 			return
 		}
-		p.admitted.Inc()
 		p.inflight.Add(1)
 		defer p.inflight.Add(-1)
 		p.inner.ServeHTTP(w, r)
@@ -385,12 +395,10 @@ func (p *Protection) waitForSlot(r *http.Request, key string) (admitOutcome, str
 	// drain.Add happens under the same mutex Close holds while setting
 	// closed, so no waiter can join the queue after Close started waiting.
 	p.drain.Add(1)
-	p.waitingGauge.Set(float64(p.waiting))
 	p.mu.Unlock()
 	defer func() {
 		p.mu.Lock()
 		p.waiting--
-		p.waitingGauge.Set(float64(p.waiting))
 		p.mu.Unlock()
 		p.drain.Done()
 	}()

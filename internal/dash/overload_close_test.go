@@ -45,9 +45,9 @@ func TestProtectionCloseShedsAndDrainsQueue(t *testing.T) {
 		h.ServeHTTP(w, r)
 		queued <- w
 	}()
-	waiting := reg.Gauge("dash_admission_waiting_sessions", "")
+	waiting := func() float64 { return scrape(t, reg)["dash_admission_waiting_sessions"] }
 	deadline := time.Now().Add(5 * time.Second)
-	for waiting.Value() == 0 {
+	for waiting() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("timed out waiting for the second session to queue")
 		}
@@ -69,7 +69,7 @@ func TestProtectionCloseShedsAndDrainsQueue(t *testing.T) {
 	if ra := w.Header().Get("Retry-After"); ra != "2" {
 		t.Fatalf("Retry-After = %q, want %q", ra, "2")
 	}
-	if got := waiting.Value(); got != 0 {
+	if got := waiting(); got != 0 {
 		t.Fatalf("waiting gauge = %v after Close, want 0", got)
 	}
 

@@ -3,7 +3,6 @@ package dash
 import (
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -203,26 +202,57 @@ func TestClientKeyFallsBackToRemoteAddr(t *testing.T) {
 	}
 }
 
+// TestProtectionMetricsExposition sheds one request for each reason and
+// checks the series against AdmissionStats, then that a scrape does not
+// expire idle sessions.
 func TestProtectionMetricsExposition(t *testing.T) {
 	fc := NewFakeClock(time.Unix(1000, 0))
 	reg := telemetry.NewRegistry()
-	p := Protect(ProtectionConfig{MaxSessions: 1, ShedImmediately: true, SessionIdleSec: 100},
-		okHandler()).WithClock(fc)
+	p := Protect(ProtectionConfig{
+		MaxSessions: 1, QueueTimeoutSec: 1, SessionIdleSec: 100,
+		RatePerSessionPerSec: 1, SessionBurst: 1,
+	}, okHandler()).WithClock(fc)
 	p.SetMetrics(reg)
 	h := p.Handler()
-	reqAs(t, h, "alice", "/manifest.json")
-	reqAs(t, h, "bob", "/manifest.json")
+	reqAs(t, h, "alice", "/a") // admitted
+	reqAs(t, h, "alice", "/b") // bucket empty: rate_limited
+	reqAs(t, h, "bob", "/a")   // no slot, waits 1 virtual second: queue_timeout
 
-	w := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	body := w.Body.String()
-	for _, want := range []string{
-		"dash_admission_active_sessions 1",
-		`dash_admission_shed_total{reason="queue_full"} 1`,
-		"dash_admission_admitted_total 1",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition missing %q:\n%s", want, body)
-		}
+	fc.Advance(200 * time.Second) // alice is now idle past SessionIdleSec
+	s := p.AdmissionStats()
+	if s.Admitted != 1 || s.ShedRateLimited != 1 || s.ShedQueueTimeout != 1 {
+		t.Fatalf("stats = %+v, want 1 admitted, 1 rate-limited, 1 queue timeout", s)
+	}
+	assertSeries(t, reg, map[string]int{
+		"dash_admission_active_sessions":                    1,
+		"dash_admission_waiting_sessions":                   0,
+		"dash_admission_inflight_requests":                  0,
+		"dash_admission_admitted_total":                     s.Admitted,
+		`dash_admission_shed_total{reason="queue_full"}`:    s.ShedQueueFull,
+		`dash_admission_shed_total{reason="queue_timeout"}`: s.ShedQueueTimeout,
+		`dash_admission_shed_total{reason="rate_limited"}`:  s.ShedRateLimited,
+	})
+	if n := p.ActiveSessions(); n != 0 {
+		t.Errorf("ActiveSessions = %d, want 0: the session the scrape left in place is past its idle window", n)
+	}
+
+	p.Close()
+	reqAs(t, h, "carol", "/a") // closed: queue_full
+	if got := scrape(t, reg)[`dash_admission_shed_total{reason="queue_full"}`]; got != 1 {
+		t.Errorf("queue_full sheds = %v, want 1", got)
+	}
+}
+
+// TestProtectionDefaultsDefinedOnce pins that withDefaults fills zero
+// fields from DefaultProtection and switches on no mechanism.
+func TestProtectionDefaultsDefinedOnce(t *testing.T) {
+	d := DefaultProtection(0)
+	want := d
+	want.RatePerSessionPerSec, want.SessionBurst, want.Breaker = 0, 0, nil
+	if got := (ProtectionConfig{}).withDefaults(); got != want {
+		t.Errorf("zero config filled to %+v, want %+v", got, want)
+	}
+	if got := (ProtectionConfig{RatePerSessionPerSec: 1}).withDefaults().SessionBurst; got != d.SessionBurst {
+		t.Errorf("default burst = %v, want DefaultProtection's %v", got, d.SessionBurst)
 	}
 }

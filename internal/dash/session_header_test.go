@@ -64,15 +64,15 @@ func (st *scriptedTransport) attempts() (sessions, paths []string) {
 }
 
 // TestSessionHeaderOnEveryAttempt is the satellite regression pin: the
-// client must stamp X-Session-Id on EVERY attempt — first tries, manifest
-// fallbacks, and each retry after a failure — because server-side admission
-// control keys on it; an unstamped retry would be admitted as a brand-new
-// session. The scripted transport sheds the two manifest attempts (JSON +
-// MPD fallback) with Retry-After: 1 and one segment attempt with a plain
-// 503, so the recorded attempt log covers all three retry shapes.
+// client must stamp X-Session-Id on EVERY attempt — first tries and each
+// retry after a failure — because server-side admission control keys on
+// it; an unstamped retry would be admitted as a brand-new session. The
+// scripted transport sheds the first manifest attempt with Retry-After: 1
+// and one segment attempt with a plain 503, so the recorded attempt log
+// covers both retry shapes.
 func TestSessionHeaderOnEveryAttempt(t *testing.T) {
 	v := testVideo()
-	st := &scriptedTransport{inner: NewServer(v).Handler(), shedFirst: 2}
+	st := &scriptedTransport{inner: NewServer(v).Handler(), shedFirst: 1}
 	reg := telemetry.NewRegistry()
 	c, err := NewClient(ClientConfig{
 		BaseURL:      "http://origin.test",
@@ -100,7 +100,7 @@ func TestSessionHeaderOnEveryAttempt(t *testing.T) {
 	}
 
 	sessions, paths := st.attempts()
-	if len(sessions) < 4+3 { // 4 segments + 2 shed manifest attempts + 1 retried manifest
+	if len(sessions) < 4+2 { // 4 segments + 1 shed manifest attempt + 1 retried manifest
 		t.Fatalf("transport saw only %d attempts: %v", len(sessions), paths)
 	}
 	for i, s := range sessions {
@@ -112,7 +112,7 @@ func TestSessionHeaderOnEveryAttempt(t *testing.T) {
 		t.Error("scripted segment failure never triggered; retry path untested")
 	}
 
-	// The shed manifest attempts carried Retry-After: 1 (wall second); the
+	// The shed manifest attempt carried Retry-After: 1 (wall second); the
 	// resilient retry must honor it as a floor, which is observable both in
 	// wall time and on the counter.
 	if got := reg.Counter("dash_client_retry_after_waits_total", "").Value(); got != 1 {

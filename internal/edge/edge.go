@@ -184,33 +184,21 @@ type Edge struct {
 	mmu       sync.Mutex
 	manifests map[string]*manifestEntry
 
-	smu           sync.Mutex
-	manifestHits  uint64
-	manifestMiss  uint64
-	stale         uint64
-	refreshes     uint64
-	refreshFails  uint64
-	failovers     uint64
-	breakerSkips  uint64
-	shedCount     uint64
-	servedBytes   uint64
-	originStats   []OriginStats
-	lastEvictions uint64
+	smu          sync.Mutex
+	manifestHits uint64
+	manifestMiss uint64
+	stale        uint64
+	refreshes    uint64
+	refreshFails uint64
+	failovers    uint64
+	breakerSkips uint64
+	shedCount    uint64
+	servedBytes  uint64
+	originStats  []OriginStats
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-
-	// Telemetry handles (nil-safe).
-	cHits      *telemetry.Counter
-	cMisses    *telemetry.Counter
-	cEvict     *telemetry.Counter
-	cCoalesced *telemetry.Counter
-	cFailover  *telemetry.Counter
-	cStale     *telemetry.Counter
-	cShed      *telemetry.Counter
-	cBytes     *telemetry.Counter
-	gCacheB    *telemetry.Gauge
 }
 
 // New validates the config and builds an edge instance.
@@ -254,18 +242,28 @@ func New(cfg Config) (*Edge, error) {
 	return e, nil
 }
 
-// SetMetrics registers the edge counters on reg (nil disables). Call
-// before serving.
+// SetMetrics exposes the edge on reg (nil disables): each counter reads
+// its Stats field at scrape time, and the cache-bytes gauge reads the
+// segment cache.
 func (e *Edge) SetMetrics(reg *telemetry.Registry) {
-	e.cHits = reg.Counter("edge_cache_hits_total", "edge requests served from cache")
-	e.cMisses = reg.Counter("edge_cache_misses_total", "edge requests fetched from an origin")
-	e.cEvict = reg.Counter("edge_cache_evictions_total", "segment cache entries evicted for the byte budget")
-	e.cCoalesced = reg.Counter("edge_coalesced_requests_total", "edge requests coalesced onto an in-flight origin fetch")
-	e.cFailover = reg.Counter("edge_origin_failovers_total", "failed origin attempts that failed over to the next replica")
-	e.cStale = reg.Counter("edge_stale_served_total", "manifests served stale while revalidating")
-	e.cShed = reg.Counter("edge_shed_total", "edge requests shed 503 + Retry-After (all replicas failed)")
-	e.cBytes = reg.Counter("edge_served_bytes_total", "payload bytes written to clients")
-	e.gCacheB = reg.Gauge("edge_cache_bytes", "segment cache resident payload bytes")
+	reg.CounterFunc("edge_cache_hits_total", "edge requests served from cache",
+		func() uint64 { return e.Stats().Hits })
+	reg.CounterFunc("edge_cache_misses_total", "edge requests fetched from an origin",
+		func() uint64 { return e.Stats().Misses })
+	reg.CounterFunc("edge_cache_evictions_total", "segment cache entries evicted for the byte budget",
+		func() uint64 { return e.Stats().Evictions })
+	reg.CounterFunc("edge_coalesced_requests_total", "edge requests coalesced onto an in-flight origin fetch",
+		func() uint64 { return e.Stats().Coalesced })
+	reg.CounterFunc("edge_origin_failovers_total", "failed origin attempts that failed over to the next replica",
+		func() uint64 { return e.Stats().Failovers })
+	reg.CounterFunc("edge_stale_served_total", "manifests served stale while revalidating",
+		func() uint64 { return e.Stats().StaleServed })
+	reg.CounterFunc("edge_shed_total", "edge requests shed 503 + Retry-After (all replicas failed)",
+		func() uint64 { return e.Stats().Shed })
+	reg.CounterFunc("edge_served_bytes_total", "payload bytes written to clients",
+		func() uint64 { return e.Stats().ServedBytes })
+	reg.GaugeFunc("edge_cache_bytes", "segment cache resident payload bytes",
+		func() float64 { return float64(e.segs.Stats().StoredBytes) })
 }
 
 // Close stops the background refreshers and releases idle origin
@@ -364,18 +362,9 @@ func (e *Edge) Handler() http.Handler {
 // cache.
 func (e *Edge) serveSegment(w http.ResponseWriter, r *http.Request) {
 	path, session := r.URL.Path, sessionOf(r)
-	ent, disp, err := e.segs.GetOrFetch(path, func() (Entry, error) {
+	ent, _, err := e.segs.GetOrFetch(path, func() (Entry, error) {
 		return e.fetchWithFailover(r.Context(), path, session)
 	})
-	switch disp {
-	case DispHit:
-		e.cHits.Inc()
-	case DispMiss:
-		e.cMisses.Inc()
-	case DispCoalesced:
-		e.cCoalesced.Inc()
-	}
-	e.syncEvictions()
 	if err != nil {
 		e.shed(w, "all origins failed")
 		return
@@ -401,7 +390,6 @@ func (e *Edge) serveManifest(w http.ResponseWriter, r *http.Request) {
 			e.smu.Lock()
 			e.manifestHits++
 			e.smu.Unlock()
-			e.cHits.Inc()
 			e.reply(w, Entry{Body: body, ContentType: ct, Status: http.StatusOK})
 			return
 		}
@@ -416,7 +404,6 @@ func (e *Edge) serveManifest(w http.ResponseWriter, r *http.Request) {
 			e.smu.Lock()
 			e.stale++
 			e.smu.Unlock()
-			e.cStale.Inc()
 			e.reply(w, Entry{Body: body, ContentType: ct, Status: http.StatusOK})
 			return
 		}
@@ -429,7 +416,6 @@ func (e *Edge) serveManifest(w http.ResponseWriter, r *http.Request) {
 	e.smu.Lock()
 	e.manifestMiss++
 	e.smu.Unlock()
-	e.cMisses.Inc()
 	if err != nil {
 		e.shed(w, "manifest unavailable")
 		return
@@ -510,7 +496,6 @@ func (e *Edge) fetchWithFailover(ctx context.Context, path, session string) (Ent
 		if !failed {
 			return ent, nil
 		}
-		e.cFailover.Inc()
 		if err != nil {
 			lastErr = err
 		} else {
@@ -574,8 +559,6 @@ func (e *Edge) reply(w http.ResponseWriter, ent Entry) {
 	e.smu.Lock()
 	e.servedBytes += uint64(n)
 	e.smu.Unlock()
-	e.cBytes.Add(uint64(n))
-	e.gCacheB.Set(float64(e.segs.Stats().StoredBytes))
 }
 
 // shed answers a request no replica could serve: an honest 503 with a
@@ -584,21 +567,7 @@ func (e *Edge) shed(w http.ResponseWriter, reason string) {
 	e.smu.Lock()
 	e.shedCount++
 	e.smu.Unlock()
-	e.cShed.Inc()
 	dash.WriteShed(w, e.cfg.RetryAfterSec, "edge: "+reason)
-}
-
-// syncEvictions mirrors the segment cache's eviction count into the
-// telemetry counter (the cache itself is telemetry-free).
-func (e *Edge) syncEvictions() {
-	evictions := e.segs.Stats().Evictions
-	e.smu.Lock()
-	delta := evictions - e.lastEvictions
-	e.lastEvictions = evictions
-	e.smu.Unlock()
-	if delta > 0 {
-		e.cEvict.Add(delta)
-	}
 }
 
 // sessionOf extracts the client's session identity for forwarding.

@@ -11,7 +11,8 @@ import (
 
 // The metricname analyzer is the telemetry-facing face of the units
 // convention: every name registered through telemetry.Registry's Counter,
-// Gauge, and Histogram methods must be Prometheus-conformant, because the
+// Gauge, and Histogram methods (and CounterFunc and GaugeFunc, under the
+// Counter and Gauge rules) must be Prometheus-conformant, because the
 // /metrics endpoint exposes them verbatim and downstream dashboards key on
 // them. The rules:
 //
@@ -86,14 +87,15 @@ func runMetricName(p *Package, cfg Config) []Finding {
 
 // registryMetricKind recognizes a Counter/Gauge/Histogram call on a
 // telemetry.Registry receiver (matched by type and package *name*, so the
-// fixture's stub telemetry package exercises the analyzer too).
+// fixture's stub telemetry package exercises the analyzer too). The
+// function forms report the kind they register: CounterFunc is a Counter.
 func registryMetricKind(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
 	switch sel.Sel.Name {
-	case "Counter", "Gauge", "Histogram":
+	case "Counter", "Gauge", "Histogram", "CounterFunc", "GaugeFunc":
 	default:
 		return "", false
 	}
@@ -109,7 +111,7 @@ func registryMetricKind(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if !ok || named.Obj().Name() != "Registry" {
 		return "", false
 	}
-	return sel.Sel.Name, true
+	return strings.TrimSuffix(sel.Sel.Name, "Func"), true
 }
 
 // constString evaluates a compile-time constant string expression.

@@ -17,6 +17,16 @@ func register(r *telemetry.Registry) {
 	r.Gauge("fetch_latency", "bare quantity stem") // want metricname
 	r.Histogram("fetch_time", "no unit", nil)      // want metricname
 	r.Counter(dynamic(), "non-constant name")      // want metricname
+
+	// The function forms follow their kind's rules.
+	n := func() uint64 { return 0 }
+	v := func() float64 { return 0 }
+	r.CounterFunc("hits_total", "good", n)
+	r.GaugeFunc("cache_bytes", "good", v)
+	r.CounterFunc("hits", "missing _total", n)         // want metricname
+	r.GaugeFunc("hits_total", "_total on a gauge", v)  // want metricname
+	r.GaugeFunc("cache_size", "bare quantity stem", v) // want metricname
+	r.CounterFunc(dynamic(), "non-constant name", n)   // want metricname
 }
 
 func dynamic() string { return "dyn_total" }

@@ -27,3 +27,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge { return nil
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
 	return nil
 }
+
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {}
+
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {}

@@ -1,17 +1,14 @@
 // Package report exports sweep results to machine-readable CSV and JSON so
-// the paper artifacts can be re-plotted with external tooling, and reads
-// them back for offline analysis.
+// the paper artifacts can be re-plotted with external tooling.
 package report
 
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
 
-	"cava/internal/metrics"
 	"cava/internal/sim"
 )
 
@@ -102,78 +99,9 @@ func WriteCSV(w io.Writer, rows []Row) error {
 	return cw.Error()
 }
 
-// ReadCSV parses rows written by WriteCSV.
-func ReadCSV(r io.Reader) ([]Row, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("report: empty CSV")
-	}
-	if len(records[0]) != len(csvHeader) {
-		return nil, fmt.Errorf("report: header has %d columns, want %d", len(records[0]), len(csvHeader))
-	}
-	var rows []Row
-	for li, rec := range records[1:] {
-		pf := func(col int) (float64, error) { return strconv.ParseFloat(rec[col], 64) }
-		var row Row
-		row.Scheme, row.Video, row.Trace = rec[0], rec[1], rec[2]
-		vals := make([]float64, 8)
-		for k := 0; k < 8; k++ {
-			v, err := pf(3 + k)
-			if err != nil {
-				return nil, fmt.Errorf("report: line %d column %d: %v", li+2, 4+k, err)
-			}
-			vals[k] = v
-		}
-		ints := make([]int, 4)
-		for k := 0; k < 4; k++ {
-			v, err := strconv.Atoi(rec[11+k])
-			if err != nil {
-				return nil, fmt.Errorf("report: line %d column %d: %v", li+2, 12+k, err)
-			}
-			ints[k] = v
-		}
-		row.Q4Quality, row.Q13Quality, row.AvgQuality = vals[0], vals[1], vals[2]
-		row.LowQualityPct, row.RebufferSec, row.QualityChange = vals[3], vals[4], vals[5]
-		row.DataMB, row.StartupDelaySec = vals[6], vals[7]
-		row.Retries, row.Truncations, row.Abandonments, row.SkippedChunks = ints[0], ints[1], ints[2], ints[3]
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // WriteJSON writes rows as a JSON array.
 func WriteJSON(w io.Writer, rows []Row) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(rows)
-}
-
-// Summaries reconstructs metric summaries from rows (for downstream code
-// that speaks the metrics types).
-func Summaries(rows []Row) []metrics.Summary {
-	out := make([]metrics.Summary, len(rows))
-	for i, r := range rows {
-		out[i] = metrics.Summary{
-			Scheme:          r.Scheme,
-			VideoID:         r.Video,
-			TraceID:         r.Trace,
-			Q4Quality:       r.Q4Quality,
-			Q13Quality:      r.Q13Quality,
-			AvgQuality:      r.AvgQuality,
-			LowQualityPct:   r.LowQualityPct,
-			RebufferSec:     r.RebufferSec,
-			QualityChange:   r.QualityChange,
-			DataMB:          r.DataMB,
-			StartupDelaySec: r.StartupDelaySec,
-			Retries:         r.Retries,
-			Truncations:     r.Truncations,
-			Abandonments:    r.Abandonments,
-			SkippedChunks:   r.SkippedChunks,
-		}
-	}
-	return out
 }

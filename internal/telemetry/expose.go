@@ -26,9 +26,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 		switch e.kind {
 		case kindCounter:
-			fmt.Fprintf(bw, "%s%s %d\n", e.name, e.labels, e.c.Value())
+			fmt.Fprintf(bw, "%s%s %d\n", e.name, e.labels, e.counter())
 		case kindGauge:
-			fmt.Fprintf(bw, "%s%s %s\n", e.name, e.labels, formatFloat(e.g.Value()))
+			fmt.Fprintf(bw, "%s%s %s\n", e.name, e.labels, formatFloat(e.gauge()))
 		case kindHistogram:
 			writeHistogram(bw, e)
 		}

@@ -16,6 +16,11 @@
 //     an uninstrumented run performs only a nil check per update.
 //  3. No dependencies. Exposition emits the Prometheus text format directly
 //     (expose.go); nothing outside the standard library is imported.
+//
+// Count once. A component whose Stats snapshot already records an event
+// does not mirror it into a handle: it registers CounterFunc/GaugeFunc
+// readers over that snapshot, so /metrics and the experiments read one
+// ledger. Handles are for components whose handle is their only record.
 package telemetry
 
 import (
@@ -185,6 +190,11 @@ type entry struct {
 	c *Counter
 	g *Gauge
 	h *Histogram
+	// counter and gauge are what exposition reads: the handle's Value
+	// method, or the function passed to CounterFunc/GaugeFunc (fn).
+	counter func() uint64
+	gauge   func() float64
+	fn      bool
 }
 
 // Registry is a concurrent collection of metrics. Lookup-or-create is
@@ -234,21 +244,23 @@ func escapeLabelValue(v string) string {
 }
 
 // lookup returns the entry for (name, labels), creating it with mk when
-// absent. Re-registering an existing (name, labels) with the same kind
-// returns the existing instance; a kind mismatch panics (it is a wiring
-// bug, not a runtime condition).
-func (r *Registry) lookup(name, help string, labels []Label, k kind, mk func(*entry)) *entry {
+// absent. Re-registering a handle under an existing (name, labels) of the
+// same kind returns the existing instance. Everything else panics, because
+// it is a wiring bug, not a runtime condition: a kind mismatch, and any
+// second registration involving a function form (fn), whose series has
+// exactly one reader.
+func (r *Registry) lookup(name, help string, labels []Label, k kind, fn bool, mk func(*entry)) *entry {
 	key := name + renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.entries[key]; ok {
-		if e.kind != k {
+		if e.kind != k || fn || e.fn {
 			//lint:allow nopanic kind mismatch on re-registration is a programmer error
-			panic(fmt.Sprintf("telemetry: %s re-registered as %s (was %s)", name, k, e.kind))
+			panic(fmt.Sprintf("telemetry: %s re-registered as %s, func %v (was %s, func %v)", key, k, fn, e.kind, e.fn))
 		}
 		return e
 	}
-	e := &entry{name: name, help: help, labels: renderLabels(labels), kind: k}
+	e := &entry{name: name, help: help, labels: renderLabels(labels), kind: k, fn: fn}
 	mk(e)
 	r.entries[key] = e
 	return e
@@ -260,7 +272,10 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, help, labels, kindCounter, func(e *entry) { e.c = &Counter{} })
+	e := r.lookup(name, help, labels, kindCounter, false, func(e *entry) {
+		e.c = &Counter{}
+		e.counter = e.c.Value
+	})
 	return e.c
 }
 
@@ -269,8 +284,32 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, help, labels, kindGauge, func(e *entry) { e.g = &Gauge{} })
+	e := r.lookup(name, help, labels, kindGauge, false, func(e *entry) {
+		e.g = &Gauge{}
+		e.gauge = e.g.Value
+	})
 	return e.g
+}
+
+// CounterFunc registers a counter whose value fn returns at scrape time,
+// for a component whose own Stats already counts the events. fn must be
+// monotone, safe for concurrent use and free of side effects. The series
+// is exposed exactly like a handle-backed counter; registering its (name,
+// labels) again, in either form, panics. A nil registry ignores the call.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
+	if r == nil {
+		return
+	}
+	r.lookup(name, help, labels, kindCounter, true, func(e *entry) { e.counter = fn })
+}
+
+// GaugeFunc registers a gauge whose value fn returns at scrape time, under
+// the same rules as CounterFunc (except monotonicity).
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	if r == nil {
+		return
+	}
+	r.lookup(name, help, labels, kindGauge, true, func(e *entry) { e.gauge = fn })
 }
 
 // Histogram returns the histogram registered under name with the given
@@ -283,7 +322,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if bounds == nil {
 		bounds = DefBuckets
 	}
-	e := r.lookup(name, help, labels, kindHistogram, func(e *entry) { e.h = newHistogram(bounds) })
+	e := r.lookup(name, help, labels, kindHistogram, false, func(e *entry) { e.h = newHistogram(bounds) })
 	return e.h
 }
 

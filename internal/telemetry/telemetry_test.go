@@ -99,6 +99,59 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("m", "")
 }
 
+// TestFuncFormsExposeLikeHandles pins CounterFunc/GaugeFunc: read at
+// scrape time, rendered byte for byte like handle-backed series.
+func TestFuncFormsExposeLikeHandles(t *testing.T) {
+	render := func(r *Registry) string {
+		var buf bytes.Buffer
+		if err := r.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	code := Label{Name: "code", Value: "503"}
+	handles := NewRegistry()
+	handles.Counter("app_requests_total", "total requests", code).Add(7)
+	handles.Gauge("app_queue_depth", "queue depth").Set(2.5)
+
+	var n uint64
+	funcs := NewRegistry()
+	funcs.CounterFunc("app_requests_total", "total requests", func() uint64 { return n }, code)
+	funcs.GaugeFunc("app_queue_depth", "queue depth", func() float64 { return 2.5 })
+	n = 7 // read at scrape time, not at registration
+	if got, want := render(funcs), render(handles); got != want {
+		t.Errorf("func-backed exposition:\n%s\nwant:\n%s", got, want)
+	}
+
+	var nilReg *Registry
+	nilReg.CounterFunc("x_total", "", func() uint64 { return 1 })
+	nilReg.GaugeFunc("y", "", func() float64 { return 1 })
+	if render(nilReg) != "" {
+		t.Error("nil registry exposed a func-backed series")
+	}
+}
+
+// TestFuncFormConflictsPanic pins that a function-backed series has one
+// reader: registering its name and labels again in either form panics,
+// instead of handing out a handle nobody exposes.
+func TestFuncFormConflictsPanic(t *testing.T) {
+	zero := func() uint64 { return 0 }
+	for name, register := range map[string]func(r *Registry){
+		"handle then func": func(r *Registry) { r.Counter("m_total", ""); r.CounterFunc("m_total", "", zero) },
+		"func then handle": func(r *Registry) { r.CounterFunc("m_total", "", zero); r.Counter("m_total", "") },
+		"func twice":       func(r *Registry) { r.CounterFunc("m_total", "", zero); r.CounterFunc("m_total", "", zero) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			register(NewRegistry())
+		}()
+	}
+}
+
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

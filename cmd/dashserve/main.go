@@ -233,17 +233,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dashserve: %v\n", err)
 		os.Exit(2)
 	}
-	var rcfg *dash.ResilienceConfig
-	if *resilient {
-		rcfg = dash.DefaultResilience()
-		rcfg.JitterSeed = *faultSeed
-	}
 	client, err := dash.NewClient(dash.ClientConfig{
 		BaseURL:      "http://" + ln.Addr().String(),
 		NewAlgorithm: factory,
 		TimeScale:    *scale,
 		MaxChunks:    *chunksN,
-		Resilience:   rcfg,
+		Resilient:    *resilient,
+		JitterSeed:   *faultSeed,
 		Recorder:     ringOrNil(ring),
 		SessionID:    session,
 		Metrics:      reg,

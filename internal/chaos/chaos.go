@@ -68,9 +68,6 @@ type Config struct {
 	// Edge set, every session with a 0.5 s timeout (the quantity under test
 	// is completion through failover, not shedding).
 	Protection *dash.ProtectionConfig
-	// Resilience configures the clients' fault tolerance; nil uses
-	// dash.DefaultResilience.
-	Resilience *dash.ResilienceConfig
 	// SessionWallTimeoutSec bounds each session in wall seconds; a session
 	// still running at the bound is cancelled and counted as livelocked
 	// (default 60).
@@ -114,9 +111,6 @@ func (c Config) withDefaults() (Config, error) {
 		et := *c.Edge
 		et.Origins = 3
 		c.Edge = &et
-	}
-	if c.Resilience == nil {
-		c.Resilience = dash.DefaultResilience()
 	}
 	if c.SessionWallTimeoutSec <= 0 {
 		c.SessionWallTimeoutSec = 60
@@ -306,7 +300,7 @@ func Run(cfg Config) (*Report, error) {
 		go func(i int) {
 			defer wg.Done()
 			if staggerSec > 0 && cfg.Sessions > 1 {
-				time.Sleep(wallSeconds(staggerSec * float64(i) / float64(cfg.Sessions)))
+				time.Sleep(dash.Seconds(staggerSec * float64(i) / float64(cfg.Sessions)))
 			}
 			results[i] = runSession(cfg, i, "http://"+ln.Addr().String(), httpClient)
 		}(i)
@@ -364,7 +358,7 @@ func Run(cfg Config) (*Report, error) {
 		// harness failure, not a system-under-test finding.
 		return nil, killer.err
 	}
-	rep.LeakErr = baseline.Settle(wallSeconds(cfg.SettleWallTimeoutSec))
+	rep.LeakErr = baseline.Settle(dash.Seconds(cfg.SettleWallTimeoutSec))
 	rep.GoroutinesAfter = leakcheck.Snapshot().Count()
 	rep.WallSec = time.Since(start).Seconds()
 	return rep, nil
@@ -375,15 +369,14 @@ func runSession(cfg Config, i int, baseURL string, httpClient *http.Client) Sess
 	id := fmt.Sprintf("chaos-%02d", i)
 	out := SessionResult{ID: id}
 
-	rcfg := *cfg.Resilience
-	rcfg.JitterSeed = cfg.Seed + int64(i)
 	client, err := dash.NewClient(dash.ClientConfig{
 		BaseURL:      baseURL,
 		HTTPClient:   httpClient,
 		NewAlgorithm: cfg.Scheme.New,
 		TimeScale:    cfg.TimeScale,
 		MaxChunks:    cfg.MaxChunks,
-		Resilience:   &rcfg,
+		Resilient:    true,
+		JitterSeed:   cfg.Seed + int64(i),
 		SessionID:    id,
 	})
 	if err != nil {
@@ -391,7 +384,7 @@ func runSession(cfg Config, i int, baseURL string, httpClient *http.Client) Sess
 		return out
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), wallSeconds(cfg.SessionWallTimeoutSec))
+	ctx, cancel := context.WithTimeout(context.Background(), dash.Seconds(cfg.SessionWallTimeoutSec))
 	defer cancel()
 	res, err := client.Run(ctx)
 	if err != nil {
@@ -412,7 +405,7 @@ func runSession(cfg Config, i int, baseURL string, httpClient *http.Client) Sess
 // round of slack — anything past that means the server is amplifying load
 // instead of shedding it.
 func shedBudget(cfg Config) int {
-	attempts := cfg.Resilience.MaxRetries + 1
+	attempts := dash.MaxRetries + 1
 	return cfg.Sessions * (attempts + 1)
 }
 
@@ -466,9 +459,4 @@ func Sweep(base Config, profiles []string, sessionCounts []int) ([]*Report, erro
 		}
 	}
 	return out, nil
-}
-
-// wallSeconds converts float seconds to a duration.
-func wallSeconds(sec float64) time.Duration {
-	return time.Duration(sec * float64(time.Second))
 }

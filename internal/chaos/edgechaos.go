@@ -165,13 +165,13 @@ func (b *backend) startKiller(plan *OriginKillPlan) *originKiller {
 	k.wg.Add(1)
 	go func() {
 		defer k.wg.Done()
-		time.Sleep(wallSeconds(plan.KillAfterSec))
+		time.Sleep(dash.Seconds(plan.KillAfterSec))
 		b.origins[target].kill()
 		k.kills++
 		if plan.DownForSec <= 0 {
 			return
 		}
-		time.Sleep(wallSeconds(plan.DownForSec))
+		time.Sleep(dash.Seconds(plan.DownForSec))
 		if err := b.origins[target].restart(); err != nil {
 			k.err = err
 			return

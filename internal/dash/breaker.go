@@ -130,21 +130,6 @@ func NewOriginBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg.withDefaults(), clock: RealClock()}
 }
 
-// Allow reports whether an outbound attempt may proceed. When pass is
-// false the attempt must be skipped; retryAfterSec is the remaining
-// cool-down to advertise. When probe is true the breaker is half-open and
-// this attempt is one of its bounded probes — the caller MUST report the
-// outcome via Observe with the same probe flag.
-func (b *Breaker) Allow() (pass, probe bool, retryAfterSec float64) {
-	return b.admit()
-}
-
-// Observe records the outcome of an attempt admitted by Allow, driving the
-// closed/open/half-open state machine exactly as served requests do.
-func (b *Breaker) Observe(probe, failed bool) {
-	b.report(probe, failed)
-}
-
 // WithClock substitutes the breaker's clock (tests use a FakeClock). Call
 // before serving.
 func (b *Breaker) WithClock(c Clock) *Breaker {
@@ -215,11 +200,12 @@ func (b *Breaker) advanceLocked() {
 	}
 }
 
-// admit decides whether a request may pass. It returns pass=false with the
-// seconds to advertise in Retry-After when short-circuited, and
-// probe=true when the request is a half-open probe (the caller must report
-// its outcome via done).
-func (b *Breaker) admit() (pass bool, probe bool, retryAfterSec float64) {
+// Allow reports whether a request or outbound attempt may proceed. When
+// pass is false it must be skipped; retryAfterSec is the remaining
+// cool-down to advertise. When probe is true the breaker is half-open and
+// this attempt is one of its bounded probes — the caller MUST report the
+// outcome via Observe with the same probe flag.
+func (b *Breaker) Allow() (pass, probe bool, retryAfterSec float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.advanceLocked()
@@ -243,8 +229,9 @@ func (b *Breaker) admit() (pass bool, probe bool, retryAfterSec float64) {
 	}
 }
 
-// report records an inner-handler outcome and drives the state machine.
-func (b *Breaker) report(probe, failed bool) {
+// Observe records the outcome of an attempt admitted by Allow, driving the
+// closed/open/half-open state machine.
+func (b *Breaker) Observe(probe, failed bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if probe {
@@ -289,7 +276,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 
 // ServeHTTP implements http.Handler.
 func (b *Breaker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	pass, probe, retrySec := b.admit()
+	pass, probe, retrySec := b.Allow()
 	if !pass {
 		WriteShed(w, retrySec, "overloaded: circuit open")
 		return
@@ -298,7 +285,7 @@ func (b *Breaker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	panicked := true
 	defer func() {
 		failed := panicked || sw.status >= http.StatusInternalServerError
-		b.report(probe, failed)
+		b.Observe(probe, failed)
 	}()
 	b.inner.ServeHTTP(sw, r)
 	panicked = false

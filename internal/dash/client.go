@@ -3,7 +3,6 @@ package dash
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"time"
@@ -35,10 +34,16 @@ type ClientConfig struct {
 	// MaxChunks truncates the session after this many segments (0 = all),
 	// keeping integration tests fast.
 	MaxChunks int
-	// Resilience, when non-nil, enables the fault-tolerant fetch pipeline
-	// (retries, truncation detection, abandonment, skip accounting); see
-	// ResilienceConfig. Nil keeps the legacy fail-fast behaviour.
-	Resilience *ResilienceConfig
+	// Resilient selects the fetch pipeline's resilient policy: it survives
+	// transient faults with capped-backoff retries, per-attempt deadlines,
+	// mid-download abandonment with a downshift, and skip-with-stall
+	// accounting once retries are exhausted. False selects fail-fast: one
+	// attempt per request, and the first failed request aborts the session
+	// with an error wrapping that attempt's.
+	Resilient bool
+	// JitterSeed seeds the retry backoff jitter (sessions with equal seeds
+	// replay identical schedules).
+	JitterSeed int64
 	// Recorder receives the session's decision-trace events under the same
 	// schema as player.Simulate (nil disables tracing).
 	Recorder telemetry.Recorder
@@ -75,7 +80,8 @@ func newDefaultHTTPClient() *http.Client {
 // same Result structure as the simulator so the metrics pipeline applies
 // unchanged.
 type Client struct {
-	cfg ClientConfig
+	cfg    ClientConfig
+	policy fetchPolicy
 
 	// Fetch-pipeline telemetry handles (nil-safe, resolved once here so
 	// the download loop never touches the registry map).
@@ -103,9 +109,14 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = newDefaultHTTPClient()
 	}
+	policy := failFast
+	if cfg.Resilient {
+		policy = resilient
+	}
 	reg := cfg.Metrics
 	return &Client{
 		cfg:         cfg,
+		policy:      policy,
 		mRetries:    reg.Counter("dash_client_retries_total", "failed segment attempts that were retried"),
 		mTruncs:     reg.Counter("dash_client_truncations_total", "segment attempts rejected for a short body"),
 		mAbandons:   reg.Counter("dash_client_abandonments_total", "mid-flight downloads abandoned for a lower track"),
@@ -117,20 +128,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}, nil
 }
 
-// newRequest builds a GET for path with the client's session identity
-// stamped (when known), so server-side admission control and rate limiting
-// key on sessions rather than connections.
-func (c *Client) newRequest(ctx context.Context, path string) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.cfg.SessionID != "" {
-		req.Header.Set(SessionIDHeader, c.cfg.SessionID)
-	}
-	return req, nil
-}
-
 // Close releases the client's idle transport connections. Call when the
 // client will issue no further requests; tests rely on it to return the
 // process to its goroutine baseline.
@@ -138,33 +135,10 @@ func (c *Client) Close() {
 	c.cfg.HTTPClient.CloseIdleConnections()
 }
 
-// FetchManifest retrieves and validates the native JSON manifest. A
-// non-200 answer is a *statusError carrying any Retry-After hint, so the
-// resilient retry loop can honor a shed.
-func (c *Client) FetchManifest(ctx context.Context) (*Manifest, error) {
-	req, err := c.newRequest(ctx, "/manifest.json")
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &statusError{
-			msg:           fmt.Sprintf("dash: fetching manifest: status %s", resp.Status),
-			code:          resp.StatusCode,
-			retryAfterSec: parseRetryAfterSec(resp.Header),
-		}
-	}
-	return DecodeManifest(resp.Body)
-}
-
 // Run streams the video and returns the session result in virtual time.
-// With cfg.Resilience set, transient faults (5xx, resets, truncation, slow
-// segments) are absorbed per the policy and surface as resilience counters
-// on the Result instead of aborting the session.
+// Under the resilient policy, transient faults (5xx, resets, truncation,
+// slow segments) are absorbed and surface as resilience counters on the
+// Result instead of aborting the session.
 //
 // The buffer/startup/telemetry state machine is the shared player.StepState
 // core — the same engine behind player.Simulate and the discrete-event
@@ -172,43 +146,12 @@ func (c *Client) FetchManifest(ctx context.Context) (*Manifest, error) {
 // supplies real fetch outcomes and clock readings, the core does every
 // piece of session accounting.
 func (c *Client) Run(ctx context.Context) (*player.Result, error) {
-	scale := c.cfg.TimeScale
-	clk := realClockOr(c.cfg.Clock)
-	start := clk.Now()
-	vnow := func() float64 { return clk.Now().Sub(start).Seconds() * scale }
-	// sleepVirtual idles for d virtual seconds.
-	sleepVirtual := func(d float64) error {
-		if d <= 0 {
-			return nil
-		}
-		t := time.NewTimer(time.Duration(d / scale * float64(time.Second)))
-		defer t.Stop()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-			return nil
-		}
-	}
-
-	var fx *fetcher
-	if c.cfg.Resilience != nil {
-		fx = newFetcher(c, nil, *c.cfg.Resilience, vnow, sleepVirtual)
-	}
-
-	var m *Manifest
-	var err error
-	if fx != nil {
-		m, err = fx.fetchManifestResilient(ctx)
-	} else {
-		m, err = c.FetchManifest(ctx)
-	}
+	f := newFetcher(c)
+	m, err := f.fetchManifest(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if fx != nil {
-		fx.m = m
-	}
+	f.m = m
 	view := m.ToVideo()
 	algo := c.cfg.NewAlgorithm(view)
 
@@ -219,57 +162,41 @@ func (c *Client) Run(ctx context.Context) (*player.Result, error) {
 		SessionID:  c.cfg.SessionID,
 	}, true)
 	s.LimitChunks(c.cfg.MaxChunks)
-
-	trc := c.cfg.Recorder
-	if fx != nil {
-		fx.trc = trc
-		fx.session = s.Session()
-	}
-
+	f.session = s.Session()
 	res := s.Res()
-	consecSkips := 0
 
 	for !s.Done() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		i := s.Chunk
-		s.SetNow(vnow())
+		s.SetNow(f.vnow())
 		st := s.BeginChunk()
 		if d := s.WantDelay(st); d > 0 {
 			s.NoteWait(d)
-			if err := sleepVirtual(d); err != nil {
+			if err := f.sleep(ctx, d); err != nil {
 				return nil, err
 			}
-			s.AddStall(s.ElapseTo(vnow()))
+			s.AddStall(s.ElapseTo(f.vnow()))
 		}
 		if wait := s.FullBufferWait(); wait > 0 {
 			s.NoteWait(wait)
-			if err := sleepVirtual(wait); err != nil {
+			if err := f.sleep(ctx, wait); err != nil {
 				return nil, err
 			}
-			s.ElapseTo(vnow()) // cannot stall: buffer is at its maximum
+			s.ElapseTo(f.vnow()) // cannot stall: buffer is at its maximum
 		}
 
-		s.SetNow(vnow())
+		s.SetNow(f.vnow())
 		s.Refresh(&st)
 		level := s.Decide(st)
 
-		v0 := vnow()
-		var sf segmentFetch
-		if fx != nil {
-			sf, err = fx.fetch(ctx, level, i, s.BufferSec, st.Est, s.Playing)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			bytes, err := c.fetchSegment(ctx, level, i)
-			if err != nil {
-				return nil, err
-			}
-			sf = segmentFetch{Bytes: bytes, Level: level}
+		v0 := f.vnow()
+		sf, err := f.fetch(ctx, level, i, s.BufferSec, st.Est, s.Playing)
+		if err != nil {
+			return nil, err
 		}
-		v1 := vnow()
+		v1 := f.vnow()
 		vdur := v1 - v0
 		bits := float64(sf.Bytes) * 8
 
@@ -292,22 +219,14 @@ func (c *Client) Run(ctx context.Context) (*player.Result, error) {
 		res.WastedBits += sf.WastedBits
 
 		c.mBytes.Add(uint64(sf.Bytes))
-		if !sf.Skipped {
-			c.mFetchSec.Observe(vdur)
-		}
 		if sf.Skipped {
 			// Graceful degradation: the segment is gone; playback jumps
 			// the gap, which the viewer experiences as a stall of one
 			// segment duration.
-			consecSkips++
-			if fx != nil && consecSkips > fx.rc.MaxConsecutiveSkips {
-				return nil, fmt.Errorf("dash: aborting after %d consecutive skipped segments (segment %d)",
-					consecSkips, i)
-			}
 			s.SkipChunk()
 			c.mSkips.Inc()
-			if trc != nil {
-				trc.Record(telemetry.Event{
+			if f.trc != nil {
+				f.trc.Record(telemetry.Event{
 					Session: s.Session(), TimeSec: v1, Kind: telemetry.KindSkip,
 					Chunk: i, Level: sf.Level, PrevLevel: s.PrevLevel,
 					BufferSec: s.BufferSec, RebufferSec: s.Rec.RebufferSec,
@@ -318,43 +237,18 @@ func (c *Client) Run(ctx context.Context) (*player.Result, error) {
 			// duration when the playhead reaches the hole. Let it elapse
 			// without draining the buffer (playback is frozen, and the
 			// stall is already accounted above).
-			if err := sleepVirtual(m.ChunkDurSec); err != nil {
+			if err := f.sleep(ctx, m.ChunkDurSec); err != nil {
 				return nil, err
 			}
-			s.SetNow(vnow())
+			s.SetNow(f.vnow())
 		} else {
-			consecSkips = 0
+			c.mFetchSec.Observe(vdur)
 			s.FinishDownload(st.Est)
 		}
 
-		s.MaybeStartup(vnow())
+		s.MaybeStartup(f.vnow())
 		s.NextChunk()
 	}
-	s.SetNow(vnow())
+	s.SetNow(f.vnow())
 	return s.Take(), nil
-}
-
-// fetchSegment downloads one segment fully, returning its byte count. The
-// bytes read are verified against the declared Content-Length: a truncated
-// body must error, not masquerade as a smaller, faster download (which
-// would corrupt the throughput estimate feeding the ABR loop).
-func (c *Client) fetchSegment(ctx context.Context, track, index int) (int64, error) {
-	req, err := c.newRequest(ctx, SegmentURL(track, index))
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("dash: fetching segment %d/%d: %w", track, index, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("dash: segment %d/%d status %s", track, index, resp.Status)
-	}
-	n, err := io.Copy(io.Discard, resp.Body)
-	if declared := resp.ContentLength; declared >= 0 && n != declared {
-		return n, fmt.Errorf("dash: segment %d/%d: %w: read %d of %d bytes",
-			track, index, errTruncated, n, declared)
-	}
-	return n, err
 }

@@ -27,6 +27,11 @@ func (systemClock) Sleep(d time.Duration) { time.Sleep(d) }
 // RealClock returns the process wall clock.
 func RealClock() Clock { return systemClock{} }
 
+// Seconds converts float seconds to a time.Duration.
+func Seconds(sec float64) time.Duration {
+	return time.Duration(sec * float64(time.Second))
+}
+
 // realClockOr substitutes the real clock for a nil one.
 func realClockOr(c Clock) Clock {
 	if c == nil {

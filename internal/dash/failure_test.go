@@ -163,19 +163,25 @@ func (f *flakyOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.inner.ServeHTTP(w, r)
 }
 
-// testResilience disables timing-sensitive features so only the behaviour
-// under test is active.
-func testResilience() *ResilienceConfig {
-	rc := DefaultResilience()
-	rc.BaseBackoffSec = 0.05
-	rc.MaxBackoffSec = 0.2
-	rc.DeadlineFactor = 0 // no per-attempt deadlines
-	rc.AbandonEnabled = false
-	return rc
+// newResilientClient builds a resilient client with its timing-sensitive
+// features off (short backoff, no per-attempt deadline, no abandonment),
+// so only the behaviour under test is active.
+func newResilientClient(t *testing.T, cfg ClientConfig) *Client {
+	t.Helper()
+	cfg.Resilient = true
+	c, err := NewClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.policy.baseBackoffSec = 0.05
+	c.policy.maxBackoffSec = 0.2
+	c.policy.deadlineFactor = 0
+	c.policy.abandon = false
+	return c
 }
 
 // TestClientRetryThenSucceed: every segment's first attempt 503s. The
-// legacy client aborts; the resilient client completes the session and
+// fail-fast client aborts; the resilient client completes the session and
 // records the retries.
 func TestClientRetryThenSucceed(t *testing.T) {
 	defer leakcheck.Check(t)()
@@ -184,20 +190,19 @@ func TestClientRetryThenSucceed(t *testing.T) {
 		http.Error(w, "injected", http.StatusServiceUnavailable)
 	}
 	// Each client gets a fresh server: the first-attempt failure state is
-	// per server, and the legacy run must not consume the resilient run's.
+	// per server, and the fail-fast run must not consume the resilient run's.
 	srvA := httptest.NewServer(&flakyOnce{inner: NewServer(v).Handler(), fail: fail503})
 	defer srvA.Close()
-	legacy, _ := NewClient(ClientConfig{BaseURL: srvA.URL, NewAlgorithm: core.Factory(), MaxChunks: 4})
-	defer legacy.Close()
-	if _, err := legacy.Run(context.Background()); err == nil {
-		t.Fatal("legacy client survived a 503 first attempt; want abort")
+	fast, _ := NewClient(ClientConfig{BaseURL: srvA.URL, NewAlgorithm: core.Factory(), MaxChunks: 4})
+	defer fast.Close()
+	if _, err := fast.Run(context.Background()); err == nil {
+		t.Fatal("fail-fast client survived a 503 first attempt; want abort")
 	}
 
 	srvB := httptest.NewServer(&flakyOnce{inner: NewServer(v).Handler(), fail: fail503})
 	defer srvB.Close()
-	c, _ := NewClient(ClientConfig{
-		BaseURL: srvB.URL, NewAlgorithm: core.Factory(), MaxChunks: 4,
-		TimeScale: 20, Resilience: testResilience(),
+	c := newResilientClient(t, ClientConfig{
+		BaseURL: srvB.URL, NewAlgorithm: core.Factory(), MaxChunks: 4, TimeScale: 20,
 	})
 	defer c.Close()
 	res, err := c.Run(context.Background())
@@ -238,18 +243,17 @@ func TestClientTruncationDetected(t *testing.T) {
 	}
 	srvA := httptest.NewServer(&flakyOnce{inner: NewServer(v).Handler(), fail: truncate})
 	defer srvA.Close()
-	legacy, _ := NewClient(ClientConfig{BaseURL: srvA.URL, NewAlgorithm: core.Factory(), MaxChunks: 2})
-	if _, err := legacy.Run(context.Background()); err == nil {
-		t.Fatal("legacy client accepted a truncated body as success")
+	fast, _ := NewClient(ClientConfig{BaseURL: srvA.URL, NewAlgorithm: core.Factory(), MaxChunks: 2})
+	if _, err := fast.Run(context.Background()); err == nil {
+		t.Fatal("fail-fast client accepted a truncated body as success")
 	} else if !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("legacy error does not identify truncation: %v", err)
+		t.Fatalf("fail-fast error does not identify truncation: %v", err)
 	}
 
 	srvB := httptest.NewServer(&flakyOnce{inner: NewServer(v).Handler(), fail: truncate})
 	defer srvB.Close()
-	c, _ := NewClient(ClientConfig{
-		BaseURL: srvB.URL, NewAlgorithm: core.Factory(), MaxChunks: 3,
-		TimeScale: 20, Resilience: testResilience(),
+	c := newResilientClient(t, ClientConfig{
+		BaseURL: srvB.URL, NewAlgorithm: core.Factory(), MaxChunks: 3, TimeScale: 20,
 	})
 	res, err := c.Run(context.Background())
 	if err != nil {
@@ -286,12 +290,10 @@ func TestClientOutageDegradation(t *testing.T) {
 	srv := httptest.NewServer(inj)
 	defer srv.Close()
 
-	rc := testResilience()
-	rc.MaxRetries = 2
-	c, _ := NewClient(ClientConfig{
-		BaseURL: srv.URL, NewAlgorithm: core.Factory(), MaxChunks: 10,
-		TimeScale: scale, Resilience: rc,
+	c := newResilientClient(t, ClientConfig{
+		BaseURL: srv.URL, NewAlgorithm: core.Factory(), MaxChunks: 10, TimeScale: scale,
 	})
+	c.policy.maxRetries = 2
 	defer c.Close()
 	res, err := c.Run(context.Background())
 	if err != nil {
@@ -363,13 +365,12 @@ func TestClientAbandonmentDownshift(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	rc := testResilience()
-	rc.AbandonEnabled = true
-	rc.AbandonCheckBytes = 8 << 10
-	c, _ := NewClient(ClientConfig{
+	c := newResilientClient(t, ClientConfig{
 		BaseURL: srv.URL, NewAlgorithm: abr.Fixed(top), MaxChunks: 2,
-		TimeScale: scale, StartupSec: 1, Resilience: rc,
+		TimeScale: scale, StartupSec: 1,
 	})
+	c.policy.abandon = true
+	c.policy.abandonCheckBytes = 8 << 10
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := c.Run(ctx)
@@ -407,9 +408,8 @@ func TestClientFaultDeterminism(t *testing.T) {
 		srv := httptest.NewServer(inj)
 		defer srv.Close()
 
-		c, _ := NewClient(ClientConfig{
-			BaseURL: srv.URL, NewAlgorithm: abr.Fixed(1), MaxChunks: 15,
-			TimeScale: 20, Resilience: testResilience(),
+		c := newResilientClient(t, ClientConfig{
+			BaseURL: srv.URL, NewAlgorithm: abr.Fixed(1), MaxChunks: 15, TimeScale: 20,
 		})
 		res, err := c.Run(context.Background())
 		if err != nil {

@@ -34,11 +34,8 @@ type FaultConfig struct {
 	// response (the client observes EOF / connection reset).
 	ResetProb float64
 	// TruncateProb is the probability of declaring the full Content-Length
-	// but sending only TruncateFrac of the body before closing.
+	// but sending only the first half of the body before closing.
 	TruncateProb float64
-	// TruncateFrac is the delivered fraction of a truncated body
-	// (default 0.5; clamped to (0, 1)).
-	TruncateFrac float64
 	// LatencyProb and LatencySec inject a response-latency spike: the
 	// response is delayed by LatencySec virtual seconds.
 	LatencyProb float64
@@ -132,9 +129,6 @@ type FaultInjector struct {
 func NewFaultInjector(cfg FaultConfig, inner http.Handler) *FaultInjector {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
-	}
-	if cfg.TruncateFrac <= 0 || cfg.TruncateFrac >= 1 {
-		cfg.TruncateFrac = 0.5
 	}
 	return &FaultInjector{cfg: cfg, inner: inner, clock: RealClock(), attempts: make(map[string]uint64)}
 }
@@ -320,7 +314,7 @@ func (f *FaultInjector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if d.latency && f.cfg.LatencySec > 0 {
-		f.clock.Sleep(wallDuration(f.cfg.LatencySec, f.cfg.TimeScale))
+		f.clock.Sleep(Seconds(f.cfg.LatencySec / f.cfg.TimeScale))
 	}
 	out := http.ResponseWriter(w)
 	if d.truncate || d.stall {
@@ -328,17 +322,11 @@ func (f *FaultInjector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			ResponseWriter: w,
 			clock:          f.clock,
 			truncate:       d.truncate,
-			truncFrac:      f.cfg.TruncateFrac,
 			stall:          d.stall,
-			stallWall:      wallDuration(f.cfg.StallSec, f.cfg.TimeScale),
+			stallWall:      Seconds(f.cfg.StallSec / f.cfg.TimeScale),
 		}
 	}
 	f.inner.ServeHTTP(out, r)
-}
-
-// wallDuration converts virtual seconds to a wall-clock duration.
-func wallDuration(virtualSec, scale float64) time.Duration {
-	return time.Duration(virtualSec / scale * float64(time.Second))
 }
 
 // faultWriter applies body-level faults: it discovers the declared
@@ -349,7 +337,6 @@ type faultWriter struct {
 	http.ResponseWriter
 	clock     Clock
 	truncate  bool
-	truncFrac float64
 	stall     bool
 	stallWall time.Duration
 
@@ -374,11 +361,8 @@ func (fw *faultWriter) init() {
 		}
 	}
 	if fw.declared > 0 {
-		fw.limit = int64(float64(fw.declared) * fw.truncFrac)
-		if fw.limit < 1 {
-			fw.limit = 1
-		}
 		fw.half = fw.declared / 2
+		fw.limit = max(fw.half, 1)
 	} else {
 		// No declared length: truncation cannot be detected by the client
 		// anyway; pass one write through then cut, and stall immediately.

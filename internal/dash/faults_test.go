@@ -173,7 +173,7 @@ func TestInjectorZeroLengthOutageWindow(t *testing.T) {
 func TestInjectorTruncationShortensBody(t *testing.T) {
 	const size = 100 << 10
 	srv := httptest.NewServer(NewFaultInjector(FaultConfig{
-		TruncateProb: 1, TruncateFrac: 0.5,
+		TruncateProb: 1,
 	}, payloadHandler(size)))
 	defer srv.Close()
 

@@ -8,105 +8,64 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"time"
 
 	"cava/internal/abr"
 	"cava/internal/telemetry"
 )
 
-// ResilienceConfig tunes the client's fault-tolerant fetch pipeline.
-// A nil ResilienceConfig on the ClientConfig keeps the legacy fail-fast
-// behaviour (any transport error aborts the session); a non-nil config —
-// DefaultResilience() for the standard policy — makes the client survive
-// transient faults the way production players do: capped-backoff retries,
-// truncation detection, mid-download abandonment with a downshift, and
-// skip-with-stall accounting once retries are exhausted.
-//
-// All durations are virtual seconds (scaled by ClientConfig.TimeScale),
-// so the policy is invariant under time compression.
-type ResilienceConfig struct {
-	// MaxRetries is the number of re-attempts per segment after the first
-	// try fails (default 3).
-	MaxRetries int
-	// BaseBackoffSec and MaxBackoffSec bound the exponential backoff
-	// between attempts (defaults 0.25 and 4 virtual seconds). The actual
-	// wait is the capped exponential scaled by a seeded jitter in
-	// [0.5, 1.0), so retry storms from concurrent clients decorrelate
-	// while staying reproducible.
-	BaseBackoffSec float64
-	MaxBackoffSec  float64
-	// JitterSeed seeds the backoff jitter (sessions with equal seeds
-	// replay identical schedules).
-	JitterSeed int64
-	// DeadlineFactor caps each attempt at DeadlineFactor × the predicted
-	// download time (from the bandwidth estimate), clamped to
-	// [MinDeadlineSec, MaxDeadlineSec]. 0 disables per-attempt deadlines.
-	DeadlineFactor float64
-	// MinDeadlineSec and MaxDeadlineSec clamp the per-attempt deadline
-	// (defaults 4 and 60 virtual seconds).
-	MinDeadlineSec float64
-	MaxDeadlineSec float64
-	// AbandonEnabled turns on mid-download segment abandonment (the
-	// BOLA-E/paper "proactive" rule): when the projected finish time of an
-	// in-flight download would drain the playback buffer, give up and
-	// downshift one track.
-	AbandonEnabled bool
-	// AbandonSafetySec is the buffer headroom (virtual seconds) kept when
-	// projecting: abandon when projected remaining time exceeds
-	// buffer − AbandonSafetySec (default 1).
-	AbandonSafetySec float64
-	// AbandonCheckBytes is the minimum bytes observed before the rate
-	// projection is trusted (default 16 KiB).
-	AbandonCheckBytes int64
-	// MaxConsecutiveSkips bounds graceful degradation: after this many
-	// back-to-back skipped segments the session aborts (the server is
-	// gone, not glitching). Default 20.
-	MaxConsecutiveSkips int
+// fetchPolicy is the fault tolerance of the client's one fetch pipeline;
+// failFast and resilient are its two values. Durations are virtual
+// seconds (scaled by ClientConfig.TimeScale), so a policy is invariant
+// under time compression. A zero field turns its feature off.
+type fetchPolicy struct {
+	// maxRetries is the number of re-attempts per request after the first
+	// try fails.
+	maxRetries int
+	// baseBackoffSec and maxBackoffSec bound the exponential backoff
+	// between attempts; JitteredBackoff draws the wait with full jitter.
+	baseBackoffSec, maxBackoffSec float64
+	// deadlineFactor caps each segment attempt at deadlineFactor × the
+	// predicted download time (from the bandwidth estimate), clamped to
+	// [minDeadlineSec, maxDeadlineSec].
+	deadlineFactor                 float64
+	minDeadlineSec, maxDeadlineSec float64
+	// abandon enables mid-download abandonment (the BOLA-E rule): once
+	// abandonCheckBytes have arrived, an attempt whose projected finish
+	// would leave less than abandonSafetySec of buffer is given up and the
+	// segment refetched one track lower.
+	abandon           bool
+	abandonSafetySec  float64
+	abandonCheckBytes int64
+	// maxConsecutiveSkips bounds graceful degradation: a segment whose
+	// attempts all fail is skipped (accounted as a stall), and one skip
+	// in a row more than this aborts the session.
+	maxConsecutiveSkips int
 }
 
-// DefaultResilience returns the standard resilient-fetch policy.
-func DefaultResilience() *ResilienceConfig {
-	return &ResilienceConfig{
-		MaxRetries:          3,
-		BaseBackoffSec:      0.25,
-		MaxBackoffSec:       4,
-		DeadlineFactor:      6,
-		MinDeadlineSec:      4,
-		MaxDeadlineSec:      60,
-		AbandonEnabled:      true,
-		AbandonSafetySec:    1,
-		AbandonCheckBytes:   16 << 10,
-		MaxConsecutiveSkips: 20,
-	}
-}
+// MaxRetries is the resilient policy's re-attempts per request after the
+// first try fails.
+const MaxRetries = 3
 
-// withDefaults fills zero fields with the standard policy values.
-func (rc ResilienceConfig) withDefaults() ResilienceConfig {
-	d := DefaultResilience()
-	if rc.MaxRetries <= 0 {
-		rc.MaxRetries = d.MaxRetries
-	}
-	if rc.BaseBackoffSec <= 0 {
-		rc.BaseBackoffSec = d.BaseBackoffSec
-	}
-	if rc.MaxBackoffSec <= 0 {
-		rc.MaxBackoffSec = d.MaxBackoffSec
-	}
-	if rc.MinDeadlineSec <= 0 {
-		rc.MinDeadlineSec = d.MinDeadlineSec
-	}
-	if rc.MaxDeadlineSec <= 0 {
-		rc.MaxDeadlineSec = d.MaxDeadlineSec
-	}
-	if rc.AbandonSafetySec <= 0 {
-		rc.AbandonSafetySec = d.AbandonSafetySec
-	}
-	if rc.AbandonCheckBytes <= 0 {
-		rc.AbandonCheckBytes = d.AbandonCheckBytes
-	}
-	if rc.MaxConsecutiveSkips <= 0 {
-		rc.MaxConsecutiveSkips = d.MaxConsecutiveSkips
-	}
-	return rc
+// failFast, the zero policy, makes one attempt per request with no
+// deadline and no abandonment: the first segment that fails aborts the
+// session.
+var failFast = fetchPolicy{}
+
+// resilient survives transient faults the way production players do:
+// capped-backoff retries, per-attempt deadlines, abandonment with a
+// downshift, and skip-with-stall accounting once retries are exhausted.
+var resilient = fetchPolicy{
+	maxRetries:          MaxRetries,
+	baseBackoffSec:      0.25,
+	maxBackoffSec:       4,
+	deadlineFactor:      6,
+	minDeadlineSec:      4,
+	maxDeadlineSec:      60,
+	abandon:             true,
+	abandonSafetySec:    1,
+	abandonCheckBytes:   16 << 10,
+	maxConsecutiveSkips: 20,
 }
 
 // errTruncated marks a download whose body fell short of Content-Length.
@@ -117,7 +76,6 @@ var errTruncated = errors.New("dash: truncated segment body")
 // honor server-paced backoff instead of guessing.
 type statusError struct {
 	msg           string
-	code          int
 	retryAfterSec float64
 }
 
@@ -150,7 +108,7 @@ func parseRetryAfterSec(h http.Header) float64 {
 // errAbandoned marks a download given up mid-flight for being too slow.
 var errAbandoned = errors.New("dash: segment download abandoned")
 
-// segmentFetch is the outcome of the resilient pipeline for one segment.
+// segmentFetch is the outcome of the fetch pipeline for one segment.
 type segmentFetch struct {
 	// Bytes is the delivered size of the successful attempt (0 if skipped).
 	Bytes int64
@@ -169,33 +127,52 @@ type segmentFetch struct {
 	Skipped bool
 }
 
-// fetcher runs the resilient download pipeline for one session. It is
-// created per Run and is not safe for concurrent use (sessions are
-// sequential by construction).
+// fetcher runs the fetch pipeline for one session under the client's
+// policy. It is created per Run and is not safe for concurrent use
+// (sessions are sequential by construction).
 type fetcher struct {
 	c     *Client
-	m     *Manifest
-	rc    ResilienceConfig
+	p     fetchPolicy
+	m     *Manifest // set once fetched
 	rng   *rand.Rand
-	vnow  func() float64
-	sleep func(float64) error // virtual-seconds sleep, ctx-aware
+	clk   Clock
+	start time.Time // virtual time zero
 	scale float64
+	skips int // consecutive skipped segments
 
-	// Decision tracing (set by Client.Run once the session id is known).
+	// Decision tracing (session is set once the step core knows its id).
 	trc     telemetry.Recorder
 	session string
 }
 
-func newFetcher(c *Client, m *Manifest, rc ResilienceConfig,
-	vnow func() float64, sleep func(float64) error) *fetcher {
+func newFetcher(c *Client) *fetcher {
+	clk := realClockOr(c.cfg.Clock)
 	return &fetcher{
 		c:     c,
-		m:     m,
-		rc:    rc.withDefaults(),
-		rng:   rand.New(rand.NewSource(rc.JitterSeed)),
-		vnow:  vnow,
-		sleep: sleep,
+		p:     c.policy,
+		rng:   rand.New(rand.NewSource(c.cfg.JitterSeed)),
+		clk:   clk,
+		start: clk.Now(),
 		scale: c.cfg.TimeScale,
+		trc:   c.cfg.Recorder,
+	}
+}
+
+// vnow returns the virtual seconds since the session started.
+func (f *fetcher) vnow() float64 { return f.clk.Now().Sub(f.start).Seconds() * f.scale }
+
+// sleep idles for d virtual seconds, or until ctx is done.
+func (f *fetcher) sleep(ctx context.Context, d float64) error {
+	if d <= 0 {
+		return nil
+	}
+	t := time.NewTimer(Seconds(d / f.scale))
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
 	}
 }
 
@@ -224,7 +201,7 @@ func JitteredBackoff(rng *rand.Rand, r int, baseSec, maxSec float64) float64 {
 // before the server asked it to, with the jitter decorrelating arrivals
 // beyond it.
 func (f *fetcher) retryWait(r int, retryAfterWallSec float64) float64 {
-	wait := JitteredBackoff(f.rng, r, f.rc.BaseBackoffSec, f.rc.MaxBackoffSec)
+	wait := JitteredBackoff(f.rng, r, f.p.baseBackoffSec, f.p.maxBackoffSec)
 	if retryAfterWallSec > 0 {
 		// Retry-After is wall seconds; the wait below is virtual.
 		wait += retryAfterWallSec * f.scale
@@ -236,26 +213,27 @@ func (f *fetcher) retryWait(r int, retryAfterWallSec float64) float64 {
 // deadline returns the per-attempt virtual-time budget for a segment of
 // sizeBits under bandwidth estimate est, or 0 for no deadline.
 func (f *fetcher) deadline(sizeBits, est float64) float64 {
-	if f.rc.DeadlineFactor <= 0 {
+	if f.p.deadlineFactor <= 0 {
 		return 0
 	}
-	d := f.rc.MaxDeadlineSec
+	d := f.p.maxDeadlineSec
 	if est > 0 {
-		d = f.rc.DeadlineFactor * sizeBits / est
+		d = f.p.deadlineFactor * sizeBits / est
 	}
-	if d < f.rc.MinDeadlineSec {
-		d = f.rc.MinDeadlineSec
+	if d < f.p.minDeadlineSec {
+		d = f.p.minDeadlineSec
 	}
-	if d > f.rc.MaxDeadlineSec {
-		d = f.rc.MaxDeadlineSec
+	if d > f.p.maxDeadlineSec {
+		d = f.p.maxDeadlineSec
 	}
 	return d
 }
 
 // fetch downloads segment index at the requested level, absorbing faults
-// per the policy. It returns an error only for fatal conditions (context
-// cancellation or the consecutive-skip bound tripping elsewhere); per-
-// segment failure surfaces as Skipped.
+// per the policy: a segment whose attempts all fail surfaces as Skipped.
+// It returns an error only when the session must end: its context is
+// done, or a skip exceeds the policy's consecutive-skip bound, in which
+// case the error wraps the last attempt's.
 func (f *fetcher) fetch(ctx context.Context, level, index int,
 	buffer, est float64, playing bool) (segmentFetch, error) {
 	sf := segmentFetch{Level: level}
@@ -266,12 +244,13 @@ func (f *fetcher) fetch(ctx context.Context, level, index int,
 		attemptCtx := ctx
 		cancel := context.CancelFunc(func() {})
 		if d := f.deadline(f.m.Tracks[sf.Level].SegmentBits[index], est); d > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, wallDuration(d, f.scale))
+			attemptCtx, cancel = context.WithTimeout(ctx, Seconds(d/f.scale))
 		}
-		n, err := f.fetchOnce(attemptCtx, sf.Level, index, buffer, est, playing)
+		n, err := f.fetchOnce(attemptCtx, sf.Level, index, buffer, playing)
 		cancel()
 		if err == nil {
 			sf.Bytes = n
+			f.skips = 0
 			return sf, nil
 		}
 		if ctx.Err() != nil {
@@ -304,9 +283,12 @@ func (f *fetcher) fetch(ctx context.Context, level, index int,
 			sf.Truncations++
 			f.c.mTruncs.Inc()
 		}
-		if sf.Retries >= f.rc.MaxRetries {
+		if sf.Retries >= f.p.maxRetries {
+			if f.skips++; f.skips > f.p.maxConsecutiveSkips {
+				return sf, fmt.Errorf("dash: aborting on skipped segment %d (%d in a row): %w",
+					index, f.skips, err)
+			}
 			sf.Skipped = true
-			sf.Bytes = 0
 			return sf, nil
 		}
 		sf.Retries++
@@ -319,31 +301,47 @@ func (f *fetcher) fetch(ctx context.Context, level, index int,
 				Attempt: sf.Retries, Detail: err.Error(),
 			})
 		}
-		if err := f.sleep(f.retryWait(sf.Retries-1, retryAfterSecOf(err))); err != nil {
+		if err := f.sleep(ctx, f.retryWait(sf.Retries-1, retryAfterSecOf(err))); err != nil {
 			return sf, err
 		}
 	}
 }
 
-// fetchOnce performs a single monitored download attempt.
-func (f *fetcher) fetchOnce(ctx context.Context, level, index int,
-	buffer, est float64, playing bool) (int64, error) {
-	req, err := f.c.newRequest(ctx, SegmentURL(level, index))
+// get performs one GET of path, stamped with the client's session
+// identity (when known) so server-side admission control and rate
+// limiting key on sessions rather than connections; what names the
+// resource in errors. A non-200 answer is a *statusError carrying any
+// Retry-After hint, so the retry loop can honor a shed.
+func (f *fetcher) get(ctx context.Context, path, what string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.c.cfg.BaseURL+path, nil)
 	if err != nil {
-		return 0, err
+		return nil, err
+	}
+	if f.c.cfg.SessionID != "" {
+		req.Header.Set(SessionIDHeader, f.c.cfg.SessionID)
 	}
 	resp, err := f.c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return 0, fmt.Errorf("dash: fetching segment %d/%d: %w", level, index, err)
+		return nil, fmt.Errorf("dash: fetching %s: %w", what, err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, &statusError{
-			msg:           fmt.Sprintf("dash: segment %d/%d status %s", level, index, resp.Status),
-			code:          resp.StatusCode,
+		_ = resp.Body.Close() // the body is discarded unread
+		return nil, &statusError{
+			msg:           fmt.Sprintf("dash: %s status %s", what, resp.Status),
 			retryAfterSec: parseRetryAfterSec(resp.Header),
 		}
 	}
+	return resp, nil
+}
+
+// fetchOnce performs a single monitored download attempt.
+func (f *fetcher) fetchOnce(ctx context.Context, level, index int,
+	buffer float64, playing bool) (int64, error) {
+	resp, err := f.get(ctx, SegmentURL(level, index), fmt.Sprintf("segment %d/%d", level, index))
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
 
 	declared := resp.ContentLength
 	startV := f.vnow()
@@ -356,13 +354,13 @@ func (f *fetcher) fetchOnce(ctx context.Context, level, index int,
 		// Abandonment check: would finishing this download at the observed
 		// rate stall playback? Only meaningful mid-download, with a rate
 		// sample, a known size, and a lower track to fall back to.
-		if f.rc.AbandonEnabled && playing && level > 0 && declared > 0 &&
-			total >= f.rc.AbandonCheckBytes && total < declared {
+		if f.p.abandon && playing && level > 0 && declared > 0 &&
+			total >= f.p.abandonCheckBytes && total < declared {
 			elapsed := f.vnow() - startV
 			if elapsed > 0 {
 				rate := float64(total) / elapsed // bytes per virtual second
 				remainSec := float64(declared-total) / rate
-				if remainSec > buffer-elapsed-f.rc.AbandonSafetySec {
+				if remainSec > buffer-elapsed-f.p.abandonSafetySec {
 					return total, errAbandoned
 				}
 			}
@@ -391,18 +389,19 @@ func (f *fetcher) fetchOnce(ctx context.Context, level, index int,
 	return total, nil
 }
 
-// fetchManifestResilient retries the manifest fetch under the same backoff
-// policy (full jitter, Retry-After honored), so a session can start
-// through a transient fault without piling onto a shedding server.
-func (f *fetcher) fetchManifestResilient(ctx context.Context) (*Manifest, error) {
+// fetchManifest fetches and validates the native JSON manifest, retrying
+// under the policy's backoff (full jitter, Retry-After honored), so a
+// session can start through a transient fault without piling onto a
+// shedding server.
+func (f *fetcher) fetchManifest(ctx context.Context) (*Manifest, error) {
 	var lastErr error
-	for attempt := 0; attempt <= f.rc.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= f.p.maxRetries; attempt++ {
 		if attempt > 0 {
-			if err := f.sleep(f.retryWait(attempt-1, retryAfterSecOf(lastErr))); err != nil {
+			if err := f.sleep(ctx, f.retryWait(attempt-1, retryAfterSecOf(lastErr))); err != nil {
 				return nil, err
 			}
 		}
-		m, err := f.c.FetchManifest(ctx)
+		m, err := f.manifestOnce(ctx)
 		if err == nil {
 			return m, nil
 		}
@@ -412,5 +411,15 @@ func (f *fetcher) fetchManifestResilient(ctx context.Context) (*Manifest, error)
 		lastErr = err
 	}
 	return nil, fmt.Errorf("dash: manifest unavailable after %d retries: %w",
-		f.rc.MaxRetries, lastErr)
+		f.p.maxRetries, lastErr)
+}
+
+// manifestOnce performs a single manifest attempt.
+func (f *fetcher) manifestOnce(ctx context.Context) (*Manifest, error) {
+	resp, err := f.get(ctx, "/manifest.json", "manifest")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	return DecodeManifest(resp.Body)
 }

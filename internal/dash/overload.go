@@ -258,7 +258,7 @@ func clientKey(r *http.Request) string {
 
 // expireLocked reclaims slots from sessions idle past SessionIdleSec.
 func (p *Protection) expireLocked(now time.Time) {
-	idle := wallSeconds(p.cfg.SessionIdleSec)
+	idle := Seconds(p.cfg.SessionIdleSec)
 	for k, s := range p.sessions {
 		if now.Sub(s.lastSeen) >= idle {
 			delete(p.sessions, k)
@@ -403,7 +403,7 @@ func (p *Protection) waitForSlot(r *http.Request, key string) (admitOutcome, str
 		p.drain.Done()
 	}()
 
-	deadline := p.clock.Now().Add(wallSeconds(p.cfg.QueueTimeoutSec))
+	deadline := p.clock.Now().Add(Seconds(p.cfg.QueueTimeoutSec))
 	for {
 		p.mu.Lock()
 		closed := p.closed
@@ -440,9 +440,4 @@ func (p *Protection) Close() {
 	p.closed = true
 	p.mu.Unlock()
 	p.drain.Wait()
-}
-
-// wallSeconds converts float seconds to a time.Duration.
-func wallSeconds(sec float64) time.Duration {
-	return time.Duration(sec * float64(time.Second))
 }

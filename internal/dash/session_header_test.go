@@ -80,7 +80,8 @@ func TestSessionHeaderOnEveryAttempt(t *testing.T) {
 		NewAlgorithm: core.Factory(),
 		TimeScale:    200,
 		MaxChunks:    4,
-		Resilience:   &ResilienceConfig{JitterSeed: 11},
+		Resilient:    true,
+		JitterSeed:   11,
 		SessionID:    "regress-7",
 		Metrics:      reg,
 	})
@@ -88,6 +89,10 @@ func TestSessionHeaderOnEveryAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// Only the retry paths are under test: no wall-clock deadline or
+	// abandonment.
+	c.policy.deadlineFactor = 0
+	c.policy.abandon = false
 
 	start := time.Now()
 	res, err := c.Run(context.Background())
@@ -130,13 +135,13 @@ func TestRetryWaitFullJitter(t *testing.T) {
 	mk := func(seed int64) *fetcher {
 		return &fetcher{
 			c:     &Client{},
-			rc:    ResilienceConfig{JitterSeed: seed}.withDefaults(),
+			p:     resilient,
 			rng:   rand.New(rand.NewSource(seed)),
 			scale: 1,
 		}
 	}
 	f := mk(3)
-	base, max := f.rc.BaseBackoffSec, f.rc.MaxBackoffSec
+	base, max := f.p.baseBackoffSec, f.p.maxBackoffSec
 	lo, hi := base, 0.0
 	for i := 0; i < 500; i++ {
 		w := f.retryWait(0, 0)
@@ -175,7 +180,7 @@ func TestRetryWaitFullJitter(t *testing.T) {
 func TestRetryWaitHonorsRetryAfterFloor(t *testing.T) {
 	f := &fetcher{
 		c:     &Client{},
-		rc:    ResilienceConfig{JitterSeed: 5}.withDefaults(),
+		p:     resilient,
 		rng:   rand.New(rand.NewSource(5)),
 		scale: 40,
 	}
@@ -184,7 +189,7 @@ func TestRetryWaitHonorsRetryAfterFloor(t *testing.T) {
 			t.Fatalf("retryWait with 2s hint = %v virtual sec, want >= %v", w, 2*40)
 		}
 	}
-	if w := f.retryWait(0, 0); w >= f.rc.BaseBackoffSec {
+	if w := f.retryWait(0, 0); w >= f.p.baseBackoffSec {
 		t.Errorf("hint-less retryWait = %v, want plain jittered backoff", w)
 	}
 }

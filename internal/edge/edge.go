@@ -478,7 +478,7 @@ func (e *Edge) fetchWithFailover(ctx context.Context, path, session string) (Ent
 			// Between replicas: a capped, seeded full-jitter pause, so a
 			// fleet of edges hitting one dead origin does not stampede the
 			// next replica in lockstep.
-			e.clock.Sleep(wallDur(e.failoverBackoff(attempted - 1)))
+			e.clock.Sleep(dash.Seconds(e.failoverBackoff(attempted - 1)))
 		}
 		attempted++
 		ent, err := e.fetchOnce(ctx, oi, path, session)
@@ -510,7 +510,7 @@ func (e *Edge) fetchWithFailover(ctx context.Context, path, session string) (Ent
 
 // fetchOnce performs one origin attempt under the per-attempt deadline.
 func (e *Edge) fetchOnce(ctx context.Context, origin int, path, session string) (Entry, error) {
-	actx, cancel := context.WithTimeout(ctx, wallDur(e.cfg.AttemptTimeoutSec))
+	actx, cancel := context.WithTimeout(ctx, dash.Seconds(e.cfg.AttemptTimeoutSec))
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodGet, e.cfg.Origins[origin]+path, nil)
 	if err != nil {
@@ -573,9 +573,4 @@ func (e *Edge) shed(w http.ResponseWriter, reason string) {
 // sessionOf extracts the client's session identity for forwarding.
 func sessionOf(r *http.Request) string {
 	return r.Header.Get(dash.SessionIDHeader)
-}
-
-// wallDur converts float wall seconds to a time.Duration.
-func wallDur(sec float64) time.Duration {
-	return time.Duration(sec * float64(time.Second))
 }

@@ -148,7 +148,7 @@ func runLive(opt Options) (*Result, error) {
 // formatted metric cells.
 func liveSession(v *video.Video, qt *quality.Table, cats []scene.Category,
 	tr *trace.Trace, sc abr.Scheme, scale float64, maxChunks int) ([]string, error) {
-	res, _, err := testbedSession(v, tr, sc, scale, maxChunks, dash.FaultConfig{}, nil)
+	res, _, err := testbedSession(v, tr, sc, scale, maxChunks, dash.FaultConfig{}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func liveSession(v *video.Video, qt *quality.Table, cats []scene.Category,
 // client, and returns the session result plus the injector's stats.
 func testbedSession(v *video.Video, tr *trace.Trace, sc abr.Scheme,
 	scale float64, maxChunks int, faults dash.FaultConfig,
-	resilience *dash.ResilienceConfig) (*player.Result, dash.FaultStats, error) {
+	resilient bool) (*player.Result, dash.FaultStats, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, dash.FaultStats{}, err
@@ -180,7 +180,7 @@ func testbedSession(v *video.Video, tr *trace.Trace, sc abr.Scheme,
 		NewAlgorithm: sc.New,
 		TimeScale:    scale,
 		MaxChunks:    maxChunks,
-		Resilience:   resilience,
+		Resilient:    resilient,
 	})
 	if err != nil {
 		return nil, dash.FaultStats{}, err
@@ -218,7 +218,7 @@ func runRobustness(opt Options) (*Result, error) {
 			return nil, err
 		}
 		for _, sc := range schemes {
-			res, stats, err := testbedSession(v, tr, sc, scale, maxChunks, fc, dash.DefaultResilience())
+			res, stats, err := testbedSession(v, tr, sc, scale, maxChunks, fc, true)
 			if err != nil {
 				return nil, fmt.Errorf("robustness %s/%s: %w", profile, sc.Name, err)
 			}

@@ -120,7 +120,8 @@ func TestFleetInterruptResumeEquivalence(t *testing.T) {
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("RunContext error = %v, want ErrInterrupted", err)
 	}
-	if partial == nil || partial.Completed > cfg.Sessions {
+	if partial == nil || partial.Completed > cfg.Sessions ||
+		partial.SessionLenSec.Len() != partial.Completed {
 		t.Fatalf("interrupted run returned partial %+v", partial)
 	}
 

@@ -345,20 +345,42 @@ func (e *Engine) Run() (*Result, error) {
 	return e.RunContext(context.Background(), RunOptions{})
 }
 
-// merge folds the quiescent per-shard tallies in shard-index order and
-// builds the aggregated fleet result. The sample slices are id-indexed
-// (each shard wrote only its own range), so the distributions cannot
-// depend on the worker count.
+// merge builds the drained run's fleet result and checks its event
+// accounting.
 func (e *Engine) merge() (*Result, error) {
-	events, completed, lost, maxDoneSec, quarantined := e.tallies()
-	if events != e.expectedEvents-lost || completed != e.cfg.Sessions-len(quarantined) {
+	r := e.result()
+	if r.Events != r.ExpectedEvents-r.LostEvents || r.Completed != r.Sessions-len(r.Quarantined) {
 		// Unreachable by construction (every Advance consumes exactly one
 		// chunk); if it ever trips, the engine is mis-scheduling and the
 		// run's aggregates cannot be trusted.
 		return nil, fmt.Errorf("fleet: processed %d events for %d expected (%d lost to quarantine), completed %d+%d quarantined of %d sessions",
-			events, e.expectedEvents, lost, completed, len(quarantined), e.cfg.Sessions)
+			r.Events, r.ExpectedEvents, r.LostEvents, r.Completed, len(r.Quarantined), r.Sessions)
 	}
-	res := &Result{
+	return r, nil
+}
+
+// result aggregates the quiescent engine, drained or interrupted, into a
+// fleet result. The distributions cover exactly the sessions marked done:
+// quarantined and unfinished sessions' zero-valued slots must not dilute
+// them. The sample slices are id-indexed (each shard wrote only its own
+// range), so the distributions cannot depend on the worker count. When
+// every session completed, the slices go to NewSorted (which copies)
+// unfiltered.
+func (e *Engine) result() *Result {
+	events, completed, lost, maxDoneSec, quarantined := e.tallies()
+	d := e.sampleFields()
+	if completed < e.cfg.Sessions {
+		for i, xs := range d {
+			done := make([]float64, 0, completed)
+			for id, x := range xs {
+				if e.sessions[id].done {
+					done = append(done, x)
+				}
+			}
+			d[i] = done
+		}
+	}
+	return &Result{
 		Sessions:        e.cfg.Sessions,
 		Events:          events,
 		ExpectedEvents:  e.expectedEvents,
@@ -366,18 +388,17 @@ func (e *Engine) merge() (*Result, error) {
 		Completed:       completed,
 		Quarantined:     quarantined,
 		VirtualSec:      maxDoneSec,
-		RebufferSec:     metrics.NewSorted(e.samples(e.rebufferSec)),
-		StartupDelaySec: metrics.NewSorted(e.samples(e.startupSec)),
-		CompletionSec:   metrics.NewSorted(e.samples(e.completionSec)),
-		SessionLenSec:   metrics.NewSorted(e.samples(e.sessionLenSec)),
-		AvgQuality:      metrics.NewSorted(e.samples(e.avgQuality)),
-		QualityChange:   metrics.NewSorted(e.samples(e.qualityChange)),
-		AvgLevel:        metrics.NewSorted(e.samples(e.avgLevel)),
-		Switches:        metrics.NewSorted(e.samples(e.switches)),
-		DataMB:          metrics.NewSorted(e.samples(e.dataMB)),
+		RebufferSec:     metrics.NewSorted(d[0]),
+		StartupDelaySec: metrics.NewSorted(d[1]),
+		CompletionSec:   metrics.NewSorted(d[2]),
+		SessionLenSec:   metrics.NewSorted(d[3]),
+		AvgQuality:      metrics.NewSorted(d[4]),
+		QualityChange:   metrics.NewSorted(d[5]),
+		AvgLevel:        metrics.NewSorted(d[6]),
+		Switches:        metrics.NewSorted(d[7]),
+		DataMB:          metrics.NewSorted(d[8]),
 		Results:         e.results,
 	}
-	return res, nil
 }
 
 // tallies folds the per-shard scalar tallies in shard-index order and
@@ -401,27 +422,6 @@ func (e *Engine) tallies() (events int64, completed int, lost int64, maxDoneSec 
 		quarantined = append(quarantined, qs...)
 	}
 	return events, completed, lost, maxDoneSec, quarantined
-}
-
-// samples filters a full id-indexed sample slice down to the sessions that
-// actually produced samples: quarantined sessions' zero-valued slots must
-// not dilute the distributions. The common no-quarantine case returns the
-// slice as-is (NewSorted copies).
-func (e *Engine) samples(xs []float64) []float64 {
-	quarantined := 0
-	for i := range e.shards {
-		quarantined += len(e.shards[i].quarantined)
-	}
-	if quarantined == 0 {
-		return xs
-	}
-	out := make([]float64, 0, len(xs)-quarantined)
-	for id, x := range xs {
-		if !e.sessions[id].quarantined {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // chunkBudget is the number of chunk events session id is scheduled to

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"cava/internal/metrics"
 )
 
 // ErrInterrupted is returned (wrapped) by RunContext when the context is
@@ -195,7 +193,7 @@ func (e *Engine) RunContext(ctx context.Context, opts RunOptions) (*Result, erro
 			ctl.abortAll()
 			ctl.resumeAll()
 			<-done
-			res := e.partialResult()
+			res := e.result()
 			if ckptErr != nil {
 				return res, fmt.Errorf("%w (final checkpoint failed: %v)", ErrInterrupted, ckptErr)
 			}
@@ -268,46 +266,3 @@ func (e *Engine) watchdogError(stuck []int, deadlineSec float64) error {
 // shardFinished is the progress-counter sentinel a shard publishes when
 // its heap is drained, so the watchdog stops expecting progress from it.
 const shardFinished = int64(-1)
-
-// partialResult aggregates the sessions that completed before an
-// interrupt: the distributions cover only sessions with samples, and the
-// event accounting reflects work actually done. No closure check applies —
-// the run is partial by definition.
-func (e *Engine) partialResult() *Result {
-	events, completed, lost, maxDoneSec, quarantined := e.tallies()
-	fields := [...][]float64{
-		e.rebufferSec, e.startupSec, e.completionSec, e.sessionLenSec,
-		e.avgQuality, e.qualityChange, e.avgLevel, e.switches, e.dataMB,
-	}
-	out := make([][]float64, len(fields))
-	for i := range out {
-		out[i] = make([]float64, 0, completed)
-	}
-	for id := range e.sessions {
-		if !e.sessions[id].done {
-			continue
-		}
-		for i, xs := range fields {
-			out[i] = append(out[i], xs[id])
-		}
-	}
-	return &Result{
-		Sessions:        e.cfg.Sessions,
-		Events:          events,
-		ExpectedEvents:  e.expectedEvents,
-		LostEvents:      lost,
-		Completed:       completed,
-		Quarantined:     quarantined,
-		VirtualSec:      maxDoneSec,
-		RebufferSec:     metrics.NewSorted(out[0]),
-		StartupDelaySec: metrics.NewSorted(out[1]),
-		CompletionSec:   metrics.NewSorted(out[2]),
-		SessionLenSec:   metrics.NewSorted(out[3]),
-		AvgQuality:      metrics.NewSorted(out[4]),
-		QualityChange:   metrics.NewSorted(out[5]),
-		AvgLevel:        metrics.NewSorted(out[6]),
-		Switches:        metrics.NewSorted(out[7]),
-		DataMB:          metrics.NewSorted(out[8]),
-		Results:         e.results,
-	}
-}

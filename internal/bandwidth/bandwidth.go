@@ -29,28 +29,35 @@ type Predictor interface {
 // DefaultWindow is the harmonic-mean window used throughout the paper.
 const DefaultWindow = 5
 
+// MaxWindow is the largest harmonic-mean window: the ring is an inline
+// array of this many slots.
+const MaxWindow = 8
+
 // HarmonicMean predicts with the harmonic mean of the last W chunk
 // throughputs. The harmonic mean underweights short high-rate bursts, which
 // makes it robust to measurement outliers.
-// The window is a fixed ring: the append-and-reslice history it replaced
-// allocated on every few observations, which the fleet engine's zero-alloc
-// per-event contract (internal/fleet) cannot afford across 10⁵–10⁶
-// concurrent sessions. The mean is computed once per observation, so
+// The window is a fixed ring held inline, so a predictor is one flat value:
+// the step core embeds it in its session state, and the fleet engine's
+// zero-alloc per-event contract (internal/fleet) costs no allocation and no
+// pointer chase per session. The mean is computed once per observation, so
 // Predict, which the step core calls twice per chunk, is a field read.
+// The zero value is the paper's default, a window of DefaultWindow.
 type HarmonicMean struct {
-	ring  []float64 // the window: len(ring) = W
-	head  int       // index of the oldest observation
-	count int       // observations held (≤ W)
-	est   float64   // harmonic mean of the held observations; 0 when none
+	ring   [MaxWindow]float64 // the window: the first W slots
+	est    float64            // harmonic mean of the held observations; 0 when none
+	window int32              // W; 0 selects DefaultWindow
+	head   int32              // index of the oldest observation
+	count  int32              // observations held (≤ W)
 }
 
 // NewHarmonicMean returns a harmonic-mean predictor over the last window
-// downloads; window defaults to DefaultWindow when non-positive.
+// downloads; window defaults to DefaultWindow when non-positive and is
+// capped at MaxWindow.
 func NewHarmonicMean(window int) *HarmonicMean {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	return &HarmonicMean{ring: make([]float64, window)}
+	return &HarmonicMean{window: int32(min(window, MaxWindow))}
 }
 
 // ObserveDownload implements Predictor. The inverse sum runs oldest to
@@ -60,7 +67,10 @@ func (h *HarmonicMean) ObserveDownload(bits, seconds float64) {
 	if seconds <= 0 || bits <= 0 {
 		return
 	}
-	w := len(h.ring)
+	w := h.window
+	if w == 0 {
+		w = DefaultWindow
+	}
 	// The next slot; in a full ring it is the oldest, which is dropped.
 	tail := h.head + h.count
 	if tail >= w {
@@ -73,7 +83,7 @@ func (h *HarmonicMean) ObserveDownload(bits, seconds float64) {
 		h.head = 0
 	}
 	inv := 0.0
-	for k, i := 0, h.head; k < h.count; k++ {
+	for k, i := int32(0), h.head; k < h.count; k++ {
 		inv += 1 / h.ring[i]
 		if i++; i == w {
 			i = 0

@@ -163,7 +163,10 @@ func (c *Client) Run(ctx context.Context) (*player.Result, error) {
 	}, true)
 	s.LimitChunks(c.cfg.MaxChunks)
 	f.session = s.Session()
-	res := s.Res()
+	// Each segment's fetch outcome, in chunk order: the step core records
+	// the simulation fields, and the resilience counters join them on the
+	// Result once the session ends.
+	var fetches []segmentFetch
 
 	for !s.Done() {
 		if err := ctx.Err(); err != nil {
@@ -204,19 +207,11 @@ func (c *Client) Run(ctx context.Context) (*player.Result, error) {
 		s.Rec.SizeBits = bits
 		s.Rec.StartTime = v0
 		s.Rec.DownloadSec = vdur
-		s.Rec.Retries = sf.Retries
-		s.Rec.Truncations = sf.Truncations
-		s.Rec.Abandonments = sf.Abandonments
-		s.Rec.WastedBits = sf.WastedBits
-		s.Rec.Skipped = sf.Skipped
 		if vdur > 0 && !sf.Skipped {
 			s.Rec.ThroughputBps = bits / vdur
 		}
 		s.AddStall(s.ElapseTo(v1))
-		res.TotalRetries += sf.Retries
-		res.TotalTruncations += sf.Truncations
-		res.TotalAbandonments += sf.Abandonments
-		res.WastedBits += sf.WastedBits
+		fetches = append(fetches, sf)
 
 		c.mBytes.Add(uint64(sf.Bytes))
 		if sf.Skipped {
@@ -250,5 +245,14 @@ func (c *Client) Run(ctx context.Context) (*player.Result, error) {
 		s.NextChunk()
 	}
 	s.SetNow(f.vnow())
-	return s.Take(), nil
+	res := s.Take()
+	for i, sf := range fetches {
+		c := &res.Chunks[i]
+		c.Retries, c.Truncations, c.Abandonments, c.WastedBits = sf.Retries, sf.Truncations, sf.Abandonments, sf.WastedBits
+		res.TotalRetries += sf.Retries
+		res.TotalTruncations += sf.Truncations
+		res.TotalAbandonments += sf.Abandonments
+		res.WastedBits += sf.WastedBits
+	}
+	return res, nil
 }

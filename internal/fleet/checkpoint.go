@@ -386,7 +386,7 @@ func Resume(cfg Config, dir string) (*Engine, error) {
 				return nil, fmt.Errorf("fleet: resume: session %d: %w", id, r.err)
 			}
 			s.done = true
-			s.chunks = int(eventsDone)
+			s.chunks = int32(eventsDone)
 			for i, xs := range e.sampleFields() {
 				xs[id] = math.Float64frombits(bits[i])
 			}
@@ -405,7 +405,7 @@ func Resume(cfg Config, dir string) (*Engine, error) {
 				return nil, fmt.Errorf("fleet: resume: session %d: %w", id, r.err)
 			}
 			s.quarantined = true
-			s.chunks = int(chunksDone)
+			s.chunks = int32(chunksDone)
 			sh.quarantined = append(sh.quarantined, Quarantine{
 				SessionID: int32(id),
 				Chunk:     int(chunk),
@@ -433,17 +433,16 @@ func Resume(cfg Config, dir string) (*Engine, error) {
 // checkpointed bits exactly or the resume is refused.
 func (e *Engine) replaySession(sh *shard, id int32, eventsDone int, storedBits uint64) error {
 	s := &e.sessions[id]
-	s.step.Init(s.v, s.v.ID(), s.tr.ID, e.cfg.Scheme.New(s.v), e.cfg.Player, false)
-	s.step.LimitChunks(e.cfg.MaxChunks)
-	s.started = true
-	e.mActive.Add(1)
+	e.startSession(s)
+	qt := e.qts[s.video]
 	var wakeSec float64
 	for k := 0; k < eventsDone; k++ {
 		if s.step.Done() {
 			return fmt.Errorf("fleet: resume: session %d finished after %d of %d replayed events: checkpoint does not match deterministic replay", id, k, eventsDone)
 		}
+		prevLevel := s.step.PrevLevel
 		wakeSec = s.step.Advance(s.tr, s.offsetSec)
-		observeChunk(s)
+		observeChunk(s, qt, prevLevel)
 	}
 	if s.step.Done() {
 		return fmt.Errorf("fleet: resume: session %d done after replaying %d events but checkpointed in-flight", id, eventsDone)

@@ -17,8 +17,9 @@
 //
 //   - shared immutable data: all sessions read the same video ladders and
 //     bandwidth traces, each at its own per-session trace offset (staggered
-//     arrivals, wraparound past the corpus end), so per-session memory is a
-//     few hundred bytes of state, not a copy of the corpus;
+//     arrivals, wraparound past the corpus end), so a live session costs
+//     its slot of at most 416 B (pinned by TestFleetSessionFootprint) plus
+//     its algorithm instance, not a copy of the corpus;
 //   - an allocation-free event loop: with chunk retention off and a nil
 //     recorder, advancing a session performs zero allocations (guarded by
 //     TestFleetZeroAllocPerEvent, which holds per shard), and each shard's
@@ -180,24 +181,26 @@ type Result struct {
 	Results []*player.Result
 }
 
-// session is one fleet member: the shared step core plus its corpus
-// assignment and the online aggregates that replace per-chunk records.
+// session is one fleet member: the step core plus its corpus assignment
+// and the online aggregates that replace per-chunk records. It is the
+// fleet's per-session memory. The step core holds its predictor inline and,
+// without Collect or a Recorder, no cold block, so a session's algorithm is
+// its only other heap object (pinned by TestFleetSessionFootprint).
 type session struct {
-	step        player.StepState
-	v           *video.Video
-	tr          *trace.Trace
-	qt          *quality.Table
-	offsetSec   float64
-	arrivalSec  float64
-	started     bool
-	done        bool
-	quarantined bool
+	step       player.StepState
+	tr         *trace.Trace
+	offsetSec  float64
+	arrivalSec float64
+	// video indexes Config.Videos and Engine.qts.
+	video int32
 
-	chunks        int
-	lastLevel     int
+	chunks        int32
+	switches      int32
+	levelSum      int32
+	started       bool
+	done          bool
+	quarantined   bool
 	lastQual      float64
-	switches      int
-	levelSum      int
 	qualSum       float64
 	qualChangeSum float64
 }
@@ -218,6 +221,8 @@ type Engine struct {
 	sessions       []session
 	shards         []shard
 	expectedEvents int64
+	// qts holds each video's quality table, indexed like Config.Videos.
+	qts []*quality.Table
 
 	// Per-session samples, indexed by session id and written exactly once
 	// by the owning shard — disjoint writes, no synchronization needed,
@@ -260,9 +265,9 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("fleet: video %s: %w", v.ID(), err)
 		}
 	}
-	qts := make(map[string]*quality.Table, len(cfg.Videos))
-	for _, v := range cfg.Videos {
-		qts[v.ID()] = cfg.Cache.QualityTable(v, cfg.Metric)
+	qts := make([]*quality.Table, len(cfg.Videos))
+	for i, v := range cfg.Videos {
+		qts[i] = cfg.Cache.QualityTable(v, cfg.Metric)
 	}
 	for _, tr := range cfg.Traces {
 		if err := tr.Validate(); err != nil {
@@ -274,6 +279,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:           cfg,
 		sessions:      make([]session, n),
+		qts:           qts,
 		rebufferSec:   make([]float64, n),
 		startupSec:    make([]float64, n),
 		completionSec: make([]float64, n),
@@ -300,7 +306,7 @@ func New(cfg Config) (*Engine, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	arrivalSec := 0.0
 	for i := 0; i < n; i++ {
-		v := cfg.Videos[rng.Intn(len(cfg.Videos))]
+		vi := rng.Intn(len(cfg.Videos))
 		tr := cfg.Traces[rng.Intn(len(cfg.Traces))]
 		offSec := 0.0
 		if cfg.RandomTraceOffsets {
@@ -310,9 +316,8 @@ func New(cfg Config) (*Engine, error) {
 			arrivalSec += rng.ExpFloat64() / cfg.ArrivalRatePerSec
 		}
 		e.sessions[i] = session{
-			v: v, tr: tr, qt: qts[v.ID()],
+			tr: tr, video: int32(vi),
 			offsetSec: offSec, arrivalSec: arrivalSec,
-			lastLevel: -1,
 		}
 		e.expectedEvents += int64(e.chunkBudget(int32(i)))
 	}
@@ -427,7 +432,7 @@ func (e *Engine) tallies() (events int64, completed int, lost int64, maxDoneSec 
 // chunkBudget is the number of chunk events session id is scheduled to
 // process: its video's chunk count, truncated by Config.MaxChunks.
 func (e *Engine) chunkBudget(id int32) int {
-	n := e.sessions[id].v.NumChunks()
+	n := e.cfg.Videos[e.sessions[id].video].NumChunks()
 	if e.cfg.MaxChunks > 0 && e.cfg.MaxChunks < n {
 		n = e.cfg.MaxChunks
 	}

@@ -364,6 +364,48 @@ func TestFleetZeroAllocPerEvent(t *testing.T) {
 	}
 }
 
+// maxSessionBytes is the fleet's per-session slot budget: the step core
+// with its predictor inline, the corpus assignment and the online
+// aggregates.
+const maxSessionBytes = 416
+
+// TestFleetSessionFootprint pins the per-session memory of the fleet path.
+// The slot stays within maxSessionBytes, and a session's first event
+// allocates nothing beyond its scheme factory: no predictor object, no
+// cold block and no formatted video label.
+func TestFleetSessionFootprint(t *testing.T) {
+	if size := reflect.TypeFor[session]().Size(); size > maxSessionBytes {
+		t.Errorf("fleet session slot is %d B, budget %d B", size, maxSessionBytes)
+	}
+
+	v := shortVideo()
+	sc := fixedScheme(2)
+	const runs = 50
+	// Every session arrives at virtual time 0, so the heap yields the
+	// sessions' first events in id order before any second event, which a
+	// chunk download puts past 0. AllocsPerRun makes one extra warm-up
+	// call, hence runs+1 sessions.
+	e, err := New(Config{
+		Videos: []*video.Video{v}, Traces: []*trace.Trace{trace.GenLTE(0)},
+		Scheme: sc, Sessions: runs + 1, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := &e.shards[0]
+	firstEvent := testing.AllocsPerRun(runs, func() {
+		id := sh.heap.pop().id
+		if e.sessions[id].started {
+			t.Fatalf("session %d: popped a second event among the first events", id)
+		}
+		sh.stepSession(id)
+	})
+	factory := testing.AllocsPerRun(runs, func() { _ = sc.New(v) })
+	if extra := firstEvent - factory; extra != 0 {
+		t.Errorf("a session's first event allocates %v times beyond its scheme factory's %v, want 0", extra, factory)
+	}
+}
+
 // TestFleetShardEquivalence is the sharding contract: the Result — every
 // sorted distribution, Events, VirtualSec and the Collect-mode per-session
 // Results — is bit-identical for every worker count at a fixed seed. The

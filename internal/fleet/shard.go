@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"cava/internal/player"
+	"cava/internal/quality"
 )
 
 // shard is one worker's slice of the fleet: a contiguous session-id range
@@ -115,23 +116,37 @@ func (sh *shard) advanceSession(id int32) {
 		// first event, so construction cost follows the arrival process
 		// instead of front-loading New, and completed sessions can be
 		// released while later arrivals are still warming up.
-		s.step.Init(s.v, s.v.ID(), s.tr.ID, e.cfg.Scheme.New(s.v), e.cfg.Player, e.cfg.Collect)
-		s.step.LimitChunks(e.cfg.MaxChunks)
-		s.started = true
-		e.mActive.Add(1)
+		e.startSession(s)
 	}
 	if hook := e.cfg.CrashHook; hook != nil {
 		hook(id, s.step.Chunk)
 	}
+	prevLevel := s.step.PrevLevel
 	wakeSec := s.step.Advance(s.tr, s.offsetSec)
 	sh.events++
 	e.mEvents.Inc()
-	observeChunk(s)
+	observeChunk(s, e.qts[s.video], prevLevel)
 	if s.step.Done() {
 		sh.finishSession(id, s)
 		return
 	}
 	sh.heap.push(event{wakeSec: s.arrivalSec + wakeSec, id: id})
+}
+
+// startSession builds session s's algorithm and initializes its step core,
+// at the session's first event or when a resume replays it. Only a kept
+// Result or a decision trace reads the video label, so the label (a
+// formatted string) is built only for them.
+func (e *Engine) startSession(s *session) {
+	v := e.cfg.Videos[s.video]
+	videoID := ""
+	if e.cfg.Collect || e.cfg.Player.Recorder != nil {
+		videoID = v.ID()
+	}
+	s.step.Init(v, videoID, s.tr.ID, e.cfg.Scheme.New(v), e.cfg.Player, e.cfg.Collect)
+	s.step.LimitChunks(e.cfg.MaxChunks)
+	s.started = true
+	e.mActive.Add(1)
 }
 
 // recoverStep converts a panic inside the current session's step into a
@@ -153,11 +168,11 @@ func (sh *shard) recoverStep() {
 	buf = buf[:runtime.Stack(buf, false)]
 	sh.quarantined = append(sh.quarantined, Quarantine{
 		SessionID: id,
-		Chunk:     s.chunks,
+		Chunk:     int(s.chunks),
 		Reason:    fmt.Sprint(r),
 		Stack:     string(buf),
 	})
-	sh.lostEvents += int64(e.chunkBudget(id) - s.chunks)
+	sh.lostEvents += int64(e.chunkBudget(id) - int(s.chunks))
 	s.quarantined = true
 	if s.started {
 		e.mActive.Add(-1)
@@ -167,38 +182,41 @@ func (sh *shard) recoverStep() {
 }
 
 // observeChunk folds the just-completed chunk into the session's online
-// aggregates — the fleet-scale replacement for per-chunk records.
-func observeChunk(s *session) {
+// aggregates — the fleet-scale replacement for per-chunk records. qt is the
+// session's quality table and prevLevel the step core's PrevLevel read
+// before the chunk's Advance: the previous chunk's level.
+func observeChunk(s *session, qt *quality.Table, prevLevel int) {
 	rec := &s.step.Rec
-	q := s.qt.At(rec.Level, rec.Index)
+	q := qt.At(rec.Level, rec.Index)
 	if s.chunks > 0 {
-		if rec.Level != s.lastLevel {
+		if rec.Level != prevLevel {
 			s.switches++
 		}
 		s.qualChangeSum += math.Abs(q - s.lastQual)
 	}
-	s.lastLevel = rec.Level
 	s.lastQual = q
-	s.levelSum += rec.Level
+	s.levelSum += int32(rec.Level)
 	s.qualSum += q
 	s.chunks++
 }
 
 // finishSession writes the session's distribution samples into its
-// id-indexed slots and releases its per-session state (algorithm,
-// predictor) back to the collector.
+// id-indexed slots and releases its per-session state (algorithm, step
+// core) back to the collector. It reads the step core's running totals
+// directly: only Collect builds a Result.
 func (sh *shard) finishSession(id int32, s *session) {
 	e := sh.e
-	res := s.step.Take()
-	doneSec := s.arrivalSec + res.SessionSec
+	startupSec, rebufferSec, totalBits := s.step.Totals()
+	lenSec := s.step.NowSec
+	doneSec := s.arrivalSec + lenSec
 	if doneSec > sh.maxDoneSec {
 		sh.maxDoneSec = doneSec
 	}
-	e.rebufferSec[id] = res.TotalRebufferSec
-	e.startupSec[id] = res.StartupDelaySec
+	e.rebufferSec[id] = rebufferSec
+	e.startupSec[id] = startupSec
 	e.completionSec[id] = doneSec
-	e.sessionLenSec[id] = res.SessionSec
-	e.dataMB[id] = res.TotalBits / 8 / 1e6
+	e.sessionLenSec[id] = lenSec
+	e.dataMB[id] = totalBits / 8 / 1e6
 	chunks := float64(max(s.chunks, 1))
 	e.avgQuality[id] = s.qualSum / chunks
 	e.qualityChange[id] = s.qualChangeSum / chunks
@@ -209,10 +227,10 @@ func (sh *shard) finishSession(id int32, s *session) {
 	e.mCompleted.Inc()
 	e.mActive.Add(-1)
 	if e.cfg.Collect {
-		e.results[id] = res
+		e.results[id] = s.step.Take()
 		return
 	}
-	// Drop the algorithm, predictor and step state; at fleet scale the
+	// Drop the algorithm and step state; at fleet scale the
 	// arrived-but-unfinished working set is what bounds peak RSS.
 	s.step = player.StepState{}
 }

@@ -115,7 +115,8 @@ func DefaultConfig() Config {
 			"internal/player:MaybeStartup", "internal/player:NextChunk",
 			"internal/player:drainFor", "internal/player:ElapseTo",
 			"internal/player:AddStall", "internal/player:AddSessionStall",
-			"internal/player:NoteWait",
+			"internal/player:NoteWait", "internal/player:predict",
+			"internal/player:tracer",
 			"internal/fleet:drain", "internal/fleet:runBatch",
 			"internal/fleet:stepSession", "internal/fleet:advanceSession",
 			"internal/fleet:observeChunk",

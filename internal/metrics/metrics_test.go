@@ -18,9 +18,9 @@ func craftedSession() (*player.Result, *quality.Table, []scene.Category) {
 	cats := scene.ClassifyDefault(v)
 	res := &player.Result{VideoID: v.ID(), TraceID: "t", Scheme: "s"}
 	for i := 0; i < v.NumChunks(); i++ {
-		res.Chunks = append(res.Chunks, player.ChunkRecord{
+		res.Chunks = append(res.Chunks, player.ChunkRecord{ChunkStep: player.ChunkStep{
 			Index: i, Level: i % v.NumTracks(), SizeBits: v.ChunkSize(i%v.NumTracks(), i),
-		})
+		}})
 		res.TotalBits += v.ChunkSize(i%v.NumTracks(), i)
 	}
 	res.TotalRebufferSec = 3.5

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cava/internal/abr"
+	"cava/internal/bandwidth"
 	"cava/internal/core"
 	"cava/internal/player"
 	"cava/internal/sim"
@@ -134,7 +135,25 @@ func checkGolden(t *testing.T, name string, want, got uint64) {
 	}
 }
 
-func TestGoldenVODDigest(t *testing.T) {
+func TestGoldenVODDigest(t *testing.T) { checkGoldenVOD(t, player.DefaultConfig) }
+
+// TestGoldenVODPredictorInterface runs the goldenVOD sessions with an
+// explicit Config.Predictor, a fresh default-window harmonic mean per
+// session. The step core then predicts through the bandwidth.Predictor
+// interface instead of its inline default, and the two paths must agree
+// bit for bit.
+func TestGoldenVODPredictorInterface(t *testing.T) {
+	checkGoldenVOD(t, func() player.Config {
+		cfg := player.DefaultConfig()
+		cfg.Predictor = bandwidth.NewHarmonicMean(bandwidth.DefaultWindow)
+		return cfg
+	})
+}
+
+// checkGoldenVOD hashes every roster scheme's goldenVOD sessions, each
+// configured by a fresh cfg(), against the pinned digests.
+func checkGoldenVOD(t *testing.T, cfg func() player.Config) {
+	t.Helper()
 	videos := []*video.Video{
 		video.FFmpegVideo(video.Title{Name: "ED", Genre: video.SciFi}, video.H264),
 		video.YouTubeVideo(video.Title{Name: "ED", Genre: video.SciFi}),
@@ -151,7 +170,7 @@ func TestGoldenVODDigest(t *testing.T) {
 		d := newDigest()
 		for _, v := range videos {
 			for _, tr := range traces {
-				res, err := player.Simulate(v, tr, sc.New(v), player.DefaultConfig())
+				res, err := player.Simulate(v, tr, sc.New(v), cfg())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -65,8 +65,7 @@ func SimulateLive(v *video.Video, tr *trace.Trace, algo abr.Algorithm, cfg Confi
 		// Latency is the playhead's lag behind the live edge: the content
 		// time produced so far minus the content time played out.
 		if s.Playing {
-			r := s.Res()
-			played := s.NowSec - r.StartupDelaySec - r.TotalRebufferSec
+			played := s.NowSec - s.startupDelaySec - s.rebufferSec
 			lat := s.NowSec + lcfg.EncoderDelaySec - played
 			latSum += lat
 			latN++

@@ -48,8 +48,10 @@ func DefaultConfig() Config {
 	return Config{StartupSec: DefaultStartupSec, MaxBufferSec: DefaultMaxBufferSec}
 }
 
-// ChunkRecord logs one chunk download.
-type ChunkRecord struct {
+// ChunkStep is the part of a chunk's record that the step core rewrites on
+// every chunk: the simulation fields. It is the in-progress record
+// (StepState.Rec), so it carries nothing only the testbed client sets.
+type ChunkStep struct {
 	// Index is the chunk position in playback order.
 	Index int
 	// Level is the selected track.
@@ -69,6 +71,13 @@ type ChunkRecord struct {
 	// WaitSec is idle time before the download (full buffer or an
 	// algorithm-requested pause).
 	WaitSec float64
+}
+
+// ChunkRecord logs one chunk download: the simulation fields, promoted
+// from ChunkStep (and flattened in JSON), then the live resilient
+// client's per-chunk resilience counters, all zero in pure simulation.
+type ChunkRecord struct {
+	ChunkStep
 	// Retries counts failed download attempts that were retried for this
 	// chunk (live resilient client; always 0 in pure simulation).
 	Retries int

@@ -23,18 +23,26 @@ import (
 // Advance performs no allocations per event, which is what lets the fleet
 // engine hold hundreds of thousands of concurrent sessions in one process.
 //
+// The state is split hot from cold. The value holds everything a chunk
+// step reads or writes — the player state, the in-progress record, the
+// running totals and, unless Config.Predictor replaces it, the harmonic-mean
+// predictor itself — so a step follows no per-session pointer but the
+// algorithm. What only Take and tracing read (the Result's labels, chunk
+// records and resilience totals, the recorder) sits behind one pointer
+// that Init allocates only for sessions that keep chunk records or trace.
+//
 // A StepState is single-session, single-goroutine state. Zero value is not
 // usable; call Init first.
 type StepState struct {
-	v          *video.Video
-	algo       abr.Algorithm
-	delayer    abr.Delayer
-	pred       bandwidth.Predictor
-	trc        telemetry.Recorder
-	session    string
-	algoTraces bool
-	canDelay   bool
-	keepChunks bool
+	v       *video.Video
+	algo    abr.Algorithm
+	delayer abr.Delayer // nil when the scheme never pauses
+	// pred is Config.Predictor; nil selects hm, the paper's default, held
+	// by value. Dispatch is on pred == nil: pointing the interface at hm
+	// would make a copied StepState read the original's history.
+	pred bandwidth.Predictor
+	hm   bandwidth.HarmonicMean
+	cold *stepCold // nil unless the session keeps chunks or traces
 
 	startupSec   float64
 	maxBufferSec float64
@@ -55,9 +63,23 @@ type StepState struct {
 	// Rec is the record of the chunk currently in progress (or the last
 	// one completed). Frontends that obtain download outcomes themselves
 	// (the testbed client) fill its download fields before FinishDownload.
-	Rec ChunkRecord
+	Rec ChunkStep
 
-	res Result
+	// The running session totals that Take copies into the Result.
+	startupDelaySec float64
+	rebufferSec     float64
+	totalBits       float64
+}
+
+// stepCold is the part of a session that no chunk step reads: the Result's
+// labels, chunk records and resilience totals, and the decision-trace
+// recorder with its session identifier.
+type stepCold struct {
+	res        Result
+	keepChunks bool
+	trc        telemetry.Recorder
+	session    string
+	algoTraces bool
 }
 
 // Init prepares the core for one session of v under algo. Config zero
@@ -65,7 +87,9 @@ type StepState struct {
 // mean predictor). videoID and traceID label the Result and the default
 // telemetry session identifier; keepChunks controls whether per-chunk
 // records accumulate on the Result (fleet-scale runs disable it to keep
-// the per-event path allocation-free).
+// the per-event path allocation-free). A session that neither keeps
+// chunks nor has a Recorder stores no labels: its Take reports the totals
+// only.
 //
 // Init does not validate v: callers that accept external input run
 // v.Validate() (and trace validation) first, exactly as Simulate does.
@@ -76,43 +100,45 @@ func (s *StepState) Init(v *video.Video, videoID, traceID string, algo abr.Algor
 	if cfg.MaxBufferSec <= 0 {
 		cfg.MaxBufferSec = DefaultMaxBufferSec
 	}
-	pred := cfg.Predictor
-	if pred == nil {
-		pred = bandwidth.NewHarmonicMean(bandwidth.DefaultWindow)
+	if cfg.Predictor != nil {
+		cfg.Predictor.Reset()
 	}
-	pred.Reset()
-
-	delayer, canDelay := algo.(abr.Delayer)
+	delayer, _ := algo.(abr.Delayer)
 
 	*s = StepState{
 		v:            v,
 		algo:         algo,
 		delayer:      delayer,
-		canDelay:     canDelay,
-		pred:         pred,
-		keepChunks:   keepChunks,
+		pred:         cfg.Predictor,
 		startupSec:   cfg.StartupSec,
 		maxBufferSec: cfg.MaxBufferSec,
 		chunkDurSec:  v.ChunkDurSec,
 		numTracks:    v.NumTracks(),
 		n:            v.NumChunks(),
 		PrevLevel:    -1,
-		res:          Result{VideoID: videoID, TraceID: traceID, Scheme: algo.Name()},
 	}
+	if !keepChunks && cfg.Recorder == nil {
+		return
+	}
+	c := &stepCold{
+		res:        Result{VideoID: videoID, TraceID: traceID, Scheme: algo.Name()},
+		keepChunks: keepChunks,
+	}
+	s.cold = c
 
 	// Decision tracing. When the algorithm records its own decide events
 	// (abr.Traced, e.g. CAVA with controller internals), the core emits
 	// only the step events around them; otherwise it records a plain decide
 	// per chunk, so every session produces the same schema.
 	if trc := cfg.Recorder; trc != nil {
-		s.trc = trc
-		s.session = cfg.SessionID
-		if s.session == "" {
-			s.session = telemetry.SessionID(videoID, traceID, algo.Name())
+		c.trc = trc
+		c.session = cfg.SessionID
+		if c.session == "" {
+			c.session = telemetry.SessionID(videoID, traceID, algo.Name())
 		}
 		if t, ok := algo.(abr.Traced); ok {
-			t.SetRecorder(trc, s.session)
-			s.algoTraces = true
+			t.SetRecorder(trc, c.session)
+			c.algoTraces = true
 		}
 	}
 }
@@ -129,11 +155,20 @@ func (s *StepState) LimitChunks(n int) {
 func (s *StepState) Done() bool { return s.Chunk >= s.n }
 
 // Session returns the telemetry session identifier ("" when untraced).
-func (s *StepState) Session() string { return s.session }
+func (s *StepState) Session() string {
+	if s.cold == nil {
+		return ""
+	}
+	return s.cold.session
+}
 
-// Res exposes the in-progress Result for frontends that maintain extra
-// accounting on it (the testbed client's resilience totals).
-func (s *StepState) Res() *Result { return &s.res }
+// Totals returns the running totals Take reports: the startup delay, the
+// session's stall seconds and the downloaded bits. Frontends that
+// aggregate sessions without keeping their Results (the fleet) read them
+// here.
+func (s *StepState) Totals() (startupDelaySec, rebufferSec, totalBits float64) {
+	return s.startupDelaySec, s.rebufferSec, s.totalBits
+}
 
 // SetNow moves the virtual clock without draining the buffer. Frontends
 // running on a measured clock use it to sync the core to a fresh reading
@@ -177,14 +212,14 @@ func (s *StepState) ElapseTo(nowSec float64) float64 {
 
 // AddStall accounts stall seconds to the current chunk and the session.
 func (s *StepState) AddStall(stallSec float64) {
-	s.res.TotalRebufferSec += stallSec
+	s.rebufferSec += stallSec
 	s.Rec.RebufferSec += stallSec
 }
 
 // AddSessionStall accounts stall seconds to the session total only, for
 // stalls the current chunk record does not own (a shared-link client
 // stalled between downloads).
-func (s *StepState) AddSessionStall(stallSec float64) { s.res.TotalRebufferSec += stallSec }
+func (s *StepState) AddSessionStall(stallSec float64) { s.rebufferSec += stallSec }
 
 // NoteWait accounts idle seconds (scheme pause or full buffer) to the
 // current chunk.
@@ -199,7 +234,7 @@ func (s *StepState) BeginChunk() abr.State { return s.beginChunk(0) }
 // The gate wait counts as chunk wait and, when playing, as stall; the
 // decision state is read after it. A gate at or before now is a no-op.
 func (s *StepState) beginChunk(notBeforeSec float64) abr.State {
-	s.Rec = ChunkRecord{Index: s.Chunk, BufferBefore: s.BufferSec}
+	s.Rec = ChunkStep{Index: s.Chunk, BufferBefore: s.BufferSec}
 	if wait := notBeforeSec - s.NowSec; wait > 0 {
 		s.NoteWait(wait)
 		s.AddStall(s.drainFor(wait))
@@ -210,15 +245,32 @@ func (s *StepState) beginChunk(notBeforeSec float64) abr.State {
 		Buffer:            s.BufferSec,
 		Playing:           s.Playing,
 		PrevLevel:         s.PrevLevel,
-		Est:               s.pred.Predict(s.NowSec),
+		Est:               s.predict(),
 		LastThroughputBps: s.LastThroughputBps,
 	}
+}
+
+// predict returns the bandwidth estimate for a download starting now.
+func (s *StepState) predict() float64 {
+	if s.pred == nil {
+		return s.hm.Predict(s.NowSec)
+	}
+	return s.pred.Predict(s.NowSec)
+}
+
+// tracer returns the cold block when the session records decision-trace
+// events, nil otherwise.
+func (s *StepState) tracer() *stepCold {
+	if c := s.cold; c != nil && c.trc != nil {
+		return c
+	}
+	return nil
 }
 
 // WantDelay returns the algorithm-requested pause before the current chunk
 // (e.g. BOLA above its buffer ceiling), 0 when none.
 func (s *StepState) WantDelay(st abr.State) float64 {
-	if !s.canDelay {
+	if s.delayer == nil {
 		return 0
 	}
 	if d := s.delayer.Delay(st); d > 0 {
@@ -239,10 +291,10 @@ func (s *StepState) FullBufferWait() float64 {
 // Refresh re-reads the mutable decision inputs after any waiting and emits
 // the wait trace event when the chunk accumulated idle time.
 func (s *StepState) Refresh(st *abr.State) {
-	st.Now, st.Buffer, st.Est = s.NowSec, s.BufferSec, s.pred.Predict(s.NowSec)
-	if s.trc != nil && s.Rec.WaitSec > 0 {
-		s.trc.Record(telemetry.Event{
-			Session: s.session, TimeSec: s.NowSec, Kind: telemetry.KindWait,
+	st.Now, st.Buffer, st.Est = s.NowSec, s.BufferSec, s.predict()
+	if c := s.tracer(); c != nil && s.Rec.WaitSec > 0 {
+		c.trc.Record(telemetry.Event{
+			Session: c.session, TimeSec: s.NowSec, Kind: telemetry.KindWait,
 			Chunk: s.Chunk, Level: s.PrevLevel, PrevLevel: s.PrevLevel,
 			BufferSec: s.BufferSec, WaitSec: s.Rec.WaitSec,
 		})
@@ -254,9 +306,9 @@ func (s *StepState) Refresh(st *abr.State) {
 // that do not trace themselves.
 func (s *StepState) Decide(st abr.State) int {
 	level := st2level(s.algo, st, s.numTracks)
-	if s.trc != nil && !s.algoTraces {
-		s.trc.Record(telemetry.Event{
-			Session: s.session, TimeSec: s.NowSec, Kind: telemetry.KindDecide,
+	if c := s.tracer(); c != nil && !c.algoTraces {
+		c.trc.Record(telemetry.Event{
+			Session: c.session, TimeSec: s.NowSec, Kind: telemetry.KindDecide,
 			Chunk: s.Chunk, Level: level, PrevLevel: s.PrevLevel,
 			BufferSec: s.BufferSec, EstBps: st.Est,
 		})
@@ -273,24 +325,30 @@ func (s *StepState) FinishDownload(estBps float64) {
 	s.BufferSec += s.chunkDurSec
 	s.Rec.BufferAfter = s.BufferSec
 
-	s.pred.ObserveDownload(s.Rec.SizeBits, s.Rec.DownloadSec)
-	s.LastThroughputBps = s.Rec.ThroughputBps
-	if s.keepChunks {
-		//lint:allow hotalloc guarded by keepChunks, false on the zero-alloc fleet path; only the single-session simulator keeps per-chunk records
-		s.res.Chunks = append(s.res.Chunks, s.Rec)
+	if s.pred == nil {
+		s.hm.ObserveDownload(s.Rec.SizeBits, s.Rec.DownloadSec)
+	} else {
+		s.pred.ObserveDownload(s.Rec.SizeBits, s.Rec.DownloadSec)
 	}
-	s.res.TotalBits += s.Rec.SizeBits
-	if s.trc != nil {
-		// PrevLevel is the track of the *previous* chunk (-1 on the
-		// first), so it must be recorded before PrevLevel advances to
-		// this chunk's level.
-		s.trc.Record(telemetry.Event{
-			Session: s.session, TimeSec: s.NowSec, Kind: telemetry.KindDownload,
-			Chunk: s.Chunk, Level: s.Rec.Level, PrevLevel: s.PrevLevel,
-			BufferSec: s.BufferSec, EstBps: estBps,
-			SizeBits: s.Rec.SizeBits, DownloadSec: s.Rec.DownloadSec, ThroughputBps: s.Rec.ThroughputBps,
-			RebufferSec: s.Rec.RebufferSec, WaitSec: s.Rec.WaitSec,
-		})
+	s.LastThroughputBps = s.Rec.ThroughputBps
+	s.totalBits += s.Rec.SizeBits
+	if c := s.cold; c != nil {
+		if c.keepChunks {
+			//lint:allow hotalloc guarded by keepChunks, false on the zero-alloc fleet path; only the single-session simulator keeps per-chunk records
+			c.res.Chunks = append(c.res.Chunks, ChunkRecord{ChunkStep: s.Rec})
+		}
+		if c.trc != nil {
+			// PrevLevel is the track of the *previous* chunk (-1 on the
+			// first), so it must be recorded before PrevLevel advances to
+			// this chunk's level.
+			c.trc.Record(telemetry.Event{
+				Session: c.session, TimeSec: s.NowSec, Kind: telemetry.KindDownload,
+				Chunk: s.Chunk, Level: s.Rec.Level, PrevLevel: s.PrevLevel,
+				BufferSec: s.BufferSec, EstBps: estBps,
+				SizeBits: s.Rec.SizeBits, DownloadSec: s.Rec.DownloadSec, ThroughputBps: s.Rec.ThroughputBps,
+				RebufferSec: s.Rec.RebufferSec, WaitSec: s.Rec.WaitSec,
+			})
+		}
 	}
 	s.PrevLevel = s.Rec.Level
 }
@@ -298,15 +356,18 @@ func (s *StepState) FinishDownload(estBps float64) {
 // SkipChunk accounts a chunk that was never delivered (testbed client
 // after exhausting retries): playback jumps the gap, experienced as one
 // chunk duration of stall. PrevLevel, the predictor and the throughput
-// history deliberately do not advance.
+// history deliberately do not advance. Only a session that keeps chunk
+// records or traces counts the skip on its Result.
 func (s *StepState) SkipChunk() {
-	s.res.SkippedChunks++
-	s.res.TotalRebufferSec += s.chunkDurSec
+	s.rebufferSec += s.chunkDurSec
 	s.Rec.RebufferSec += s.chunkDurSec
 	s.Rec.BufferAfter = s.BufferSec
-	if s.keepChunks {
-		//lint:allow hotalloc guarded by keepChunks, false on the zero-alloc fleet path; only the single-session simulator keeps per-chunk records
-		s.res.Chunks = append(s.res.Chunks, s.Rec)
+	if c := s.cold; c != nil {
+		c.res.SkippedChunks++
+		if c.keepChunks {
+			//lint:allow hotalloc guarded by keepChunks, false on the zero-alloc fleet path; only the single-session simulator keeps per-chunk records
+			c.res.Chunks = append(c.res.Chunks, ChunkRecord{ChunkStep: s.Rec, Skipped: true})
+		}
 	}
 }
 
@@ -318,11 +379,11 @@ func (s *StepState) MaybeStartup(atSec float64) bool {
 		return false
 	}
 	s.Playing = true
-	s.res.StartupDelaySec = atSec
+	s.startupDelaySec = atSec
 	s.NowSec = atSec
-	if s.trc != nil {
-		s.trc.Record(telemetry.Event{
-			Session: s.session, TimeSec: atSec, Kind: telemetry.KindStartup,
+	if c := s.tracer(); c != nil {
+		c.trc.Record(telemetry.Event{
+			Session: c.session, TimeSec: atSec, Kind: telemetry.KindStartup,
 			Chunk: s.Chunk, Level: s.Rec.Level, PrevLevel: s.PrevLevel, BufferSec: s.BufferSec,
 		})
 	}
@@ -382,9 +443,19 @@ func (s *StepState) advance(tr *trace.Trace, traceOffsetSec, notBeforeSec float6
 	return s.NowSec
 }
 
-// Take finalizes and returns the session Result. The StepState must not
-// be advanced afterwards.
+// Take finalizes and returns the session Result: the labels and chunk
+// records Init kept, with the running totals copied in. The StepState must
+// not be advanced afterwards.
 func (s *StepState) Take() *Result {
-	s.res.SessionSec = s.NowSec
-	return &s.res
+	var res *Result
+	if s.cold != nil {
+		res = &s.cold.res
+	} else {
+		res = new(Result)
+	}
+	res.StartupDelaySec = s.startupDelaySec
+	res.TotalRebufferSec = s.rebufferSec
+	res.TotalBits = s.totalBits
+	res.SessionSec = s.NowSec
+	return res
 }

@@ -7,14 +7,13 @@ GO ?= go
 check:
 	sh scripts/check.sh
 
+# The targets below that share a name with a step of scripts/check.sh run
+# that step alone; the commands and their flags live in the script only.
+
 # lint is the static-analysis gate: formatting, go vet, and abrlint (the
-# project analyzer suite in internal/lint — determinism, units, nopanic,
-# floateq, errdrop, hotalloc, locks, goroleak, atomicmix, metricname; see
-# DESIGN.md "Static analysis").
-lint: vet
-	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
-		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
-	$(GO) run ./cmd/abrlint ./...
+# project analyzer suite in internal/lint; see DESIGN.md "Static analysis").
+lint:
+	sh scripts/check.sh lint
 
 # lint-fixtures runs only the golden fixture corpus — the fast inner loop
 # for analyzer development (no repo-wide load, no vet).
@@ -36,55 +35,37 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# Telemetry smoke: the instrumentation benchmarks plus the zero-alloc guards
-# (counter path and the player's disabled-recorder step path).
+# Telemetry smoke: the instrumentation benchmarks plus the zero-alloc guards.
 bench-telemetry:
-	$(GO) test -bench=Telemetry -benchtime=100x \
-		-run='TestZeroAllocUpdates|TestTelemetryDisabledAllocBound' \
-		./internal/telemetry ./internal/player
+	sh scripts/check.sh bench-telemetry
 
-# Sweep-memoization gate wired into `check`: cold pass, warm replay and
-# disk replay over the fig8/fig9/fig10 suite at a reduced trace count (warm
-# pass does zero sim work, outputs byte-identical). Timings come from the
-# benchmark harness: `bash bench/run.sh` (see bench/README.md).
+# Sweep-memoization gate: cold pass, warm replay and disk replay at a
+# reduced trace count (timings come from `bash bench/run.sh`).
 bench-sweep-short:
-	$(GO) test -short -run='TestSweepColdWarm$$' -count=1 .
+	sh scripts/check.sh bench-sweep-short
 
 # Chaos soak: 32 concurrent resilient sessions against a fault-injected,
-# overload-protected server under the race detector. Deterministic fault
-# schedule (seeded); asserts no livelock, bounded honest shedding, and
-# goroutine count back to baseline.
+# overload-protected server under the race detector.
 soak:
-	$(GO) test -race -run='TestChaosSoak$$' -count=1 -v ./internal/chaos
+	sh scripts/check.sh soak -v
 
-# Edge-tier chaos soak: 24 staggered sessions stream through the edge
-# (consistent-hash origins, segment cache, SWR manifests) while the primary
-# origin of 3 is killed and restarted mid-run, race-enabled. Asserts ≥ 99%
-# session completion via failover + stale serving, cache-hit recovery after
-# the restart, and goroutines back to baseline. Seeded fault schedule.
+# Edge-tier chaos soak: staggered sessions through the edge while the
+# primary origin is killed and restarted mid-run, race-enabled.
 soak-edge:
-	$(GO) test -race -run='TestEdgeChaosSoak$$' -count=1 -v ./internal/chaos
+	sh scripts/check.sh soak-edge -v
 
-# Fleet-engine chaos smoke: 2000 discrete-event sessions with Poisson
-# arrivals and random trace offsets, sharded across 4 workers and run under
-# the race detector (the multi-worker cell); asserts the fleet contract,
-# fleet.Result.Invariants (exact event accounting, every session finishes
-# within the virtual-time deadline).
+# Fleet-engine chaos smoke: 2000 sessions sharded across 4 workers under the
+# race detector, checked against fleet.Result.Invariants.
 soak-fleet:
-	$(GO) test -race -run='TestFleetChaosSmoke$$' -count=1 -v ./internal/fleet
+	sh scripts/check.sh soak-fleet -v
 
-# Crash-tolerance soak: the fleet engine under seeded in-step panics, a
-# mid-run interrupt that forces a checkpoint, and a resume that must be
-# bit-identical to the uninterrupted baseline — race-enabled — plus a
-# disk-cache corruption pass (flipped byte, torn tail, mangled header)
-# proving checksum detection, quarantine and recompute. Asserts exact
-# quarantine accounting, closed event accounting and goroutines back to
-# baseline. Seeded fault schedule.
+# Crash-tolerance soak: seeded in-step panics, checkpoint/resume
+# equivalence and disk-cache corruption recovery, race-enabled.
 soak-crash:
-	$(GO) test -race -run='TestCrashSoak$$' -count=1 -v ./internal/chaos
+	sh scripts/check.sh soak-crash -v
 
-# Fleet throughput gate wired into `check`: one reduced multi-worker point
-# under the per-worker sessions/sec floor (fleet numbers come from
+# Fleet throughput gate: one reduced multi-worker point under the
+# per-worker sessions/sec floor (fleet numbers come from
 # `bash bench/run.sh --workload fleet-cava`).
 bench-fleet-short:
-	$(GO) test -short -run='TestFleetBench$$' -count=1 .
+	sh scripts/check.sh bench-fleet-short

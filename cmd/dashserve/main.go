@@ -98,28 +98,28 @@ func main() {
 		listener = dash.NewShapedListener(ln, shaper)
 		fmt.Printf("shaping with %s at %gx time scale\n", tr.ID, *scale)
 	}
-	faultCfg, err := dash.FaultProfile(*faults, *faultSeed, *scale)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dashserve: %v\n", err)
-		os.Exit(2)
-	}
 	// The serving path is either one fault-injected origin, or the edge
 	// tier fanned out over N such origins (each with its own listener and
 	// seeded fault schedule).
+	newInjector := func(seed int64, h http.Handler) *dash.FaultInjector {
+		inj, err := dash.NewFaultInjector(*faults, seed, *scale, h)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dashserve: %v\n", err)
+			os.Exit(2)
+		}
+		return inj
+	}
 	var inner http.Handler
 	var injector *dash.FaultInjector
 	var eg *edge.Edge
+	faulty := false
 	if *edgeMode {
 		originURLs := make([]string, *originsN)
 		for i := 0; i < *originsN; i++ {
-			ocfg, err := dash.FaultProfile(*faults, *faultSeed+int64(i)*101, *scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dashserve: %v\n", err)
-				os.Exit(2)
-			}
 			osrv := dash.NewServer(v)
 			osrv.SetMetrics(reg)
-			oinj := dash.NewFaultInjector(ocfg, osrv.Handler())
+			oinj := newInjector(dash.OriginFaultSeed(*faultSeed, i), osrv.Handler())
+			faulty = oinj.Active()
 			oln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "dashserve: origin listener: %v\n", err)
@@ -145,18 +145,19 @@ func main() {
 		eg.SetMetrics(reg)
 		inner = eg.Handler()
 		fmt.Printf("edge tier: %d origins, %d MiB segment cache\n", *originsN, *edgeCache>>20)
-		if faultCfg.Active() {
+		if faulty {
 			fmt.Printf("injecting faults at every origin: profile %s, base seed %d\n", *faults, *faultSeed)
 		}
 	} else {
 		server := dash.NewServer(v)
 		server.SetMetrics(reg)
-		injector = dash.NewFaultInjector(faultCfg, server.Handler())
+		injector = newInjector(*faultSeed, server.Handler())
 		injector.SetMetrics(reg)
 		if ring != nil {
 			injector.SetRecorder(ring, session)
 		}
-		if faultCfg.Active() {
+		faulty = injector.Active()
+		if faulty {
 			fmt.Printf("injecting faults: profile %s, seed %d\n", *faults, *faultSeed)
 		}
 		inner = injector
@@ -260,12 +261,12 @@ func main() {
 		res.Scheme, len(res.Chunks), time.Since(start).Seconds(), res.SessionSec)
 	fmt.Printf("  Q4 quality %.1f | low-quality %.1f%% | rebuffer %.1fs | quality change %.2f | data %.1f MB\n",
 		s.Q4Quality, s.LowQualityPct, s.RebufferSec, s.QualityChange, s.DataMB)
-	if faultCfg.Active() && injector != nil {
+	if faulty && injector != nil {
 		fs := injector.Stats()
 		fmt.Printf("  faults injected: %d errors, %d resets, %d truncations, %d outage rejections (of %d requests)\n",
 			fs.Errors, fs.Resets, fs.Truncations, fs.OutageRejections, fs.Requests)
 	}
-	if faultCfg.Active() {
+	if faulty {
 		fmt.Printf("  client resilience: %d retries, %d truncations detected, %d abandonments, %d skipped chunks, %.2f MB wasted\n",
 			res.TotalRetries, res.TotalTruncations, res.TotalAbandonments, res.SkippedChunks, res.WastedBits/8/1e6)
 	}

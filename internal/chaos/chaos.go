@@ -72,13 +72,13 @@ type Config struct {
 	// still running at the bound is cancelled and counted as livelocked
 	// (default 60).
 	SessionWallTimeoutSec float64
-	// SettleWallTimeoutSec bounds the post-run goroutine drain wait
-	// (default 5).
-	SettleWallTimeoutSec float64
 	// Edge, when non-nil, puts the edge/CDN tier between the clients and a
 	// set of fault-injected origin replicas in place of the one server.
 	Edge *EdgeTierConfig
 }
+
+// settleWallTimeout bounds the post-run goroutine drain wait.
+const settleWallTimeout = 5 * time.Second
 
 // withDefaults validates the config and fills defaulted fields.
 func (c Config) withDefaults() (Config, error) {
@@ -114,9 +114,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SessionWallTimeoutSec <= 0 {
 		c.SessionWallTimeoutSec = 60
-	}
-	if c.SettleWallTimeoutSec <= 0 {
-		c.SettleWallTimeoutSec = 5
 	}
 	return c, nil
 }
@@ -232,11 +229,10 @@ func newBackend(cfg Config) (*backend, error) {
 	if cfg.Edge != nil {
 		return newEdgeBackend(cfg)
 	}
-	faultCfg, err := dash.FaultProfile(cfg.FaultProfile, cfg.Seed, cfg.TimeScale)
+	injector, err := dash.NewFaultInjector(cfg.FaultProfile, cfg.Seed, cfg.TimeScale, dash.NewServer(cfg.Video).Handler())
 	if err != nil {
 		return nil, err
 	}
-	injector := dash.NewFaultInjector(faultCfg, dash.NewServer(cfg.Video).Handler())
 	return &backend{handler: injector, injector: injector}, nil
 }
 
@@ -358,7 +354,7 @@ func Run(cfg Config) (*Report, error) {
 		// harness failure, not a system-under-test finding.
 		return nil, killer.err
 	}
-	rep.LeakErr = baseline.Settle(dash.Seconds(cfg.SettleWallTimeoutSec))
+	rep.LeakErr = baseline.Settle(settleWallTimeout)
 	rep.GoroutinesAfter = leakcheck.Snapshot().Count()
 	rep.WallSec = time.Since(start).Seconds()
 	return rep, nil

@@ -40,7 +40,7 @@ func TestEdgeChaosSoak(t *testing.T) {
 		ManifestSoftTTLSec: 0.01,
 		ManifestHardTTLSec: 300,
 		// A tight breaker so the dead origin is marked within the outage.
-		Breaker: dash.BreakerConfig{ConsecutiveFailures: 3, OpenSec: 0.5, HalfOpenProbes: 1},
+		Breaker: dash.BreakerConfig{ConsecutiveFailures: 3, OpenSec: 0.5},
 		// Kill the primary a quarter second in — after the first sessions
 		// warmed the cache, while most are mid-stream — and bring it back
 		// while sessions are still running.

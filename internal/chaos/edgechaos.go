@@ -30,7 +30,7 @@ type OriginKillPlan struct {
 // EdgeTierConfig puts the edge/CDN tier between the chaos clients and a set
 // of origin replicas. Clients speak to the edge through the shared shaped
 // bottleneck; the edge fans out to unshaped local origins. The edge's
-// segment cache and per-attempt timeout keep the edge.Config defaults.
+// segment cache keeps the edge.Config default.
 type EdgeTierConfig struct {
 	// Origins is the number of origin replicas (default 3).
 	Origins int
@@ -110,12 +110,13 @@ func newEdgeBackend(cfg Config) (*backend, error) {
 	b := &backend{}
 	urls := make([]string, cfg.Edge.Origins)
 	for i := range urls {
-		faultCfg, err := dash.FaultProfile(cfg.FaultProfile, cfg.Seed+int64(i)*101, cfg.TimeScale)
+		inj, err := dash.NewFaultInjector(cfg.FaultProfile, dash.OriginFaultSeed(cfg.Seed, i), cfg.TimeScale,
+			dash.NewServer(cfg.Video).Handler())
 		if err != nil {
 			b.close()
 			return nil, err
 		}
-		o, err := startOrigin(dash.NewFaultInjector(faultCfg, dash.NewServer(cfg.Video).Handler()))
+		o, err := startOrigin(inj)
 		if err != nil {
 			b.close()
 			return nil, fmt.Errorf("chaos: origin listen: %w", err)

@@ -15,7 +15,7 @@ import (
 // failing — 5xx responses or aborted connections — the breaker opens and
 // answers 503 + Retry-After immediately instead of burning a shaped-link
 // slot on a request that is going to fail anyway. After a cool-down it
-// half-opens and lets a bounded number of probe requests through; a probe
+// half-opens and lets one probe request through at a time; a probe
 // success closes the circuit, a probe failure re-opens it.
 //
 // The state machine is the textbook three-state breaker:
@@ -35,14 +35,15 @@ type BreakerConfig struct {
 	// OpenSec is the cool-down in wall seconds before the open breaker
 	// half-opens (default 2).
 	OpenSec float64
-	// HalfOpenProbes is how many concurrent probe requests the half-open
-	// state admits (default 1).
-	HalfOpenProbes int
 }
+
+// halfOpenProbes is how many concurrent probe requests the half-open
+// state admits.
+const halfOpenProbes = 1
 
 // DefaultBreakerConfig returns the standard breaker policy.
 func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{ConsecutiveFailures: 8, OpenSec: 2, HalfOpenProbes: 1}
+	return BreakerConfig{ConsecutiveFailures: 8, OpenSec: 2}
 }
 
 // withDefaults fills zero fields with the standard policy values.
@@ -53,9 +54,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenSec <= 0 {
 		c.OpenSec = d.OpenSec
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = d.HalfOpenProbes
 	}
 	return c
 }
@@ -68,7 +66,7 @@ const (
 	BreakerClosed BreakerState = iota
 	// BreakerOpen short-circuits every request with 503 + Retry-After.
 	BreakerOpen
-	// BreakerHalfOpen admits a bounded number of probes.
+	// BreakerHalfOpen admits one probe at a time.
 	BreakerHalfOpen
 )
 
@@ -213,7 +211,7 @@ func (b *Breaker) Allow() (pass, probe bool, retryAfterSec float64) {
 	case BreakerClosed:
 		return true, false, 0
 	case BreakerHalfOpen:
-		if b.probes < b.cfg.HalfOpenProbes {
+		if b.probes < halfOpenProbes {
 			b.probes++
 			return true, true, 0
 		}

@@ -67,11 +67,11 @@ func (lt *linkTransport) RoundTrip(req *http.Request) (resp *http.Response, err 
 func goldenSession(t *testing.T, resilient bool, profile string) (*player.Result, error) {
 	t.Helper()
 	clk := NewFakeClock(time.Unix(0, 0))
-	fc, err := FaultProfile(profile, 7, goldenScale)
+	h, err := NewFaultInjector(profile, 7, goldenScale, NewServer(testVideo()).Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewFaultInjector(fc, NewServer(testVideo()).Handler()).WithClock(clk)
+	h.WithClock(clk)
 	cfg := ClientConfig{
 		BaseURL:      "http://origin.test",
 		HTTPClient:   &http.Client{Transport: &linkTransport{h: h, clk: clk}},

@@ -78,9 +78,9 @@ func TestFaultInjectorLatencyFakeClock(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})
-	cfg := FaultConfig{Seed: 1, LatencyProb: 1, LatencySec: 3, TimeScale: 10}
+	cfg := faultConfig{Seed: 1, LatencyProb: 1, LatencySec: 3, TimeScale: 10}
 	clk := NewFakeClock(time.Unix(0, 0))
-	fi := NewFaultInjector(cfg, inner).WithClock(clk)
+	fi := newFaultInjector(cfg, inner).WithClock(clk)
 
 	wallStart := time.Now()
 	rec := httptest.NewRecorder()
@@ -107,9 +107,9 @@ func TestFaultWriterStallFakeClock(t *testing.T) {
 		w.Write(body[:500])
 		w.Write(body[500:])
 	})
-	cfg := FaultConfig{Seed: 7, StallProb: 1, StallSec: 2}
+	cfg := faultConfig{Seed: 7, StallProb: 1, StallSec: 2}
 	clk := NewFakeClock(time.Unix(0, 0))
-	fi := NewFaultInjector(cfg, inner).WithClock(clk)
+	fi := newFaultInjector(cfg, inner).WithClock(clk)
 
 	rec := httptest.NewRecorder()
 	fi.ServeHTTP(rec, httptest.NewRequest("GET", "/seg/0/1", nil))

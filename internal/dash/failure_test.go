@@ -115,8 +115,8 @@ func TestClientContextCancellation(t *testing.T) {
 
 func TestShaperZeroScaleCoerced(t *testing.T) {
 	s := NewShaper(trace.Constant("c", 1e6, 10, 1), 0)
-	if s.TimeScale() != 1 {
-		t.Errorf("scale = %v, want coerced 1", s.TimeScale())
+	if s.scale != 1 {
+		t.Errorf("scale = %v, want coerced 1", s.scale)
 	}
 }
 
@@ -282,10 +282,9 @@ func TestClientOutageDegradation(t *testing.T) {
 	defer leakcheck.Check(t)()
 	const scale = 50
 	v := testVideo()
-	inj := NewFaultInjector(FaultConfig{
-		Outages:      []OutageWindow{{StartSec: 0, EndSec: 3}},
-		TimeScale:    scale,
-		SegmentsOnly: true,
+	inj := newFaultInjector(faultConfig{
+		Outages:   []outageWindow{{StartSec: 0, EndSec: 3}},
+		TimeScale: scale,
 	}, NewServer(v).Handler())
 	srv := httptest.NewServer(inj)
 	defer srv.Close()
@@ -399,11 +398,10 @@ func TestClientAbandonmentDownshift(t *testing.T) {
 func TestClientFaultDeterminism(t *testing.T) {
 	run := func() *player.Result {
 		v := testVideo()
-		inj := NewFaultInjector(FaultConfig{
+		inj := newFaultInjector(faultConfig{
 			Seed:         42,
 			ErrorProb:    0.25,
 			TruncateProb: 0.15,
-			SegmentsOnly: true,
 		}, NewServer(v).Handler())
 		srv := httptest.NewServer(inj)
 		defer srv.Close()

@@ -11,9 +11,11 @@ import (
 	"cava/internal/telemetry"
 )
 
-// FaultConfig describes the failure behaviour of the testbed link/server,
+// faultConfig describes the failure behaviour of the testbed link/server,
 // emulating the transient errors real CDN edges and cellular links exhibit
 // (§6.8 runs over emulated LTE, where mid-session failures are the norm).
+// Callers pick one of the named profiles (faultProfile); tests build
+// custom schedules directly.
 //
 // Every decision is a pure function of (Seed, request path, attempt number
 // for that path), so a fault schedule is exactly reproducible across runs
@@ -21,11 +23,12 @@ import (
 // fresh (but still deterministic) draw, and concurrent clients do not
 // perturb each other's schedules.
 //
-// Probabilities are per-request in [0, 1] and are evaluated in a fixed
-// precedence order: outage window, connection reset, HTTP error, body
-// truncation; latency and mid-body stalls compose with a successful
-// response. The zero value injects nothing.
-type FaultConfig struct {
+// Only segment requests (/seg/...) are faulted; manifests and playlists
+// pass untouched. Probabilities are per-request in [0, 1] and are
+// evaluated in a fixed precedence order: outage window, connection reset,
+// HTTP error, body truncation; latency and mid-body stalls compose with a
+// successful response. The zero value injects nothing.
+type faultConfig struct {
 	// Seed drives every pseudo-random decision.
 	Seed int64
 	// ErrorProb is the probability of answering 503 Service Unavailable.
@@ -45,47 +48,16 @@ type FaultConfig struct {
 	StallProb float64
 	StallSec  float64
 	// Outages are virtual-time windows (seconds since the injector's first
-	// request) during which every request is answered 503.
-	Outages []OutageWindow
+	// segment request) during which every segment request is answered 503.
+	Outages []outageWindow
 	// TimeScale converts wall time to virtual time for Outages, LatencySec
 	// and StallSec; it must match the shaper/client scale (default 1).
 	TimeScale float64
-	// SegmentsOnly restricts injection to segment requests (/seg/...),
-	// leaving manifests and playlists untouched.
-	SegmentsOnly bool
 }
 
-// OutageWindow is a half-open virtual-time interval [StartSec, EndSec).
-type OutageWindow struct {
+// outageWindow is a half-open virtual-time interval [StartSec, EndSec).
+type outageWindow struct {
 	StartSec, EndSec float64
-}
-
-// Validate rejects malformed configurations.
-func (c *FaultConfig) Validate() error {
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"ErrorProb", c.ErrorProb}, {"ResetProb", c.ResetProb},
-		{"TruncateProb", c.TruncateProb}, {"LatencyProb", c.LatencyProb},
-		{"StallProb", c.StallProb},
-	} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("dash: fault %s = %v out of [0,1]", p.name, p.v)
-		}
-	}
-	for _, w := range c.Outages {
-		if w.EndSec <= w.StartSec || w.StartSec < 0 {
-			return fmt.Errorf("dash: bad outage window [%v,%v)", w.StartSec, w.EndSec)
-		}
-	}
-	return nil
-}
-
-// Active reports whether the config injects any fault at all.
-func (c *FaultConfig) Active() bool {
-	return c.ErrorProb > 0 || c.ResetProb > 0 || c.TruncateProb > 0 ||
-		c.LatencyProb > 0 || c.StallProb > 0 || len(c.Outages) > 0
 }
 
 // FaultStats counts injected events, for reporting and assertions.
@@ -105,10 +77,11 @@ type FaultStats struct {
 	OutageRejections int
 }
 
-// FaultInjector is an http.Handler middleware that applies a FaultConfig in
-// front of an inner handler. It is safe for concurrent use.
+// FaultInjector is an http.Handler middleware that applies one of the
+// named fault profiles in front of an inner handler. It is safe for
+// concurrent use.
 type FaultInjector struct {
-	cfg   FaultConfig
+	cfg   faultConfig
 	inner http.Handler
 	clock Clock
 
@@ -124,13 +97,38 @@ type FaultInjector struct {
 	session string
 }
 
-// NewFaultInjector wraps inner with the fault model. A nil-effect (inactive)
-// config passes everything through untouched.
-func NewFaultInjector(cfg FaultConfig, inner http.Handler) *FaultInjector {
+// NewFaultInjector wraps inner with the named fault profile (see
+// FaultProfileNames) at the given seed and time scale, which must match
+// the shaper's and the client's. The "none" profile passes everything
+// through untouched.
+func NewFaultInjector(profile string, seed int64, timeScale float64, inner http.Handler) (*FaultInjector, error) {
+	cfg, err := faultProfile(profile, seed, timeScale)
+	if err != nil {
+		return nil, err
+	}
+	return newFaultInjector(cfg, inner), nil
+}
+
+// newFaultInjector wraps inner with an arbitrary schedule.
+func newFaultInjector(cfg faultConfig, inner http.Handler) *FaultInjector {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
 	return &FaultInjector{cfg: cfg, inner: inner, clock: RealClock(), attempts: make(map[string]uint64)}
+}
+
+// OriginFaultSeed is the fault seed of origin replica i when every origin
+// runs the same profile from one base seed: distinct, so the replicas fail
+// independently, and reproducible from the base seed alone.
+func OriginFaultSeed(seed int64, i int) int64 {
+	return seed + int64(i)*101
+}
+
+// Active reports whether the injector's schedule injects any fault at all.
+func (f *FaultInjector) Active() bool {
+	c := &f.cfg
+	return c.ErrorProb > 0 || c.ResetProb > 0 || c.TruncateProb > 0 ||
+		c.LatencyProb > 0 || c.StallProb > 0 || len(c.Outages) > 0
 }
 
 // WithClock substitutes the injector's clock (tests use a FakeClock). Call
@@ -294,8 +292,7 @@ func (d decision) types() []string {
 
 // ServeHTTP implements http.Handler.
 func (f *FaultInjector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !f.cfg.Active() ||
-		(f.cfg.SegmentsOnly && !strings.HasPrefix(r.URL.Path, "/seg/")) {
+	if !f.Active() || !strings.HasPrefix(r.URL.Path, "/seg/") {
 		f.inner.ServeHTTP(w, r)
 		return
 	}
@@ -405,15 +402,15 @@ func FaultProfileNames() []string {
 	return []string{"none", "transient", "lossy", "outage"}
 }
 
-// FaultProfile resolves a named fault profile. Profiles model §6.8-style
+// faultProfile resolves a named fault profile. Profiles model §6.8-style
 // LTE conditions: "transient" is sporadic 5xx/truncation with latency
 // spikes, "lossy" adds connection resets and mid-body stalls, "outage"
 // is a scheduled 12-second (virtual) dead window on top of light errors.
-func FaultProfile(name string, seed int64, timeScale float64) (FaultConfig, error) {
-	base := FaultConfig{Seed: seed, TimeScale: timeScale, SegmentsOnly: true}
+func faultProfile(name string, seed int64, timeScale float64) (faultConfig, error) {
+	base := faultConfig{Seed: seed, TimeScale: timeScale}
 	switch name {
 	case "none", "":
-		return FaultConfig{TimeScale: timeScale}, nil
+		return faultConfig{TimeScale: timeScale}, nil
 	case "transient":
 		base.ErrorProb = 0.12
 		base.TruncateProb = 0.06
@@ -429,9 +426,9 @@ func FaultProfile(name string, seed int64, timeScale float64) (FaultConfig, erro
 		return base, nil
 	case "outage":
 		base.ErrorProb = 0.02
-		base.Outages = []OutageWindow{{StartSec: 30, EndSec: 42}}
+		base.Outages = []outageWindow{{StartSec: 30, EndSec: 42}}
 		return base, nil
 	}
-	return FaultConfig{}, fmt.Errorf("dash: unknown fault profile %q (have %v)",
+	return faultConfig{}, fmt.Errorf("dash: unknown fault profile %q (have %v)",
 		name, FaultProfileNames())
 }

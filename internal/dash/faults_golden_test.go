@@ -65,11 +65,11 @@ func TestFaultProfileScheduleGolden(t *testing.T) {
 	manifest, _ := serveRecorded(NewServer(v).Handler(), "/manifest.json")
 	for profile, want := range goldenSchedule {
 		clk := NewFakeClock(time.Unix(0, 0))
-		fc, err := FaultProfile(profile, 7, goldenScale)
+		inj, err := NewFaultInjector(profile, 7, goldenScale, NewServer(v).Handler())
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj := NewFaultInjector(fc, NewServer(v).Handler()).WithClock(clk)
+		inj.WithClock(clk)
 
 		h := fnv.New64a()
 		for i, path := range paths {

@@ -57,7 +57,7 @@ func TestDrawDeterministicAndSaltSensitive(t *testing.T) {
 // and a different seed must eventually diverge.
 func TestInjectorScheduleDeterminism(t *testing.T) {
 	sequence := func(seed int64) []int {
-		inj := NewFaultInjector(FaultConfig{Seed: seed, ErrorProb: 0.4},
+		inj := newFaultInjector(faultConfig{Seed: seed, ErrorProb: 0.4},
 			http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.WriteHeader(http.StatusOK)
 			}))
@@ -88,8 +88,8 @@ func TestInjectorScheduleDeterminism(t *testing.T) {
 }
 
 func TestInjectorOutageWindow(t *testing.T) {
-	inj := NewFaultInjector(FaultConfig{
-		Outages:   []OutageWindow{{StartSec: 0, EndSec: 0.15}},
+	inj := newFaultInjector(faultConfig{
+		Outages:   []outageWindow{{StartSec: 0, EndSec: 0.15}},
 		TimeScale: 1,
 	}, payloadHandler(64))
 
@@ -115,8 +115,8 @@ func TestInjectorOutageWindowBoundaries(t *testing.T) {
 	// StartSec is refused, a request at exactly EndSec is served. Pinned on
 	// a FakeClock so the boundary instants are exact, not sleep-raced.
 	fc := NewFakeClock(time.Unix(50, 0))
-	inj := NewFaultInjector(FaultConfig{
-		Outages:   []OutageWindow{{StartSec: 10, EndSec: 20}},
+	inj := newFaultInjector(faultConfig{
+		Outages:   []outageWindow{{StartSec: 10, EndSec: 20}},
 		TimeScale: 1,
 	}, payloadHandler(8)).WithClock(fc)
 	get := func() int {
@@ -147,14 +147,10 @@ func TestInjectorOutageWindowBoundaries(t *testing.T) {
 }
 
 func TestInjectorZeroLengthOutageWindow(t *testing.T) {
-	// [x, x) is empty: Validate rejects it as misconfiguration, and even an
-	// unvalidated injector must never match it.
-	if (&FaultConfig{Outages: []OutageWindow{{StartSec: 2, EndSec: 2}}}).Validate() == nil {
-		t.Error("zero-length outage window validated")
-	}
+	// [x, x) is empty: the injector must never match it.
 	fc := NewFakeClock(time.Unix(50, 0))
-	inj := NewFaultInjector(FaultConfig{
-		Outages:   []OutageWindow{{StartSec: 2, EndSec: 2}},
+	inj := newFaultInjector(faultConfig{
+		Outages:   []outageWindow{{StartSec: 2, EndSec: 2}},
 		TimeScale: 1,
 	}, payloadHandler(8)).WithClock(fc)
 	rr := httptest.NewRecorder()
@@ -172,7 +168,7 @@ func TestInjectorZeroLengthOutageWindow(t *testing.T) {
 
 func TestInjectorTruncationShortensBody(t *testing.T) {
 	const size = 100 << 10
-	srv := httptest.NewServer(NewFaultInjector(FaultConfig{
+	srv := httptest.NewServer(newFaultInjector(faultConfig{
 		TruncateProb: 1,
 	}, payloadHandler(size)))
 	defer srv.Close()
@@ -196,7 +192,7 @@ func TestInjectorTruncationShortensBody(t *testing.T) {
 }
 
 func TestInjectorConnectionReset(t *testing.T) {
-	srv := httptest.NewServer(NewFaultInjector(FaultConfig{ResetProb: 1},
+	srv := httptest.NewServer(newFaultInjector(faultConfig{ResetProb: 1},
 		payloadHandler(1<<10)))
 	defer srv.Close()
 
@@ -210,12 +206,11 @@ func TestInjectorConnectionReset(t *testing.T) {
 }
 
 func TestInjectorSegmentsOnlyLeavesManifestAlone(t *testing.T) {
-	inj := NewFaultInjector(FaultConfig{ErrorProb: 1, SegmentsOnly: true},
-		payloadHandler(8))
+	inj := newFaultInjector(faultConfig{ErrorProb: 1}, payloadHandler(8))
 	rr := httptest.NewRecorder()
 	inj.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/manifest.json", nil))
 	if rr.Code != http.StatusOK {
-		t.Errorf("manifest request faulted with SegmentsOnly: %d", rr.Code)
+		t.Errorf("manifest request faulted: %d", rr.Code)
 	}
 	rr = httptest.NewRecorder()
 	inj.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/seg/0/0", nil))
@@ -224,39 +219,20 @@ func TestInjectorSegmentsOnlyLeavesManifestAlone(t *testing.T) {
 	}
 }
 
-func TestFaultConfigValidate(t *testing.T) {
-	good := FaultConfig{ErrorProb: 0.5, Outages: []OutageWindow{{1, 2}}}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
-	}
-	if (&FaultConfig{ErrorProb: 1.5}).Validate() == nil {
-		t.Error("probability > 1 accepted")
-	}
-	if (&FaultConfig{ResetProb: -0.1}).Validate() == nil {
-		t.Error("negative probability accepted")
-	}
-	if (&FaultConfig{Outages: []OutageWindow{{5, 3}}}).Validate() == nil {
-		t.Error("inverted outage window accepted")
-	}
-}
-
 func TestFaultProfiles(t *testing.T) {
 	for _, name := range FaultProfileNames() {
-		cfg, err := FaultProfile(name, 3, 60)
+		inj, err := NewFaultInjector(name, 3, 60, payloadHandler(8))
 		if err != nil {
 			t.Fatalf("profile %s: %v", name, err)
 		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("profile %s invalid: %v", name, err)
-		}
-		if name == "none" && cfg.Active() {
+		if name == "none" && inj.Active() {
 			t.Error("profile none injects faults")
 		}
-		if name != "none" && !cfg.Active() {
+		if name != "none" && !inj.Active() {
 			t.Errorf("profile %s injects nothing", name)
 		}
 	}
-	if _, err := FaultProfile("blizzard", 1, 1); err == nil {
+	if _, err := NewFaultInjector("blizzard", 1, 1, payloadHandler(8)); err == nil {
 		t.Error("unknown profile accepted")
 	}
 }

@@ -85,10 +85,10 @@ func TestOriginBreakerScrape(t *testing.T) {
 func TestFaultInjectorSeriesReadStats(t *testing.T) {
 	fc := NewFakeClock(time.Unix(1000, 0))
 	reg := telemetry.NewRegistry()
-	inj := NewFaultInjector(FaultConfig{
+	inj := newFaultInjector(faultConfig{
 		Seed: 3, ErrorProb: 0.2, ResetProb: 0.2, TruncateProb: 0.2,
 		LatencyProb: 0.3, LatencySec: 0.001, StallProb: 0.3, StallSec: 0.001,
-		Outages: []OutageWindow{{StartSec: 0, EndSec: 1}},
+		Outages: []outageWindow{{StartSec: 0, EndSec: 1}},
 	}, payloadHandler(64)).WithClock(fc)
 	inj.SetMetrics(reg)
 	for i := 0; i < 100; i++ {

@@ -3,10 +3,7 @@ package dash
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
-
-	"cava/internal/telemetry"
 )
 
 // VideoMux serves several videos from one origin, the namespace the edge
@@ -41,27 +38,6 @@ func NewVideoMux(videos ...*Server) (*VideoMux, error) {
 		m.servers[id] = s
 	}
 	return m, nil
-}
-
-// VideoIDs returns the served video ids in sorted order.
-func (m *VideoMux) VideoIDs() []string {
-	var out []string
-	for id := range m.servers {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Server returns the server for one video id (nil when absent).
-func (m *VideoMux) Server(id string) *Server { return m.servers[id] }
-
-// SetMetrics registers every underlying server's counters on reg (they
-// share handles: the registry hands out one counter per name).
-func (m *VideoMux) SetMetrics(reg *telemetry.Registry) {
-	for _, id := range m.VideoIDs() {
-		m.servers[id].SetMetrics(reg)
-	}
 }
 
 // Handler returns the origin handler routing /v/<id>/... per video.

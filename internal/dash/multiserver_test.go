@@ -61,12 +61,6 @@ func TestVideoMuxRoutes(t *testing.T) {
 		t.Errorf("prefixed segment = %d, want 200", resp.StatusCode)
 	}
 
-	if got := mux.VideoIDs(); len(got) != 2 {
-		t.Errorf("VideoIDs = %v", got)
-	}
-	if mux.Server(v2.ID()) == nil || mux.Server("nope") != nil {
-		t.Error("Server lookup misrouted")
-	}
 	if _, err := NewVideoMux(); err == nil {
 		t.Error("empty VideoMux accepted")
 	}

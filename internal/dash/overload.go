@@ -44,15 +44,30 @@ const SessionIDHeader = "X-Session-Id"
 // advance, so queue timeouts resolve deterministically in tests.
 const admissionPollInterval = time.Millisecond
 
+// The admission queue's depth and each session's token-bucket capacity
+// are fixed: every deployment of the testbed runs them at these values.
+const (
+	// admissionQueueDepth bounds how many new sessions may wait for a slot
+	// at once; arrivals beyond it are shed immediately.
+	admissionQueueDepth = 16
+	// sessionBurst is each session's bucket capacity in requests when rate
+	// limiting is on.
+	sessionBurst = 25
+)
+
+// ShedRetryAfterSec is the Retry-After hint, in seconds, of every shed
+// response that has no sharper estimate of its own: admission sheds at the
+// origin and all-replicas-failed sheds at the edge. (A rate-limited
+// request is told when its bucket refills, and a short circuit the
+// breaker's remaining cool-down.)
+const ShedRetryAfterSec = 1
+
 // ProtectionConfig tunes the overload-protection middleware. The zero
 // value protects nothing (unbounded sessions, no rate limit, no breaker);
 // DefaultProtection returns the standard testbed policy.
 type ProtectionConfig struct {
 	// MaxSessions bounds concurrently active client sessions (0 = unbounded).
 	MaxSessions int
-	// QueueDepth bounds how many new sessions may wait for a slot at once;
-	// arrivals beyond it are shed immediately (default 16).
-	QueueDepth int
 	// QueueTimeoutSec is how long a queued session waits for a slot before
 	// being shed, in wall seconds (default 2).
 	QueueTimeoutSec float64
@@ -65,12 +80,6 @@ type ProtectionConfig struct {
 	// RatePerSessionPerSec is each session's token-bucket refill rate in
 	// requests per wall second (0 = no rate limit).
 	RatePerSessionPerSec float64
-	// SessionBurst is each session's bucket capacity in requests
-	// (default 25 when rate limiting is on).
-	SessionBurst float64
-	// RetryAfterSec is the Retry-After hint on shed responses, in seconds
-	// (default 1).
-	RetryAfterSec float64
 	// Breaker, when non-nil, wraps the inner handler in a circuit breaker
 	// with the given policy.
 	Breaker *BreakerConfig
@@ -82,12 +91,9 @@ func DefaultProtection(maxSessions int) ProtectionConfig {
 	b := DefaultBreakerConfig()
 	return ProtectionConfig{
 		MaxSessions:          maxSessions,
-		QueueDepth:           16,
 		QueueTimeoutSec:      2,
 		SessionIdleSec:       30,
 		RatePerSessionPerSec: 50,
-		SessionBurst:         25,
-		RetryAfterSec:        1,
 		Breaker:              &b,
 	}
 }
@@ -97,20 +103,11 @@ func DefaultProtection(maxSessions int) ProtectionConfig {
 // mechanism on, and their zero value means off.
 func (c ProtectionConfig) withDefaults() ProtectionConfig {
 	d := DefaultProtection(0)
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = d.QueueDepth
-	}
 	if c.QueueTimeoutSec <= 0 {
 		c.QueueTimeoutSec = d.QueueTimeoutSec
 	}
 	if c.SessionIdleSec <= 0 {
 		c.SessionIdleSec = d.SessionIdleSec
-	}
-	if c.RatePerSessionPerSec > 0 && c.SessionBurst <= 0 {
-		c.SessionBurst = d.SessionBurst
-	}
-	if c.RetryAfterSec <= 0 {
-		c.RetryAfterSec = d.RetryAfterSec
 	}
 	return c
 }
@@ -154,6 +151,9 @@ type Protection struct {
 	breaker *Breaker     // nil when disabled
 	clock   Clock
 
+	// queueDepth is admissionQueueDepth; tests shrink it after Protect.
+	queueDepth int
+
 	mu       sync.Mutex
 	sessions map[string]*session
 	waiting  int
@@ -171,10 +171,11 @@ type Protection struct {
 // Protect wraps inner with the overload-protection policy.
 func Protect(cfg ProtectionConfig, inner http.Handler) *Protection {
 	p := &Protection{
-		cfg:      cfg.withDefaults(),
-		inner:    inner,
-		clock:    RealClock(),
-		sessions: make(map[string]*session),
+		cfg:        cfg.withDefaults(),
+		inner:      inner,
+		clock:      RealClock(),
+		queueDepth: admissionQueueDepth,
+		sessions:   make(map[string]*session),
 	}
 	if cfg.Breaker != nil {
 		p.breaker = NewBreaker(*cfg.Breaker, inner)
@@ -280,16 +281,16 @@ func (p *Protection) tryAdmit(key string) (admitOutcome, float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return admitNoSlot, p.cfg.RetryAfterSec
+		return admitNoSlot, ShedRetryAfterSec
 	}
 	now := p.clock.Now()
 	s, ok := p.sessions[key]
 	if !ok {
 		p.expireLocked(now)
 		if p.cfg.MaxSessions > 0 && len(p.sessions) >= p.cfg.MaxSessions {
-			return admitNoSlot, p.cfg.RetryAfterSec
+			return admitNoSlot, ShedRetryAfterSec
 		}
-		s = &session{lastSeen: now, tokens: p.cfg.SessionBurst, refilled: now}
+		s = &session{lastSeen: now, tokens: sessionBurst, refilled: now}
 		p.sessions[key] = s
 		if n := len(p.sessions); n > p.stats.PeakSessions {
 			p.stats.PeakSessions = n
@@ -299,9 +300,7 @@ func (p *Protection) tryAdmit(key string) (admitOutcome, float64) {
 	if p.cfg.RatePerSessionPerSec > 0 {
 		s.tokens += now.Sub(s.refilled).Seconds() * p.cfg.RatePerSessionPerSec
 		s.refilled = now
-		if s.tokens > p.cfg.SessionBurst {
-			s.tokens = p.cfg.SessionBurst
-		}
+		s.tokens = min(s.tokens, sessionBurst)
 		if s.tokens < 1 {
 			retry := (1 - s.tokens) / p.cfg.RatePerSessionPerSec
 			return admitRateLimited, retry
@@ -384,12 +383,12 @@ func (p *Protection) Handler() http.Handler {
 // for the non-admitted cases.
 func (p *Protection) waitForSlot(r *http.Request, key string) (admitOutcome, string, float64) {
 	if p.cfg.ShedImmediately {
-		return admitNoSlot, "queue_full", p.cfg.RetryAfterSec
+		return admitNoSlot, "queue_full", ShedRetryAfterSec
 	}
 	p.mu.Lock()
-	if p.closed || p.waiting >= p.cfg.QueueDepth {
+	if p.closed || p.waiting >= p.queueDepth {
 		p.mu.Unlock()
-		return admitNoSlot, "queue_full", p.cfg.RetryAfterSec
+		return admitNoSlot, "queue_full", ShedRetryAfterSec
 	}
 	p.waiting++
 	// drain.Add happens under the same mutex Close holds while setting
@@ -411,19 +410,19 @@ func (p *Protection) waitForSlot(r *http.Request, key string) (admitOutcome, str
 		if closed {
 			// Close drained the queue: shed honestly so the client retries
 			// against whatever replaces this server.
-			return admitNoSlot, "queue_full", p.cfg.RetryAfterSec
+			return admitNoSlot, "queue_full", ShedRetryAfterSec
 		}
 		if err := r.Context().Err(); err != nil {
 			// The client gave up while queued; the response goes nowhere,
 			// but the books stay balanced.
-			return admitNoSlot, "queue_timeout", p.cfg.RetryAfterSec
+			return admitNoSlot, "queue_timeout", ShedRetryAfterSec
 		}
 		outcome, retrySec := p.tryAdmit(key)
 		if outcome != admitNoSlot {
 			return outcome, "rate_limited", retrySec
 		}
 		if !p.clock.Now().Before(deadline) {
-			return admitNoSlot, "queue_timeout", p.cfg.RetryAfterSec
+			return admitNoSlot, "queue_timeout", ShedRetryAfterSec
 		}
 		p.clock.Sleep(admissionPollInterval)
 	}

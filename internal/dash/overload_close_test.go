@@ -3,6 +3,7 @@ package dash
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -24,7 +25,6 @@ func TestProtectionCloseShedsAndDrainsQueue(t *testing.T) {
 		MaxSessions:     1,
 		QueueTimeoutSec: 30, // far beyond the test: Close, not the timeout, must free the waiter
 		SessionIdleSec:  100,
-		RetryAfterSec:   2,
 	}, okHandler())
 	reg := telemetry.NewRegistry()
 	p.SetMetrics(reg)
@@ -66,8 +66,8 @@ func TestProtectionCloseShedsAndDrainsQueue(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("queued session got %d after Close, want 503", w.Code)
 	}
-	if ra := w.Header().Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want %q", ra, "2")
+	if ra, want := w.Header().Get("Retry-After"), strconv.Itoa(ShedRetryAfterSec); ra != want {
+		t.Fatalf("Retry-After = %q, want %q", ra, want)
 	}
 	if got := waiting(); got != 0 {
 		t.Fatalf("waiting gauge = %v after Close, want 0", got)

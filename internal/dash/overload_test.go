@@ -3,6 +3,7 @@ package dash
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -38,7 +39,6 @@ func TestAdmissionSessionLimitQueueTimeout(t *testing.T) {
 		MaxSessions:     1,
 		QueueTimeoutSec: 0.05,
 		SessionIdleSec:  100,
-		RetryAfterSec:   2,
 	}, okHandler()).WithClock(fc)
 	h := p.Handler()
 
@@ -51,8 +51,8 @@ func TestAdmissionSessionLimitQueueTimeout(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("second session got %d, want 503", w.Code)
 	}
-	if ra := w.Header().Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want %q", ra, "2")
+	if ra, want := w.Header().Get("Retry-After"), strconv.Itoa(ShedRetryAfterSec); ra != want {
+		t.Fatalf("Retry-After = %q, want %q", ra, want)
 	}
 	st := p.AdmissionStats()
 	if st.Admitted != 1 || st.ShedQueueTimeout != 1 || st.ShedTotal() != 1 {
@@ -93,13 +93,10 @@ func TestAdmissionSlotFreesAfterIdleExpiry(t *testing.T) {
 
 func TestAdmissionRateLimitTokenBucket(t *testing.T) {
 	fc := NewFakeClock(time.Unix(1000, 0))
-	p := Protect(ProtectionConfig{
-		RatePerSessionPerSec: 1,
-		SessionBurst:         2,
-	}, okHandler()).WithClock(fc)
+	p := Protect(ProtectionConfig{RatePerSessionPerSec: 1}, okHandler()).WithClock(fc)
 	h := p.Handler()
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < sessionBurst; i++ {
 		if w := reqAs(t, h, "alice", "/seg/0/0"); w.Code != http.StatusOK {
 			t.Fatalf("burst request %d got %d, want 200", i, w.Code)
 		}
@@ -129,10 +126,10 @@ func TestAdmissionQueueDepthBound(t *testing.T) {
 	// for queue depth. Both are shed; the split depends on scheduling.
 	p := Protect(ProtectionConfig{
 		MaxSessions:     1,
-		QueueDepth:      1,
 		QueueTimeoutSec: 0.02,
 		SessionIdleSec:  100,
 	}, okHandler())
+	p.queueDepth = 1
 	h := p.Handler()
 	reqAs(t, h, "alice", "/manifest.json")
 
@@ -210,18 +207,20 @@ func TestProtectionMetricsExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := Protect(ProtectionConfig{
 		MaxSessions: 1, QueueTimeoutSec: 1, SessionIdleSec: 100,
-		RatePerSessionPerSec: 1, SessionBurst: 1,
+		RatePerSessionPerSec: 1,
 	}, okHandler()).WithClock(fc)
 	p.SetMetrics(reg)
 	h := p.Handler()
-	reqAs(t, h, "alice", "/a") // admitted
+	for i := 0; i < sessionBurst; i++ {
+		reqAs(t, h, "alice", "/a") // admitted: the bucket's burst
+	}
 	reqAs(t, h, "alice", "/b") // bucket empty: rate_limited
 	reqAs(t, h, "bob", "/a")   // no slot, waits 1 virtual second: queue_timeout
 
 	fc.Advance(200 * time.Second) // alice is now idle past SessionIdleSec
 	s := p.AdmissionStats()
-	if s.Admitted != 1 || s.ShedRateLimited != 1 || s.ShedQueueTimeout != 1 {
-		t.Fatalf("stats = %+v, want 1 admitted, 1 rate-limited, 1 queue timeout", s)
+	if s.Admitted != sessionBurst || s.ShedRateLimited != 1 || s.ShedQueueTimeout != 1 {
+		t.Fatalf("stats = %+v, want %d admitted, 1 rate-limited, 1 queue timeout", s, sessionBurst)
 	}
 	assertSeries(t, reg, map[string]int{
 		"dash_admission_active_sessions":                    1,
@@ -246,13 +245,9 @@ func TestProtectionMetricsExposition(t *testing.T) {
 // TestProtectionDefaultsDefinedOnce pins that withDefaults fills zero
 // fields from DefaultProtection and switches on no mechanism.
 func TestProtectionDefaultsDefinedOnce(t *testing.T) {
-	d := DefaultProtection(0)
-	want := d
-	want.RatePerSessionPerSec, want.SessionBurst, want.Breaker = 0, 0, nil
+	want := DefaultProtection(0)
+	want.RatePerSessionPerSec, want.Breaker = 0, nil
 	if got := (ProtectionConfig{}).withDefaults(); got != want {
 		t.Errorf("zero config filled to %+v, want %+v", got, want)
-	}
-	if got := (ProtectionConfig{RatePerSessionPerSec: 1}).withDefaults().SessionBurst; got != d.SessionBurst {
-		t.Errorf("default burst = %v, want DefaultProtection's %v", got, d.SessionBurst)
 	}
 }

@@ -50,9 +50,6 @@ func (s *Shaper) WithClock(c Clock) *Shaper {
 	return s
 }
 
-// TimeScale reports the configured compression factor.
-func (s *Shaper) TimeScale() float64 { return s.scale }
-
 // SetMetrics registers the shaper's queue-depth gauges and throughput
 // counter on reg (nil disables). Call before serving.
 func (s *Shaper) SetMetrics(reg *telemetry.Registry) {

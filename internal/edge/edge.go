@@ -64,27 +64,26 @@ type Config struct {
 	// ManifestHardTTLSec is the age past which a stale manifest is refused
 	// and the fetch becomes synchronous (default 120).
 	ManifestHardTTLSec float64
-	// AttemptTimeoutSec bounds each origin attempt in wall seconds
-	// (default 5).
-	AttemptTimeoutSec float64
-	// FailoverBackoffSec and FailoverBackoffMaxSec bound the jittered
-	// exponential pause between failover attempts, in wall seconds
-	// (defaults 0.01 and 0.1; the jitter is full and seeded).
-	FailoverBackoffSec    float64
-	FailoverBackoffMaxSec float64
-	// RetryAfterSec is the hint stamped on edge-shed 503s (default 1).
-	RetryAfterSec float64
 	// JitterSeed seeds the failover backoff jitter.
 	JitterSeed int64
 	// Breaker is the per-origin circuit-breaker policy (zero value =
 	// dash.DefaultBreakerConfig).
 	Breaker dash.BreakerConfig
-	// HTTPClient performs origin requests; nil builds one with bounded
-	// connect/header timeouts.
-	HTTPClient *http.Client
 	// Clock supplies all time; nil uses the wall clock.
 	Clock dash.Clock
 }
+
+// The origin request policy is fixed: every edge deployment runs it at
+// these values. Edge-shed 503s carry dash.ShedRetryAfterSec.
+const (
+	// attemptTimeoutSec bounds each origin attempt in wall seconds.
+	attemptTimeoutSec = 5
+	// failoverBackoffSec and failoverBackoffMaxSec bound the jittered
+	// exponential pause between failover attempts, in wall seconds (the
+	// jitter is full and seeded by Config.JitterSeed).
+	failoverBackoffSec    = 0.01
+	failoverBackoffMaxSec = 0.1
+)
 
 // withDefaults fills zero fields with the standard policy values.
 func (c Config) withDefaults() Config {
@@ -96,18 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ManifestHardTTLSec <= 0 {
 		c.ManifestHardTTLSec = 120
-	}
-	if c.AttemptTimeoutSec <= 0 {
-		c.AttemptTimeoutSec = 5
-	}
-	if c.FailoverBackoffSec <= 0 {
-		c.FailoverBackoffSec = 0.01
-	}
-	if c.FailoverBackoffMaxSec <= 0 {
-		c.FailoverBackoffMaxSec = 0.1
-	}
-	if c.RetryAfterSec <= 0 {
-		c.RetryAfterSec = 1
 	}
 	return c
 }
@@ -211,14 +198,11 @@ func New(cfg Config) (*Edge, error) {
 	if err != nil {
 		return nil, err
 	}
-	client := cfg.HTTPClient
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			DialContext:           (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
-			ResponseHeaderTimeout: 30 * time.Second,
-			MaxIdleConnsPerHost:   16,
-		}}
-	}
+	client := &http.Client{Transport: &http.Transport{
+		DialContext:           (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
+		ResponseHeaderTimeout: 30 * time.Second,
+		MaxIdleConnsPerHost:   16,
+	}}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = dash.RealClock()
@@ -282,9 +266,6 @@ func (e *Edge) OriginOrder(videoID string) []int {
 	}
 	return e.ring.Order(videoID)
 }
-
-// Breaker exposes origin i's circuit breaker (tests and chaos reports).
-func (e *Edge) Breaker(i int) *dash.Breaker { return e.breakers[i] }
 
 // Stats returns a snapshot of the edge counters.
 func (e *Edge) Stats() Stats {
@@ -510,7 +491,7 @@ func (e *Edge) fetchWithFailover(ctx context.Context, path, session string) (Ent
 
 // fetchOnce performs one origin attempt under the per-attempt deadline.
 func (e *Edge) fetchOnce(ctx context.Context, origin int, path, session string) (Entry, error) {
-	actx, cancel := context.WithTimeout(ctx, dash.Seconds(e.cfg.AttemptTimeoutSec))
+	actx, cancel := context.WithTimeout(ctx, dash.Seconds(attemptTimeoutSec))
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodGet, e.cfg.Origins[origin]+path, nil)
 	if err != nil {
@@ -545,7 +526,7 @@ func (e *Edge) fetchOnce(ctx context.Context, origin int, path, session string) 
 func (e *Edge) failoverBackoff(r int) float64 {
 	e.rngMu.Lock()
 	defer e.rngMu.Unlock()
-	return dash.JitteredBackoff(e.rng, r, e.cfg.FailoverBackoffSec, e.cfg.FailoverBackoffMaxSec)
+	return dash.JitteredBackoff(e.rng, r, failoverBackoffSec, failoverBackoffMaxSec)
 }
 
 // reply writes a buffered origin response to the client.
@@ -567,7 +548,7 @@ func (e *Edge) shed(w http.ResponseWriter, reason string) {
 	e.smu.Lock()
 	e.shedCount++
 	e.smu.Unlock()
-	dash.WriteShed(w, e.cfg.RetryAfterSec, "edge: "+reason)
+	dash.WriteShed(w, dash.ShedRetryAfterSec, "edge: "+reason)
 }
 
 // sessionOf extracts the client's session identity for forwarding.

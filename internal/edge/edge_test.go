@@ -167,7 +167,6 @@ func TestEdgeManifestHardExpiredShed(t *testing.T) {
 		VideoID:            "vid",
 		ManifestSoftTTLSec: 1,
 		ManifestHardTTLSec: 10,
-		RetryAfterSec:      3,
 	}, origin)
 
 	if rec := get(e, "/manifest.json", "s1"); rec.Code != 200 {
@@ -179,9 +178,8 @@ func TestEdgeManifestHardExpiredShed(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("hard-expired manifest with dead origin = %d, want 503", rec.Code)
 	}
-	ra, err := strconv.Atoi(rec.Header().Get("Retry-After"))
-	if err != nil || ra < 3 {
-		t.Errorf("Retry-After = %q, want an integer >= 3", rec.Header().Get("Retry-After"))
+	if ra, want := rec.Header().Get("Retry-After"), strconv.Itoa(dash.ShedRetryAfterSec); ra != want {
+		t.Errorf("Retry-After = %q, want %q", ra, want)
 	}
 	if s := e.Stats(); s.Shed != 1 {
 		t.Errorf("Shed = %d, want 1", s.Shed)

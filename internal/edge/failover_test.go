@@ -15,7 +15,7 @@ func breakerTestEdge(t *testing.T) (*Edge, *dash.FakeClock, *testOrigin, *testOr
 	o0, o1 := newTestOrigin(t, 0), newTestOrigin(t, 1)
 	e, clock, _ := newTestEdge(t, Config{
 		VideoID: "vid",
-		Breaker: dash.BreakerConfig{ConsecutiveFailures: 2, OpenSec: 2, HalfOpenProbes: 1},
+		Breaker: dash.BreakerConfig{ConsecutiveFailures: 2, OpenSec: 2},
 	}, o0, o1)
 	order := e.OriginOrder("")
 	origins := []*testOrigin{o0, o1}
@@ -40,7 +40,7 @@ func TestOpenBreakerSkipsOriginImmediately(t *testing.T) {
 		t.Fatalf("primary saw %d attempts while closed, want 2", n)
 	}
 	order := e.OriginOrder("")
-	if st := e.Breaker(order[0]).State(); st != dash.BreakerOpen {
+	if st := e.breakers[order[0]].State(); st != dash.BreakerOpen {
 		t.Fatalf("primary breaker state = %v, want open", st)
 	}
 
@@ -74,9 +74,7 @@ func TestOpenBreakerSkipsOriginImmediately(t *testing.T) {
 // success closes the circuit.
 func TestHalfOpenProbesCappedAtOne(t *testing.T) {
 	clock := dash.NewFakeClock(time.Unix(1000, 0))
-	b := dash.NewOriginBreaker(dash.BreakerConfig{
-		ConsecutiveFailures: 2, OpenSec: 2, HalfOpenProbes: 1,
-	}).WithClock(clock)
+	b := dash.NewOriginBreaker(dash.BreakerConfig{ConsecutiveFailures: 2, OpenSec: 2}).WithClock(clock)
 
 	// Trip it: two consecutive failures.
 	for i := 0; i < 2; i++ {
@@ -120,7 +118,7 @@ func TestHalfOpenProbeFailureReopens(t *testing.T) {
 		get(e, fmt.Sprintf("/blob/%d", i), "s1")
 	}
 	order := e.OriginOrder("")
-	pb := e.Breaker(order[0])
+	pb := e.breakers[order[0]]
 	if st := pb.State(); st != dash.BreakerOpen {
 		t.Fatalf("primary breaker = %v, want open", st)
 	}

@@ -101,7 +101,11 @@ func TestServingTierSeriesGolden(t *testing.T) {
 	e.SetMetrics(reg)
 	bc := dash.DefaultBreakerConfig()
 	dash.Protect(dash.ProtectionConfig{Breaker: &bc}, http.NotFoundHandler()).SetMetrics(reg)
-	dash.NewFaultInjector(dash.FaultConfig{}, http.NotFoundHandler()).SetMetrics(reg)
+	inj, err := dash.NewFaultInjector("none", 0, 1, http.NotFoundHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.SetMetrics(reg)
 
 	got := exposition(t, reg, false)
 	if got != servingTierSeries {

@@ -50,7 +50,7 @@ func runEdgeChaos(opt Options) (*Result, error) {
 			Origins:            3,
 			ManifestSoftTTLSec: 0.01,
 			ManifestHardTTLSec: 300,
-			Breaker:            dash.BreakerConfig{ConsecutiveFailures: 3, OpenSec: 0.5, HalfOpenProbes: 1},
+			Breaker:            dash.BreakerConfig{ConsecutiveFailures: 3, OpenSec: 0.5},
 			OriginKill:         cell.kill,
 			SessionStaggerSec:  1.0,
 		}

@@ -148,7 +148,7 @@ func runLive(opt Options) (*Result, error) {
 // formatted metric cells.
 func liveSession(v *video.Video, qt *quality.Table, cats []scene.Category,
 	tr *trace.Trace, sc abr.Scheme, scale float64, maxChunks int) ([]string, error) {
-	res, _, err := testbedSession(v, tr, sc, scale, maxChunks, dash.FaultConfig{}, false)
+	res, _, err := testbedSession(v, tr, sc, scale, maxChunks, "none", 0, false)
 	if err != nil {
 		return nil, err
 	}
@@ -160,17 +160,21 @@ func liveSession(v *video.Video, qt *quality.Table, cats []scene.Category,
 }
 
 // testbedSession runs one real HTTP streaming session over a shaped
-// loopback link, optionally behind a fault injector and with a resilient
-// client, and returns the session result plus the injector's stats.
+// loopback link, behind the named fault profile and optionally with a
+// resilient client, and returns the session result plus the injector's
+// stats.
 func testbedSession(v *video.Video, tr *trace.Trace, sc abr.Scheme,
-	scale float64, maxChunks int, faults dash.FaultConfig,
+	scale float64, maxChunks int, faults string, faultSeed int64,
 	resilient bool) (*player.Result, dash.FaultStats, error) {
+	inj, err := dash.NewFaultInjector(faults, faultSeed, scale, dash.NewServer(v).Handler())
+	if err != nil {
+		return nil, dash.FaultStats{}, err
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, dash.FaultStats{}, err
 	}
 	shaped := dash.NewShapedListener(ln, dash.NewShaper(tr, scale))
-	inj := dash.NewFaultInjector(faults, dash.NewServer(v).Handler())
 	srv := dash.NewHTTPServer(inj)
 	go srv.Serve(shaped)
 	defer srv.Close()
@@ -213,12 +217,8 @@ func runRobustness(opt Options) (*Result, error) {
 		"rebuf (s)", "Q4 qual", "data MB", "injected"}
 	var rows [][]string
 	for _, profile := range dash.FaultProfileNames() {
-		fc, err := dash.FaultProfile(profile, seed, scale)
-		if err != nil {
-			return nil, err
-		}
 		for _, sc := range schemes {
-			res, stats, err := testbedSession(v, tr, sc, scale, maxChunks, fc, true)
+			res, stats, err := testbedSession(v, tr, sc, scale, maxChunks, profile, seed, true)
 			if err != nil {
 				return nil, fmt.Errorf("robustness %s/%s: %w", profile, sc.Name, err)
 			}

@@ -41,6 +41,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -350,16 +351,14 @@ func (e *Engine) Run() (*Result, error) {
 	return e.RunContext(context.Background(), RunOptions{})
 }
 
-// merge builds the drained run's fleet result and checks its event
-// accounting.
+// merge builds the drained run's fleet result and checks its accounting.
+// A violation is unreachable by construction (every Advance consumes
+// exactly one chunk); if it ever trips, the engine is mis-scheduling and
+// the run's aggregates cannot be trusted.
 func (e *Engine) merge() (*Result, error) {
 	r := e.result()
-	if r.Events != r.ExpectedEvents-r.LostEvents || r.Completed != r.Sessions-len(r.Quarantined) {
-		// Unreachable by construction (every Advance consumes exactly one
-		// chunk); if it ever trips, the engine is mis-scheduling and the
-		// run's aggregates cannot be trusted.
-		return nil, fmt.Errorf("fleet: processed %d events for %d expected (%d lost to quarantine), completed %d+%d quarantined of %d sessions",
-			r.Events, r.ExpectedEvents, r.LostEvents, r.Completed, len(r.Quarantined), r.Sessions)
+	if errs := r.accounting(); len(errs) > 0 {
+		return nil, errors.Join(errs...)
 	}
 	return r, nil
 }
@@ -445,6 +444,22 @@ func (e *Engine) chunkBudget(id int32) int {
 // stops draining overshoots it.
 const starvationFactor = 20
 
+// accounting checks the first two rules of the fleet contract, the ones
+// the engine's own merge also enforces: Events == ExpectedEvents -
+// LostEvents, and Completed + len(Quarantined) == Sessions.
+func (r *Result) accounting() []error {
+	var out []error
+	if r.Events != r.ExpectedEvents-r.LostEvents {
+		out = append(out, fmt.Errorf("fleet: processed %d events for %d expected - %d lost (livelock or lost wakeups)",
+			r.Events, r.ExpectedEvents, r.LostEvents))
+	}
+	if r.Completed+len(r.Quarantined) != r.Sessions {
+		out = append(out, fmt.Errorf("fleet: %d completed + %d quarantined != %d sessions (sessions vanished)",
+			r.Completed, len(r.Quarantined), r.Sessions))
+	}
+	return out
+}
+
 // Invariants checks a completed run against the fleet contract and returns
 // every violation (empty means the run passed):
 //
@@ -459,15 +474,7 @@ const starvationFactor = 20
 // A partial Result from an interrupted RunContext fails the accounting
 // rule by definition, so only completed runs are checked.
 func (r *Result) Invariants(cfg Config) []error {
-	var out []error
-	if r.Events != r.ExpectedEvents-r.LostEvents {
-		out = append(out, fmt.Errorf("fleet: processed %d events for %d expected - %d lost (livelock or lost wakeups)",
-			r.Events, r.ExpectedEvents, r.LostEvents))
-	}
-	if r.Completed+len(r.Quarantined) != r.Sessions {
-		out = append(out, fmt.Errorf("fleet: %d completed + %d quarantined != %d sessions (sessions vanished)",
-			r.Completed, len(r.Quarantined), r.Sessions))
-	}
+	out := r.accounting()
 	if n := r.SessionLenSec.Len(); n != r.Completed {
 		out = append(out, fmt.Errorf("fleet: %d session-length samples for %d completed sessions (samples lost)",
 			n, r.Completed))

@@ -6,28 +6,8 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the two trace parsers: they must never panic and every
-// successfully parsed trace must validate.
-
-func FuzzReadCSV(f *testing.F) {
-	var seed bytes.Buffer
-	WriteCSV(&seed, GenLTE(0))
-	f.Add(seed.String())
-	f.Add("time_s,bandwidth_bps\n0,100\n1,200\n")
-	f.Add("# trace x interval 2\n0,1\n")
-	f.Add("")
-	f.Add("garbage,,,\n")
-	f.Fuzz(func(t *testing.T, in string) {
-		tr, err := ReadCSV(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("parsed trace fails validation: %v", err)
-		}
-	})
-}
-
+// FuzzReadMahimahi: the parser must never panic and every successfully
+// parsed trace must validate.
 func FuzzReadMahimahi(f *testing.F) {
 	var seed bytes.Buffer
 	WriteMahimahi(&seed, Constant("c", 3e6, 5, 1))

@@ -4,13 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
 )
 
-// WriteCSV writes the trace in the simple two-column format
+// WriteCSV exports the trace in the simple two-column format
 // "time_s,bandwidth_bps" with one row per sample, preceded by a header row.
+// It is export-only: traces enter the tools through cliutil.ParseTrace's
+// generated and Mahimahi specs, never through CSV.
 func WriteCSV(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# trace %s interval %g\n", t.ID, t.IntervalSec); err != nil {
@@ -25,81 +24,4 @@ func WriteCSV(w io.Writer, t *Trace) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses a trace written by WriteCSV. The interval is inferred from
-// the first two rows (or defaults to 1 second for a single-row trace); the
-// ID is taken from the header comment when present.
-//
-// Rows are validated as they are read — non-finite or negative bandwidth,
-// non-finite or decreasing timestamps, and a malformed header interval are
-// rejected with the offending line number, so garbage never reaches the
-// shaper with only a sample index to go on.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	t := &Trace{ID: "csv", IntervalSec: 1}
-	var times []float64
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(strings.TrimPrefix(line, "#"))
-			for i := 0; i+1 < len(fields); i++ {
-				switch fields[i] {
-				case "trace":
-					t.ID = fields[i+1]
-				case "interval":
-					v, err := strconv.ParseFloat(fields[i+1], 64)
-					if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-						return nil, fmt.Errorf("trace csv:%d: header interval %q is not a positive finite number",
-							lineNo, fields[i+1])
-					}
-					t.IntervalSec = v
-				}
-			}
-			continue
-		}
-		if strings.HasPrefix(line, "time_s") {
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("trace csv:%d: malformed row %q", lineNo, line)
-		}
-		tm, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace csv:%d: bad time %q: %v", lineNo, parts[0], err)
-		}
-		if math.IsNaN(tm) || math.IsInf(tm, 0) || tm < 0 {
-			return nil, fmt.Errorf("trace csv:%d: time %q is not a non-negative finite number", lineNo, parts[0])
-		}
-		if n := len(times); n > 0 && tm <= times[n-1] {
-			return nil, fmt.Errorf("trace csv:%d: time %g does not increase past %g", lineNo, tm, times[n-1])
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace csv:%d: bad bandwidth %q: %v", lineNo, parts[1], err)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return nil, fmt.Errorf("trace csv:%d: bandwidth %q is not a non-negative finite number", lineNo, parts[1])
-		}
-		times = append(times, tm)
-		t.Samples = append(t.Samples, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(times) >= 2 {
-		if dt := times[1] - times[0]; dt > 0 {
-			t.IntervalSec = dt
-		}
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

@@ -203,12 +203,10 @@ func (e *Engine) writeCheckpoint(dir string) (err error) {
 	}
 
 	// Harvest the pending wakeup of every live session from the shard
-	// heaps (each alive session has exactly one scheduled event).
+	// queues (each alive session has exactly one scheduled event).
 	wakeBits := make(map[int32]uint64)
 	for i := range e.shards {
-		for _, ev := range e.shards[i].heap.ev {
-			wakeBits[ev.id] = math.Float64bits(ev.wakeSec)
-		}
+		e.shards[i].heap.each(func(ev event) { wakeBits[ev.id] = math.Float64bits(ev.wakeSec) })
 	}
 	// Quarantine records by session id, for the tagged records below.
 	quarantines := make(map[int32]*Quarantine)
@@ -339,9 +337,9 @@ func Resume(cfg Config, dir string) (*Engine, error) {
 		return nil, err
 	}
 	// The shards were primed with every session's arrival; rebuild the
-	// heaps from the snapshot instead (pending arrivals re-enter below).
+	// queues from the snapshot instead (pending arrivals re-enter below).
 	for i := range e.shards {
-		e.shards[i].heap.ev = e.shards[i].heap.ev[:0]
+		e.shards[i].heap.reset()
 	}
 
 	n := cfg.Sessions

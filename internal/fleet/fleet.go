@@ -1,7 +1,6 @@
 // Package fleet is the discrete-event fleet simulator: up to a million
 // concurrent ABR streaming sessions in one process, driven by per-shard
-// binary-heap priority queues of (session, wakeup) events over virtual
-// time.
+// monotone radix heaps of (session, wakeup) events over virtual time.
 //
 // Where the chaos harness proves the stack survives N goroutine-per-client
 // sessions with real sockets (N in the low hundreds), the fleet engine
@@ -23,13 +22,14 @@
 //   - an allocation-free event loop: with chunk retention off and a nil
 //     recorder, advancing a session performs zero allocations (guarded by
 //     TestFleetZeroAllocPerEvent, which holds per shard), and each shard's
-//     event heap is typed and preallocated;
+//     event queue draws its buckets from one block pool preallocated to
+//     the shard size;
 //   - batched decisions: within a shard, all sessions due at the same
-//     virtual instant are drained from the heap and decided in rounds of
-//     ascending session id (see drainInstant);
+//     virtual instant are taken from the queue's lowest bucket and decided
+//     in rounds of ascending session id (see drainInstant);
 //   - sharding: sessions are mutually independent, so the event loop
 //     partitions by session id into Config.Workers shards that run
-//     concurrently, one heap per shard. The seeded assignment pass stays
+//     concurrently, one event queue per shard. The seeded assignment pass stays
 //     sequential and per-shard outputs are written to id-indexed slices,
 //     so the Result is bit-identical for every worker count
 //     (TestFleetShardEquivalence).
@@ -78,7 +78,7 @@ type Config struct {
 	Sessions int
 	// Workers is the shard count: sessions are partitioned by id into
 	// Workers contiguous shards, each drained on its own goroutine with
-	// its own event heap. Sessions are mutually independent and every
+	// its own event queue. Sessions are mutually independent and every
 	// shard writes only its own sessions' slots of the shared id-indexed
 	// aggregates, so the Result is bit-identical for every worker count
 	// (pinned by TestFleetShardEquivalence). Non-positive selects
@@ -211,7 +211,7 @@ type session struct {
 //   - assignment (New): one sequential pass over the seeded rng gives every
 //     session its video, trace, offset and arrival — bit-identical draws
 //     regardless of the worker count;
-//   - shard pass (Run): the id-partitioned shards drain their event heaps
+//   - shard pass (Run): the id-partitioned shards drain their event queues
 //     concurrently, each writing only its own sessions' slots of the
 //     shared id-indexed sample slices;
 //   - merge (Run): per-shard scalar tallies (events, completions, horizon)

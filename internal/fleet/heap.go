@@ -1,5 +1,12 @@
 package fleet
 
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+)
+
 // event is one scheduled wakeup: session id is due for service at wakeSec
 // of fleet virtual time. Events order by (wakeSec, id): simultaneous
 // wakeups tie-break deterministically by session id, so a run's event
@@ -10,77 +17,186 @@ type event struct {
 	id      int32
 }
 
-// eventLess is the heap order: earliest wakeup first, session id as the
-// deterministic tie-break.
-func eventLess(a, b event) bool {
-	//lint:allow floateq exact tie-break: equal wakeups are copied bits, and only bit-equal instants may fall through to the id order
-	if a.wakeSec != b.wakeSec {
-		return a.wakeSec < b.wakeSec
-	}
-	return a.id < b.id
-}
+// blockEvents is the number of events in one pool block (1 KiB).
+const blockEvents = 64
 
-// eventHeap is a binary min-heap of events with typed push/pop. It
-// deliberately does not use container/heap: the interface would box every
-// event into an `any` (one allocation per operation), which the engine's
-// zero-alloc per-event contract cannot afford. The backing slice is
-// preallocated to the fleet size, so steady-state push/pop never grows it.
+// numBuckets covers every key a wakeup can have: keys never set bit 63, so
+// key ^ floor has at most 63 significant bits.
+const numBuckets = 64
+
+// noBlock ends the free-block list.
+const noBlock = -1
+
+// keyOf is the radix key of a wakeup: its IEEE bits, which order like the
+// values for the non-negative wakeups push admits. Dropping the sign bit
+// keys -0 as 0.
+func keyOf(wakeSec float64) uint64 { return math.Float64bits(wakeSec) &^ (1 << 63) }
+
+// eventHeap is a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
+// JACM 1990) of events keyed on keyOf(wakeSec). It relies on the engine's
+// monotonicity: every push is at or after the instant being drained, its
+// floor, because a session's arrivalSec + NowSec never decreases. Bucket 0
+// holds the events at the floor; bucket i ≥ 1 holds those whose key first
+// differs from the floor at bit i-1, i.e. bits.Len64(key ^ floor) == i.
+// When bucket 0 is empty, settle moves the floor to the smallest key of
+// the lowest non-empty bucket and redistributes that bucket into lower
+// ones; an event moves down at most 63 times in its life, always by a
+// sequential scan.
+//
+// A bucket is a FIFO chain of fixed-size blocks drawn from one pool, so
+// the queue's storage is its capacity × 16 B plus a constant, however the
+// events spread over buckets, and a steady-state push or settle allocates
+// nothing.
 type eventHeap struct {
-	ev []event
+	floor    uint64 // key of the instant being drained
+	n        int
+	occupied uint64 // bit i set: bucket i is non-empty
+	buckets  [numBuckets]chain
+	pool     []block
+	next     []int32 // next[b]: the block after b in its chain or the free list
+	free     int32   // head of the free-block list
 }
 
+type block [blockEvents]event
+
+// chain is one bucket: pool blocks linked head to tail through
+// eventHeap.next, every block full but the tail. A chain is only ever
+// appended to or taken whole; the occupied mask, not the chain, says
+// whether it is empty.
+type chain struct {
+	head, tail int32
+	tailLen    int32 // events in the tail block
+}
+
+// newEventHeap preallocates a queue for capacity pending events. Each
+// non-empty bucket holds at most one partly filled block, and settle
+// frees a source block only once its events have moved, so
+// ceil(capacity/blockEvents) + numBuckets blocks always suffice; the pool
+// grows past that only if more than capacity events are pending.
 func newEventHeap(capacity int) *eventHeap {
-	return &eventHeap{ev: make([]event, 0, capacity)}
+	blocks := (capacity+blockEvents-1)/blockEvents + numBuckets
+	return &eventHeap{
+		pool: make([]block, 0, blocks),
+		next: make([]int32, 0, blocks),
+		free: noBlock,
+	}
 }
 
-func (h *eventHeap) len() int { return len(h.ev) }
+func (h *eventHeap) len() int { return h.n }
 
-// peek returns the earliest event without removing it. Callers check len
-// first; peeking an empty heap is a caller bug and panics via the bounds
-// check.
-func (h *eventHeap) peek() event { return h.ev[0] }
-
-// push inserts an event, sifting it up to its ordered position.
+// push schedules an event. Its wakeup must be at or after the instant
+// being drained; an earlier one would be popped out of order, so push
+// panics instead, and inside an engine step that quarantines the session.
 func (h *eventHeap) push(e event) {
-	//lint:allow hotalloc backing slice is preallocated to the shard size in shard.init; each session has at most one pending event, so this append never grows
-	h.ev = append(h.ev, e)
-	i := len(h.ev) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(h.ev[i], h.ev[parent]) {
+	key := keyOf(e.wakeSec)
+	if key < h.floor || !(e.wakeSec >= 0) {
+		h.reject(e)
+	}
+	h.place(e, key)
+	h.n++
+}
+
+// reject panics on a push the queue cannot order.
+func (h *eventHeap) reject(e event) {
+	//lint:allow nopanic an out-of-order wakeup is an engine bug that would silently reorder decisions; the step's recover quarantines the session
+	panic(fmt.Sprintf("fleet: session %d woken at %v s, not at or after the instant being drained (%v s)",
+		e.id, e.wakeSec, math.Float64frombits(h.floor)))
+}
+
+// place appends an event to the bucket its key falls in relative to the
+// floor.
+func (h *eventHeap) place(e event, key uint64) {
+	i := bits.Len64(key ^ h.floor)
+	c := &h.buckets[i]
+	if h.occupied&(1<<i) == 0 {
+		h.occupied |= 1 << i
+		b := h.newBlock()
+		c.head, c.tail, c.tailLen = b, b, 0
+	} else if c.tailLen == blockEvents {
+		b := h.newBlock()
+		h.next[c.tail] = b
+		c.tail, c.tailLen = b, 0
+	}
+	h.pool[c.tail][c.tailLen] = e
+	c.tailLen++
+}
+
+// newBlock takes a block off the free list, or a fresh one from the pool.
+func (h *eventHeap) newBlock() int32 {
+	if b := h.free; b != noBlock {
+		h.free = h.next[b]
+		return b
+	}
+	//lint:allow hotalloc the pool is preallocated in newEventHeap to the most blocks capacity pending events occupy; one pending event per session keeps this append within it
+	h.pool = append(h.pool, block{})
+	//lint:allow hotalloc next is preallocated alongside the pool
+	h.next = append(h.next, noBlock)
+	return int32(len(h.pool) - 1)
+}
+
+// filled is the occupied part of block b of chain c.
+func (h *eventHeap) filled(c *chain, b int32) []event {
+	if b == c.tail {
+		return h.pool[b][:c.tailLen]
+	}
+	return h.pool[b][:]
+}
+
+// settle brings the earliest pending instant into the empty bucket 0: it
+// moves the floor to the smallest key of the lowest non-empty bucket and
+// redistributes that bucket, whose events all land in lower buckets
+// relative to the new floor, those at the floor itself in bucket 0. Each
+// source block returns to the free list once its events have moved.
+// Callers check that the queue is not empty.
+func (h *eventHeap) settle() {
+	i := bits.TrailingZeros64(h.occupied)
+	src := h.buckets[i]
+	h.occupied &^= 1 << i
+	floor := uint64(math.MaxUint64)
+	for b := src.head; ; b = h.next[b] {
+		for _, e := range h.filled(&src, b) {
+			floor = min(floor, keyOf(e.wakeSec))
+		}
+		if b == src.tail {
 			break
 		}
-		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
-		i = parent
+	}
+	h.floor = floor
+	for b := src.head; ; {
+		for _, e := range h.filled(&src, b) {
+			h.place(e, keyOf(e.wakeSec))
+		}
+		next, last := h.next[b], b == src.tail
+		h.next[b], h.free = h.free, b
+		if last {
+			return
+		}
+		b = next
 	}
 }
 
 // drainInstant pops and processes every event due at the earliest pending
 // instant before returning, so virtual time never advances past work still
 // scheduled at the current instant. Processing proceeds in rounds: one
-// round pops the instant's currently queued events — heap order yields them
-// in ascending session id, the deterministic tie-break — and steps each; a
-// session that step re-pushes at the same instant (a zero-duration wakeup)
-// lands in the *next round of the same call*, never in a later instant.
-// The previous engine returned after the first round, deferring same-
-// instant re-wakes to a later batch and breaking the documented ordering
-// contract; the round structure is now the contract (a session stepped
-// twice in one instant necessarily interleaves ids across rounds, so a
-// single globally id-sorted pass cannot exist).
+// round takes the instant's currently queued events — bucket 0, sorted
+// into ascending session id, the deterministic tie-break — and steps each;
+// a session that step re-pushes at the same instant (a zero-duration
+// wakeup) lands in bucket 0 again and so in the *next round of the same
+// call*, never in a later instant. The round structure is the contract: a
+// session stepped twice in one instant necessarily interleaves ids across
+// rounds, so a single globally id-sorted pass cannot exist. The floor
+// stays at the instant until the next call settles, so those re-pushes
+// are never below it.
 //
 // batch is the caller's reusable scratch buffer, returned (possibly grown)
 // for the next call; with a preallocated buffer and a prebuilt step func
-// the drain allocates nothing.
+// the drain allocates nothing. Callers check that the queue is not empty.
 func drainInstant(h *eventHeap, batch []int32, step func(id int32)) []int32 {
-	dueSec := h.peek().wakeSec
-	//lint:allow floateq a round is the bit-identical instant; a tolerance would merge distinct wakeups and reorder decisions
-	for h.len() > 0 && h.peek().wakeSec == dueSec {
-		batch = batch[:0]
-		//lint:allow floateq same exact-instant membership test as the outer round condition
-		for h.len() > 0 && h.peek().wakeSec == dueSec {
-			//lint:allow hotalloc batch is preallocated in shard.init (min(shard size, 4096)); growth needs >4096 same-instant wakeups and is amortized across the run
-			batch = append(batch, h.pop().id)
-		}
+	if h.occupied&1 == 0 {
+		h.settle()
+	}
+	for h.occupied&1 != 0 {
+		batch = h.takeDue(batch)
 		for _, id := range batch {
 			step(id)
 		}
@@ -88,27 +204,43 @@ func drainInstant(h *eventHeap, batch []int32, step func(id int32)) []int32 {
 	return batch
 }
 
-// pop removes and returns the earliest event, sifting the displaced tail
-// element down.
-func (h *eventHeap) pop() event {
-	top := h.ev[0]
-	n := len(h.ev) - 1
-	h.ev[0] = h.ev[n]
-	h.ev = h.ev[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && eventLess(h.ev[l], h.ev[smallest]) {
-			smallest = l
+// takeDue empties bucket 0 into batch, overwriting it, in ascending
+// session id, and returns the bucket's chain to the free list.
+func (h *eventHeap) takeDue(batch []int32) []int32 {
+	batch = batch[:0]
+	c := &h.buckets[0]
+	h.occupied &^= 1
+	for b := c.head; ; b = h.next[b] {
+		for _, e := range h.filled(c, b) {
+			//lint:allow hotalloc batch is preallocated in shard.init (min(shard size, 4096)); growth needs >4096 same-instant wakeups and is amortized across the run
+			batch = append(batch, e.id)
 		}
-		if r < n && eventLess(h.ev[r], h.ev[smallest]) {
-			smallest = r
+		if b == c.tail {
+			break
 		}
-		if smallest == i {
-			return top
-		}
-		h.ev[i], h.ev[smallest] = h.ev[smallest], h.ev[i]
-		i = smallest
 	}
+	h.next[c.tail], h.free = h.free, c.head
+	h.n -= len(batch)
+	slices.Sort(batch)
+	return batch
+}
+
+// each calls fn for every pending event, in no particular order.
+func (h *eventHeap) each(fn func(event)) {
+	for occ := h.occupied; occ != 0; occ &= occ - 1 {
+		c := &h.buckets[bits.TrailingZeros64(occ)]
+		for b := c.head; ; b = h.next[b] {
+			for _, e := range h.filled(c, b) {
+				fn(e)
+			}
+			if b == c.tail {
+				break
+			}
+		}
+	}
+}
+
+// reset empties the queue and rewinds its floor to 0, keeping its storage.
+func (h *eventHeap) reset() {
+	*h = eventHeap{pool: h.pool[:0], next: h.next[:0], free: noBlock}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // shard is one worker's slice of the fleet: a contiguous session-id range
-// with its own event heap, batch buffer and scalar tallies. Sessions are
+// with its own event queue, batch buffer and scalar tallies. Sessions are
 // mutually independent, so a shard never reads or writes another shard's
 // sessions; the only shared state it touches is immutable (corpus, quality
 // tables, Config), atomic (telemetry handles, the progress counter) or
@@ -54,8 +54,8 @@ type shard struct {
 // the watchdog's view lags by at most this many events or one batch.
 const progressEvents = 64
 
-// init primes the shard for the session-id range [lo, hi): the heap is
-// preallocated to the shard size and seeded with the range's arrivals
+// init primes the shard for the session-id range [lo, hi): the event queue
+// is preallocated to the shard size and seeded with the range's arrivals
 // (pushed in id order; arrival times are nondecreasing in id).
 func (sh *shard) init(e *Engine, lo, hi int32) {
 	size := int(hi - lo)

@@ -85,7 +85,7 @@ func (c *control) gate() bool {
 	return !c.abort.Load()
 }
 
-// shardDone retires one shard that drained its heap to completion.
+// shardDone retires one shard that drained its event queue to completion.
 func (c *control) shardDone() {
 	c.mu.Lock()
 	c.active--
@@ -264,5 +264,6 @@ func (e *Engine) watchdogError(stuck []int, deadlineSec float64) error {
 }
 
 // shardFinished is the progress-counter sentinel a shard publishes when
-// its heap is drained, so the watchdog stops expecting progress from it.
+// its event queue is drained, so the watchdog stops expecting progress
+// from it.
 const shardFinished = int64(-1)

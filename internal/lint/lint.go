@@ -121,9 +121,10 @@ func DefaultConfig() Config {
 			"internal/fleet:stepSession", "internal/fleet:advanceSession",
 			"internal/fleet:observeChunk",
 			"internal/fleet:finishSession", "internal/fleet:drainInstant",
-			"internal/fleet:push", "internal/fleet:pop",
-			"internal/fleet:peek", "internal/fleet:eventLess",
-			"internal/fleet:gate",
+			"internal/fleet:push", "internal/fleet:place",
+			"internal/fleet:newBlock", "internal/fleet:filled",
+			"internal/fleet:settle", "internal/fleet:takeDue",
+			"internal/fleet:keyOf", "internal/fleet:gate",
 			"internal/bandwidth:ObserveDownload", "internal/bandwidth:Predict",
 			"internal/bandwidth:Reset",
 			"internal/trace:DownloadTime",

@@ -110,16 +110,15 @@ func main() {
 		return inj
 	}
 	var inner http.Handler
-	var injector *dash.FaultInjector
+	var injectors dash.FaultInjectors
 	var eg *edge.Edge
-	faulty := false
 	if *edgeMode {
 		originURLs := make([]string, *originsN)
 		for i := 0; i < *originsN; i++ {
 			osrv := dash.NewServer(v)
 			osrv.SetMetrics(reg)
 			oinj := newInjector(dash.OriginFaultSeed(*faultSeed, i), osrv.Handler())
-			faulty = oinj.Active()
+			injectors = append(injectors, oinj)
 			oln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "dashserve: origin listener: %v\n", err)
@@ -145,22 +144,27 @@ func main() {
 		eg.SetMetrics(reg)
 		inner = eg.Handler()
 		fmt.Printf("edge tier: %d origins, %d MiB segment cache\n", *originsN, *edgeCache>>20)
-		if faulty {
-			fmt.Printf("injecting faults at every origin: profile %s, base seed %d\n", *faults, *faultSeed)
-		}
 	} else {
 		server := dash.NewServer(v)
 		server.SetMetrics(reg)
-		injector = newInjector(*faultSeed, server.Handler())
-		injector.SetMetrics(reg)
-		if ring != nil {
-			injector.SetRecorder(ring, session)
-		}
-		faulty = injector.Active()
-		if faulty {
-			fmt.Printf("injecting faults: profile %s, seed %d\n", *faults, *faultSeed)
-		}
+		injector := newInjector(*faultSeed, server.Handler())
+		injectors = dash.FaultInjectors{injector}
 		inner = injector
+	}
+	// Every origin's injector reports into the one set of fault series and
+	// the one decision trace; the profile is the same at every origin.
+	injectors.SetMetrics(reg)
+	if ring != nil {
+		for _, inj := range injectors {
+			inj.SetRecorder(ring, session)
+		}
+	}
+	faulty := injectors[0].Active()
+	switch {
+	case faulty && *edgeMode:
+		fmt.Printf("injecting faults at every origin: profile %s, base seed %d\n", *faults, *faultSeed)
+	case faulty:
+		fmt.Printf("injecting faults: profile %s, seed %d\n", *faults, *faultSeed)
 	}
 	// Overload protection wraps the whole serving path (health endpoints,
 	// session admission, optional breaker) even when unconfigured, so
@@ -261,8 +265,8 @@ func main() {
 		res.Scheme, len(res.Chunks), time.Since(start).Seconds(), res.SessionSec)
 	fmt.Printf("  Q4 quality %.1f | low-quality %.1f%% | rebuffer %.1fs | quality change %.2f | data %.1f MB\n",
 		s.Q4Quality, s.LowQualityPct, s.RebufferSec, s.QualityChange, s.DataMB)
-	if faulty && injector != nil {
-		fs := injector.Stats()
+	if faulty {
+		fs := injectors.Stats()
 		fmt.Printf("  faults injected: %d errors, %d resets, %d truncations, %d outage rejections (of %d requests)\n",
 			fs.Errors, fs.Resets, fs.Truncations, fs.OutageRejections, fs.Requests)
 	}

@@ -138,11 +138,33 @@ func (f *FaultInjector) WithClock(c Clock) *FaultInjector {
 	return f
 }
 
-// SetMetrics exposes the injector's Stats on reg (nil disables), one
+// FaultInjectors is a serving tier's fault injection, one injector per
+// origin. Its Stats and its series are sums over the injectors, so N
+// origins expose the series one origin does: a registry takes each name
+// once.
+type FaultInjectors []*FaultInjector
+
+// Stats sums the injectors' counters.
+func (fs FaultInjectors) Stats() FaultStats {
+	var sum FaultStats
+	for _, f := range fs {
+		s := f.Stats()
+		sum.Requests += s.Requests
+		sum.Errors += s.Errors
+		sum.Resets += s.Resets
+		sum.Truncations += s.Truncations
+		sum.Latencies += s.Latencies
+		sum.Stalls += s.Stalls
+		sum.OutageRejections += s.OutageRejections
+	}
+	return sum
+}
+
+// SetMetrics exposes the summed Stats on reg (nil disables), one
 // dash_faults_injected_total series per fault type.
-func (f *FaultInjector) SetMetrics(reg *telemetry.Registry) {
+func (fs FaultInjectors) SetMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("dash_faults_requests_total", "requests seen by the fault injector",
-		func() uint64 { return uint64(f.Stats().Requests) })
+		func() uint64 { return uint64(fs.Stats().Requests) })
 	for typ, field := range map[string]func(FaultStats) int{
 		"outage":   func(s FaultStats) int { return s.OutageRejections },
 		"reset":    func(s FaultStats) int { return s.Resets },
@@ -152,7 +174,7 @@ func (f *FaultInjector) SetMetrics(reg *telemetry.Registry) {
 		"stall":    func(s FaultStats) int { return s.Stalls },
 	} {
 		reg.CounterFunc("dash_faults_injected_total", "faults injected by type",
-			func() uint64 { return uint64(field(f.Stats())) }, telemetry.Label{Name: "type", Value: typ})
+			func() uint64 { return uint64(field(fs.Stats())) }, telemetry.Label{Name: "type", Value: typ})
 	}
 }
 

@@ -80,18 +80,20 @@ func TestOriginBreakerScrape(t *testing.T) {
 	}
 }
 
-// TestFaultInjectorSeriesReadStats injects every fault type and checks the
-// per-type series against FaultStats.
-func TestFaultInjectorSeriesReadStats(t *testing.T) {
-	fc := NewFakeClock(time.Unix(1000, 0))
-	reg := telemetry.NewRegistry()
-	inj := newFaultInjector(faultConfig{
-		Seed: 3, ErrorProb: 0.2, ResetProb: 0.2, TruncateProb: 0.2,
+// allFaultsInjector injects every fault type at the given seed, with an
+// outage over the first virtual second of fc.
+func allFaultsInjector(seed int64, fc *FakeClock) *FaultInjector {
+	return newFaultInjector(faultConfig{
+		Seed: seed, ErrorProb: 0.2, ResetProb: 0.2, TruncateProb: 0.2,
 		LatencyProb: 0.3, LatencySec: 0.001, StallProb: 0.3, StallSec: 0.001,
 		Outages: []outageWindow{{StartSec: 0, EndSec: 1}},
 	}, payloadHandler(64)).WithClock(fc)
-	inj.SetMetrics(reg)
-	for i := 0; i < 100; i++ {
+}
+
+// driveFaults sends n segment requests through inj, the first three inside
+// the outage window, and swallows the injected connection resets.
+func driveFaults(t *testing.T, inj *FaultInjector, fc *FakeClock, n int) {
+	for i := 0; i < n; i++ {
 		if i == 3 {
 			fc.Advance(2 * time.Second) // leave the outage window
 		}
@@ -104,12 +106,11 @@ func TestFaultInjectorSeriesReadStats(t *testing.T) {
 			doReq(t, inj, fmt.Sprintf("/seg/0/%d", i))
 		}()
 	}
-	s := inj.Stats()
-	if s.OutageRejections == 0 || s.Resets == 0 || s.Errors == 0 || s.Truncations == 0 ||
-		s.Latencies == 0 || s.Stalls == 0 {
-		t.Fatalf("stats = %+v, want every fault type injected", s)
-	}
-	assertSeries(t, reg, map[string]int{
+}
+
+// faultSeries is the exposition FaultInjectors.SetMetrics should show for s.
+func faultSeries(s FaultStats) map[string]int {
+	return map[string]int{
 		"dash_faults_requests_total":                  s.Requests,
 		`dash_faults_injected_total{type="outage"}`:   s.OutageRejections,
 		`dash_faults_injected_total{type="reset"}`:    s.Resets,
@@ -117,5 +118,52 @@ func TestFaultInjectorSeriesReadStats(t *testing.T) {
 		`dash_faults_injected_total{type="truncate"}`: s.Truncations,
 		`dash_faults_injected_total{type="latency"}`:  s.Latencies,
 		`dash_faults_injected_total{type="stall"}`:    s.Stalls,
-	})
+	}
+}
+
+// TestFaultInjectorSeriesReadStats injects every fault type and checks the
+// per-type series against FaultStats.
+func TestFaultInjectorSeriesReadStats(t *testing.T) {
+	fc := NewFakeClock(time.Unix(1000, 0))
+	reg := telemetry.NewRegistry()
+	inj := allFaultsInjector(3, fc)
+	FaultInjectors{inj}.SetMetrics(reg)
+	driveFaults(t, inj, fc, 100)
+	s := inj.Stats()
+	if s.OutageRejections == 0 || s.Resets == 0 || s.Errors == 0 || s.Truncations == 0 ||
+		s.Latencies == 0 || s.Stalls == 0 {
+		t.Fatalf("stats = %+v, want every fault type injected", s)
+	}
+	assertSeries(t, reg, faultSeries(s))
+}
+
+// TestFaultInjectorsSeriesSumOrigins registers three origin injectors at
+// once, as dashserve -edge does, and checks that the registry carries
+// exactly the seven fault series, each the sum over the origins.
+func TestFaultInjectorsSeriesSumOrigins(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	var injs FaultInjectors
+	var sum FaultStats
+	for i, n := range []int{40, 70, 100} {
+		fc := NewFakeClock(time.Unix(1000, 0))
+		inj := allFaultsInjector(OriginFaultSeed(3, i), fc)
+		injs = append(injs, inj)
+		driveFaults(t, inj, fc, n)
+		s := inj.Stats()
+		sum.Requests += s.Requests
+		sum.OutageRejections += s.OutageRejections
+		sum.Resets += s.Resets
+		sum.Errors += s.Errors
+		sum.Truncations += s.Truncations
+		sum.Latencies += s.Latencies
+		sum.Stalls += s.Stalls
+	}
+	injs.SetMetrics(reg)
+	if sum.Requests != 210 || sum.Errors == 0 || sum.Resets == 0 {
+		t.Fatalf("summed stats = %+v, want 210 requests with faults", sum)
+	}
+	if got := injs.Stats(); got != sum {
+		t.Errorf("Stats() = %+v, want the origins' sum %+v", got, sum)
+	}
+	assertSeries(t, reg, faultSeries(sum))
 }

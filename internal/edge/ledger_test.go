@@ -105,7 +105,7 @@ func TestServingTierSeriesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.SetMetrics(reg)
+	dash.FaultInjectors{inj}.SetMetrics(reg)
 
 	got := exposition(t, reg, false)
 	if got != servingTierSeries {

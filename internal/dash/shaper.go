@@ -58,16 +58,6 @@ func (s *Shaper) SetMetrics(reg *telemetry.Registry) {
 	s.shapedTot = reg.Counter("dash_shaper_bytes_total", "bytes admitted through the shaped link")
 }
 
-// VirtualNow returns the current position on the trace in virtual seconds.
-func (s *Shaper) VirtualNow() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.start.IsZero() {
-		return 0
-	}
-	return s.clock.Now().Sub(s.start).Seconds() * s.scale
-}
-
 // Wait blocks until n bytes may pass the link.
 func (s *Shaper) Wait(n int) {
 	remaining := float64(n)

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Tier-1 gate: static analysis, build, race-enabled tests, the benchmark
 # module, the telemetry benchmark smoke (which also runs the zero-alloc
-# guards: the AllocsPerRun assertions in internal/telemetry and
-# internal/player), the short sweep and fleet gates and the soaks. This is
-# the one gate list; `make check` runs it whole.
+# guards: the AllocsPerRun assertions in internal/telemetry,
+# internal/player and internal/fleet, outside the race build), the short
+# sweep and fleet gates and the soaks. This is the one gate list; `make
+# check` runs it whole.
 #
 #   sh scripts/check.sh                 every step below, in order
 #   sh scripts/check.sh STEP [ARGS...]  one step; ARGS go to its go test
@@ -57,10 +58,13 @@ step() {
 		;;
 	bench-telemetry)
 		# Telemetry smoke: the instrumentation benchmarks plus the
-		# zero-alloc guards (counter path and the player's
-		# disabled-recorder step path).
-		go test -bench=Telemetry -benchtime=100x -run='TestZeroAllocUpdates|TestTelemetryDisabledAllocBound' "$@" \
-			./internal/telemetry ./internal/player
+		# zero-alloc guards (counter path, the player's disabled-recorder
+		# step path, the fleet's per-event path and a session's first
+		# event), and the fleet event queue's hold benchmark, which
+		# builds a shard's 50k-event queue.
+		go test -bench='Telemetry|EventHeapHold' -benchtime=100x \
+			-run='TestZeroAllocUpdates|TestTelemetryDisabledAllocBound|TestFleetZeroAllocPerEvent|TestFleetSessionFootprint' "$@" \
+			./internal/telemetry ./internal/player ./internal/fleet
 		;;
 	bench-sweep-short)
 		# Sweep-memoization gate: cold pass, warm replay and disk replay

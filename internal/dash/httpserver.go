@@ -26,8 +26,8 @@ const (
 )
 
 // NewHTTPServer returns an http.Server for h with the repository-standard
-// protective timeouts set. Every http.Server literal in the testbed, the
-// commands and the examples goes through this constructor so none of them
+// protective timeouts set. Every http.Server literal in the testbed and the
+// commands goes through this constructor so none of them
 // can regress to the unbounded zero-value configuration.
 func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{

@@ -1,6 +1,6 @@
 // Package plot renders small terminal charts — sparklines, CDF step plots
-// and quality strip charts — so cmd/abreval and the examples can show the paper's
-// figures directly in the terminal without any plotting dependency.
+// and quality strip charts — so cmd/abreval can show the paper's figures
+// directly in the terminal without any plotting dependency.
 package plot
 
 import (

@@ -17,10 +17,10 @@ import (
 // baselines (PIA, FESTIVE, plain BOLA). This block is the one place a
 // scheme is named and constructed. Each line gives the scheme's CLI name,
 // its result label (the algorithm's own Name()) and its factory. The
-// exported values carry the result label, so experiments and examples name
-// a scheme by identifier and a misspelling fails to compile. The
-// command-line tools look schemes up by CLI name through Roster, and
-// SchemeAll labels each scheme with its CLI name.
+// exported values carry the result label, so experiments name a scheme by
+// identifier and a misspelling fails to compile. The command-line tools
+// look schemes up by CLI name through Roster, and SchemeAll labels each
+// scheme with its CLI name.
 var (
 	CAVA        = rostered("cava", "CAVA", core.Factory())
 	CAVAP1      = rostered("cava-p1", "CAVA-p1", core.Variant("p1"))

@@ -264,8 +264,3 @@ func run(req Request) (*Results, error) {
 	}
 	return res, nil
 }
-
-// MeanOf aggregates one metric field across a cell's summaries.
-func MeanOf(ss []metrics.Summary, f metrics.Field) float64 {
-	return metrics.Mean(metrics.Collect(ss, f))
-}

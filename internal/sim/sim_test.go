@@ -8,7 +8,6 @@ import (
 	"cava/internal/abr"
 	"cava/internal/bandwidth"
 	"cava/internal/core"
-	"cava/internal/metrics"
 	"cava/internal/player"
 	"cava/internal/quality"
 	"cava/internal/telemetry"
@@ -86,15 +85,6 @@ func TestSchemeAll(t *testing.T) {
 	}
 	if res.SchemeAll("nope") != nil {
 		t.Error("unknown scheme should return nil")
-	}
-}
-
-func TestMeanOf(t *testing.T) {
-	res := mustRun(t, smallRequest(2))
-	ss := res.SchemeAll("CAVA")
-	m := MeanOf(ss, metrics.FieldDataMB)
-	if m <= 0 {
-		t.Errorf("MeanOf DataMB = %v", m)
 	}
 }
 

@@ -143,7 +143,7 @@ func GenFCCSet(n int) []*Trace {
 }
 
 // Constant returns a trace with a single constant bandwidth, useful in tests
-// and examples.
+// and for the const:<mbps> trace spec.
 func Constant(id string, bps, durationSec, intervalSec float64) *Trace {
 	n := int(math.Ceil(durationSec / intervalSec))
 	if n < 1 {

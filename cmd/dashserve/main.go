@@ -15,7 +15,7 @@
 //
 // Observability: -debug-addr mounts Prometheus metrics (/metrics) and pprof
 // (/debug/pprof/) on a side listener; -trace-out dumps the session's ABR
-// decision trace as JSONL (render it with "abrexport trace -in <file>").
+// decision trace as JSONL (render it with "cava-sim -in <file>").
 // In serve-only mode SIGINT/SIGTERM trigger a graceful drain.
 package main
 
@@ -291,26 +291,15 @@ func ringOrNil(r *telemetry.Ring) telemetry.Recorder {
 	return r
 }
 
-// dumpTrace writes the collected decision trace to path as JSONL.
+// dumpTrace writes the collected decision trace to path as JSONL and exits
+// 1 if the write or the close fails.
 func dumpTrace(path string, ring *telemetry.Ring) {
 	if path == "" || ring == nil {
 		return
 	}
-	var w *os.File
-	if path == "-" {
-		w = os.Stdout
-	} else {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dashserve: trace-out: %v\n", err)
-			return
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := ring.WriteJSONL(w); err != nil {
+	if err := cliutil.WriteOutput(path, ring.WriteJSONL); err != nil {
 		fmt.Fprintf(os.Stderr, "dashserve: trace-out: %v\n", err)
-		return
+		os.Exit(1)
 	}
 	if path != "-" {
 		fmt.Printf("wrote %d trace events to %s (%d evicted)\n", ring.Len(), path, ring.Dropped())

@@ -12,9 +12,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
+	"cava/internal/cliutil"
 	"cava/internal/dash"
 	"cava/internal/scene"
 	"cava/internal/video"
@@ -22,46 +24,21 @@ import (
 
 // writeManifest renders one video's manifest in the chosen format.
 func writeManifest(dir, format, id string, m *dash.Manifest) error {
-	create := func(name string) (*os.File, error) {
-		return os.Create(filepath.Join(dir, name))
+	write := func(name string, enc func(io.Writer) error) error {
+		return cliutil.WriteOutput(filepath.Join(dir, name), enc)
 	}
 	switch format {
 	case "json":
-		f, err := create(id + ".json")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return m.EncodeTo(f)
+		return write(id+".json", m.EncodeTo)
 	case "mpd":
-		f, err := create(id + ".mpd")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return dash.WriteMPD(f, m)
+		return write(id+".mpd", func(w io.Writer) error { return dash.WriteMPD(w, m) })
 	case "hls":
-		f, err := create(id + ".m3u8")
-		if err != nil {
-			return err
-		}
-		if err := dash.WriteHLSMaster(f, m); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := write(id+".m3u8", func(w io.Writer) error { return dash.WriteHLSMaster(w, m) }); err != nil {
 			return err
 		}
 		for ti := range m.Tracks {
-			mf, err := create(fmt.Sprintf("%s_track_%d.m3u8", id, ti))
-			if err != nil {
-				return err
-			}
-			if err := dash.WriteHLSMedia(mf, m, ti); err != nil {
-				_ = mf.Close()
-				return err
-			}
-			if err := mf.Close(); err != nil {
+			name := fmt.Sprintf("%s_track_%d.m3u8", id, ti)
+			if err := write(name, func(w io.Writer) error { return dash.WriteHLSMedia(w, m, ti) }); err != nil {
 				return err
 			}
 		}

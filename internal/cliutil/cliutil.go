@@ -1,10 +1,12 @@
-// Package cliutil holds the flag-parsing helpers shared by the command-line
-// tools: trace specs ("lte:3", "fcc:10", "const:2.5", "mahimahi:<path>")
-// and CLI-name lookups over the scheme roster (sim.Roster).
+// Package cliutil holds the helpers shared by the command-line tools:
+// trace specs ("lte:3", "fcc:10", "const:2.5", "mahimahi:<path>"),
+// CLI-name lookups over the scheme roster (sim.Roster) and the output-path
+// convention ("-" is stdout).
 package cliutil
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -128,4 +130,23 @@ func SchemeNames() []string {
 		names = append(names, e.CLI)
 	}
 	return names
+}
+
+// WriteOutput runs write on the file at path, created or truncated, or on
+// stdout when path is "-". It returns write's error, else the file's Close
+// error, so a failed final write is reported rather than lost behind a
+// deferred Close.
+func WriteOutput(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return err
+	}
+	return f.Close()
 }

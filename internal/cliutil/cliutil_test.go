@@ -2,6 +2,8 @@ package cliutil
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -108,5 +110,25 @@ func TestSchemeByNameUnknown(t *testing.T) {
 	}
 	if _, err := Scheme("cava-p123"); err == nil {
 		t.Error("non-roster alias cava-p123 accepted")
+	}
+}
+
+func TestWriteOutput(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.txt")
+	if err := WriteOutput(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "data\n")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "data\n" {
+		t.Fatalf("file = %q, %v", got, err)
+	}
+	boom := errors.New("boom")
+	if err := WriteOutput(path, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Errorf("write error = %v, want %v", err, boom)
+	}
+	if err := WriteOutput(filepath.Join(path, "sub"), func(io.Writer) error { return nil }); err == nil {
+		t.Error("creating a file under a regular file succeeded")
 	}
 }

@@ -1,19 +1,12 @@
 // Command abrexport runs a scheme × video × trace sweep and writes the
 // per-session metrics as CSV or JSON for external analysis/plotting.
+// (One session's decision trace is cava-sim's: -events, -trace-out, -in.)
 //
 // Usage:
 //
 //	abrexport -videos ED-youtube-h264,BBB-youtube-h264 -set lte -traces 50 -out results.csv
 //	abrexport -videos ED-ffmpeg-h264 -set fcc -traces 200 -format json -out results.json
 //	abrexport -schemes cava,robustmpc -videos ED-ffmpeg-h264 -out -   # stdout
-//
-// The trace subcommand renders one session's ABR decision trace instead,
-// either by simulating a session or from a JSONL dump (-trace-out of
-// dashserve, or a previous "abrexport trace -format jsonl"):
-//
-//	abrexport trace -video ED-ffmpeg-h264 -trace lte:0 -scheme cava
-//	abrexport trace -in session.jsonl
-//	abrexport trace -video ED-ffmpeg-h264 -trace lte:3 -scheme cava -format jsonl -out session.jsonl
 package main
 
 import (
@@ -22,7 +15,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"text/tabwriter"
 
 	"cava/internal/abr"
 	"cava/internal/cache"
@@ -31,23 +23,11 @@ import (
 	"cava/internal/quality"
 	"cava/internal/report"
 	"cava/internal/sim"
-	"cava/internal/telemetry"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		if err := runTrace(os.Args[2:]); err != nil {
-			fmt.Fprintf(os.Stderr, "abrexport trace: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	runSweep()
-}
-
-func runSweep() {
 	var (
 		videosFlag  = flag.String("videos", "ED-ffmpeg-h264", "comma-separated video ids")
 		schemesFlag = flag.String("schemes", "cava,mpc,robustmpc,panda-max-sum,panda-max-min", "comma-separated schemes (see cava-sim -list-schemes)")
@@ -59,6 +39,24 @@ func runSweep() {
 	)
 	flag.Parse()
 
+	// Every flag is checked before the sweep runs and before -out is
+	// created, so a bad invocation leaves an existing file untouched.
+	if flag.NArg() > 0 {
+		fail(2, fmt.Errorf("unexpected argument %q (one session's decision trace is cava-sim -events)", flag.Arg(0)))
+	}
+	var write func(io.Writer, []report.Row) error
+	switch *format {
+	case "csv":
+		write = report.WriteCSV
+	case "json":
+		write = report.WriteJSON
+	default:
+		fail(2, fmt.Errorf("unknown format %q (want csv or json)", *format))
+	}
+	if *traces <= 0 {
+		fail(2, fmt.Errorf("-traces %d: want a positive trace count", *traces))
+	}
+
 	c := cache.Shared
 	if *cacheDir != "" {
 		c = cache.New(cache.WithDir(*cacheDir))
@@ -68,8 +66,7 @@ func runSweep() {
 	for _, id := range strings.Split(*videosFlag, ",") {
 		v, err := c.VideoByIDErr(strings.TrimSpace(id))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "abrexport: %v\n", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		videos = append(videos, v)
 	}
@@ -77,8 +74,7 @@ func runSweep() {
 	for _, name := range strings.Split(*schemesFlag, ",") {
 		sc, err := cliutil.Scheme(strings.TrimSpace(name))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "abrexport: %v\n", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		schemes = append(schemes, sc)
 	}
@@ -93,8 +89,7 @@ func runSweep() {
 		trs = trace.GenFCCSet(*traces)
 		metric = quality.VMAFTV
 	default:
-		fmt.Fprintf(os.Stderr, "abrexport: unknown trace set %q\n", *set)
-		os.Exit(2)
+		fail(2, fmt.Errorf("unknown trace set %q", *set))
 	}
 
 	res, err := sim.Run(sim.Request{
@@ -106,140 +101,18 @@ func runSweep() {
 		Cache:   c,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "abrexport: %v\n", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	rows := report.Flatten(res)
-
-	var w io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "abrexport: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *format {
-	case "csv":
-		err = report.WriteCSV(w, rows)
-	case "json":
-		err = report.WriteJSON(w, rows)
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "abrexport: %v\n", err)
-		os.Exit(1)
+	if err := cliutil.WriteOutput(*out, func(w io.Writer) error { return write(w, rows) }); err != nil {
+		fail(1, err)
 	}
 	if *out != "-" {
 		fmt.Printf("wrote %d session rows to %s\n", len(rows), *out)
 	}
 }
 
-// runTrace implements the "trace" subcommand: obtain one session's decision
-// trace (from a JSONL dump or by simulating the session) and render it.
-func runTrace(args []string) error {
-	fs := flag.NewFlagSet("abrexport trace", flag.ExitOnError)
-	var (
-		in        = fs.String("in", "", "read events from a JSONL dump instead of simulating")
-		videoID   = fs.String("video", "ED-ffmpeg-h264", "video id to simulate")
-		traceSpec = fs.String("trace", "lte:0", "trace spec (lte:<i>, fcc:<i>, const:<mbps>, mahimahi:<path>)")
-		scheme    = fs.String("scheme", "cava", "scheme name (see cava-sim -list-schemes)")
-		format    = fs.String("format", "table", "output format: table or jsonl")
-		out       = fs.String("out", "-", "output path ('-' = stdout)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	var events []telemetry.Event
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		events, err = telemetry.ReadJSONL(f)
-		if err != nil {
-			return err
-		}
-	} else {
-		v := video.ByID(*videoID)
-		if v == nil {
-			return fmt.Errorf("unknown video %q", *videoID)
-		}
-		tr, err := cliutil.ParseTrace(*traceSpec)
-		if err != nil {
-			return err
-		}
-		factory, err := cliutil.SchemeByName(*scheme)
-		if err != nil {
-			return err
-		}
-		ring := telemetry.NewRing(telemetry.DefaultRingCapacity)
-		cfg := player.DefaultConfig()
-		cfg.Recorder = ring
-		if _, err := player.Simulate(v, tr, factory(v), cfg); err != nil {
-			return err
-		}
-		events = ring.Events()
-	}
-	if len(events) == 0 {
-		return fmt.Errorf("no events to render")
-	}
-
-	var w io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *format {
-	case "jsonl":
-		return telemetry.WriteJSONL(w, events)
-	case "table":
-		return renderTrace(w, events)
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
-}
-
-// renderTrace prints one line per event, in time order, with the fields that
-// matter for each kind.
-func renderTrace(w io.Writer, events []telemetry.Event) error {
-	if _, err := fmt.Fprintf(w, "session %s: %d events\n", events[0].Session, len(events)); err != nil {
-		return err
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "seq\tt(s)\tkind\tchunk\tlevel\tbuf(s)\test(Mbps)\tdetail")
-	for _, ev := range events {
-		detail := ev.Detail
-		switch ev.Kind {
-		case telemetry.KindDecide:
-			detail = fmt.Sprintf("target=%.1fs u=%.3f α=%.2f", ev.TargetSec, ev.U, ev.Alpha)
-			if ev.Detail != "" {
-				detail += " (" + ev.Detail + ")"
-			}
-		case telemetry.KindDownload:
-			detail = fmt.Sprintf("%.2f Mb in %.2fs @ %.1f Mbps",
-				ev.SizeBits/1e6, ev.DownloadSec, ev.ThroughputBps/1e6)
-			if ev.RebufferSec > 0 {
-				detail += fmt.Sprintf(" (stall %.2fs)", ev.RebufferSec)
-			}
-		case telemetry.KindWait:
-			detail = fmt.Sprintf("idle %.2fs", ev.WaitSec)
-		case telemetry.KindRetry, telemetry.KindSkip, telemetry.KindFault:
-			detail = fmt.Sprintf("attempt %d: %s", ev.Attempt, ev.Detail)
-		case telemetry.KindAbandon:
-			detail = fmt.Sprintf("from L%d: %s", ev.PrevLevel, ev.Detail)
-		}
-		fmt.Fprintf(tw, "%d\t%.2f\t%s\t%d\t%d\t%.2f\t%.2f\t%s\n",
-			ev.Seq, ev.TimeSec, ev.Kind, ev.Chunk, ev.Level, ev.BufferSec, ev.EstBps/1e6, detail)
-	}
-	return tw.Flush()
+func fail(code int, err error) {
+	fmt.Fprintf(os.Stderr, "abrexport: %v\n", err)
+	os.Exit(code)
 }

@@ -1,10 +1,15 @@
-// Command cava-sim runs a single ABR streaming session (or a small sweep)
-// and prints per-chunk decisions and the QoE summary.
+// Command cava-sim runs one ABR streaming session and prints what it did:
+// the QoE summary, with -v the per-chunk log, or with -events the decision
+// trace (one line per event). -trace-out dumps that trace as JSONL and -in
+// renders a dump (of cava-sim or dashserve -trace-out) without simulating.
 //
 // Usage:
 //
 //	cava-sim -video ED-youtube-h264 -trace lte:0 -scheme cava [-v]
 //	cava-sim -video BBB-ffmpeg-h264 -trace fcc:12 -scheme robustmpc
+//	cava-sim -video ED-ffmpeg-h264 -trace lte:3 -scheme cava -events
+//	cava-sim -video ED-ffmpeg-h264 -trace lte:3 -trace-out session.jsonl
+//	cava-sim -in session.jsonl
 //	cava-sim -list-videos
 //	cava-sim -list-schemes
 package main
@@ -12,23 +17,30 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
+	"text/tabwriter"
 
 	"cava/internal/cliutil"
 	"cava/internal/metrics"
 	"cava/internal/player"
 	"cava/internal/quality"
 	"cava/internal/scene"
+	"cava/internal/telemetry"
+	"cava/internal/trace"
 	"cava/internal/video"
 )
 
 func main() {
 	var (
 		videoID     = flag.String("video", "ED-youtube-h264", "video id from the dataset")
-		traceSpec   = flag.String("trace", "lte:0", "trace spec: lte:<idx>, fcc:<idx>, const:<mbps>")
+		traceSpec   = flag.String("trace", "lte:0", "trace spec: lte:<idx>, fcc:<idx>, const:<mbps>, mahimahi:<path>")
 		schemeName  = flag.String("scheme", "cava", "adaptation scheme")
 		verbose     = flag.Bool("v", false, "print per-chunk decisions")
+		events      = flag.Bool("events", false, "print the session's decision trace instead of the summary")
+		traceOut    = flag.String("trace-out", "", "write the session's decision trace as JSONL ('-' = stdout, in place of the report)")
+		in          = flag.String("in", "", "render a JSONL decision-trace dump instead of simulating")
 		listVideos  = flag.Bool("list-videos", false, "list dataset video ids")
 		listSchemes = flag.Bool("list-schemes", false, "list scheme names")
 	)
@@ -39,7 +51,6 @@ func main() {
 			fmt.Printf("%-22s %d tracks, %d chunks of %.0fs, cap %.0fx\n",
 				v.ID(), v.NumTracks(), v.NumChunks(), v.ChunkDurSec, v.Cap)
 		}
-		fmt.Println("ED-ffmpeg-h264-4x      (4x-capped variant via cap4x experiment)")
 		return
 	}
 	if *listSchemes {
@@ -48,34 +59,69 @@ func main() {
 		}
 		return
 	}
+	if *in != "" {
+		if err := renderDump(*in); err != nil {
+			fail(1, err)
+		}
+		return
+	}
 
 	v := video.ByID(*videoID)
 	if v == nil {
-		fmt.Fprintf(os.Stderr, "cava-sim: unknown video %q (try -list-videos)\n", *videoID)
-		os.Exit(2)
+		fail(2, fmt.Errorf("unknown video %q (try -list-videos)", *videoID))
 	}
 	factory, err := cliutil.SchemeByName(*schemeName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cava-sim: %v\n", err)
-		os.Exit(2)
+		fail(2, err)
 	}
 	tr, err := cliutil.ParseTrace(*traceSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cava-sim: %v\n", err)
-		os.Exit(2)
+		fail(2, err)
 	}
 
-	res, err := player.Simulate(v, tr, factory(v), player.DefaultConfig())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cava-sim: %v\n", err)
-		os.Exit(1)
+	cfg := player.DefaultConfig()
+	var ring *telemetry.Ring
+	if *events || *traceOut != "" {
+		ring = telemetry.NewRing(telemetry.DefaultRingCapacity)
+		cfg.Recorder = ring
 	}
+	res, err := player.Simulate(v, tr, factory(v), cfg)
+	if err != nil {
+		fail(1, err)
+	}
+	switch {
+	case *traceOut == "-":
+		// The JSONL dump takes stdout, so it stays parseable.
+	case *events:
+		err = renderTrace(os.Stdout, ring.Events())
+	default:
+		printSummary(v, tr, res, *verbose)
+	}
+	if err == nil && *traceOut != "" {
+		err = cliutil.WriteOutput(*traceOut, ring.WriteJSONL)
+		if err == nil && *traceOut != "-" {
+			fmt.Printf("wrote %d trace events to %s (%d evicted)\n", ring.Len(), *traceOut, ring.Dropped())
+		}
+	}
+	if err != nil {
+		fail(1, err)
+	}
+}
+
+func fail(code int, err error) {
+	fmt.Fprintf(os.Stderr, "cava-sim: %v\n", err)
+	os.Exit(code)
+}
+
+// printSummary prints the session's QoE summary, after its per-chunk log
+// when verbose.
+func printSummary(v *video.Video, tr *trace.Trace, res *player.Result, verbose bool) {
 	cellular := strings.HasPrefix(tr.ID, "lte")
 	qt := quality.NewTable(v, quality.DefaultMetricFor(cellular))
 	cats := scene.ClassifyDefault(v)
 	s := metrics.Summarize(res, qt, cats)
 
-	if *verbose {
+	if verbose {
 		fmt.Println("chunk  cat  level  size(Mb)  dl(s)  tput(Mbps)  buf(s)  stall(s)  vmaf")
 		for _, c := range res.Chunks {
 			fmt.Printf("%5d  Q%d   %5d  %8.2f  %5.1f  %10.2f  %6.1f  %8.1f  %4.0f\n",
@@ -92,4 +138,56 @@ func main() {
 	fmt.Printf("  rebuffering         %.1f s\n", s.RebufferSec)
 	fmt.Printf("  quality change      %.2f /chunk\n", s.QualityChange)
 	fmt.Printf("  data usage          %.1f MB\n", s.DataMB)
+}
+
+// renderDump renders the decision trace in a JSONL dump.
+func renderDump(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	events, err := telemetry.ReadJSONL(f)
+	if err != nil {
+		return err
+	}
+	if len(events) == 0 {
+		return fmt.Errorf("%s: no events to render", path)
+	}
+	return renderTrace(os.Stdout, events)
+}
+
+// renderTrace prints one line per event, in time order, with the fields that
+// matter for each kind.
+func renderTrace(w io.Writer, events []telemetry.Event) error {
+	if _, err := fmt.Fprintf(w, "session %s: %d events\n", events[0].Session, len(events)); err != nil {
+		return err
+	}
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "seq\tt(s)\tkind\tchunk\tlevel\tbuf(s)\test(Mbps)\tdetail")
+	for _, ev := range events {
+		detail := ev.Detail
+		switch ev.Kind {
+		case telemetry.KindDecide:
+			detail = fmt.Sprintf("target=%.1fs u=%.3f α=%.2f", ev.TargetSec, ev.U, ev.Alpha)
+			if ev.Detail != "" {
+				detail += " (" + ev.Detail + ")"
+			}
+		case telemetry.KindDownload:
+			detail = fmt.Sprintf("%.2f Mb in %.2fs @ %.1f Mbps",
+				ev.SizeBits/1e6, ev.DownloadSec, ev.ThroughputBps/1e6)
+			if ev.RebufferSec > 0 {
+				detail += fmt.Sprintf(" (stall %.2fs)", ev.RebufferSec)
+			}
+		case telemetry.KindWait:
+			detail = fmt.Sprintf("idle %.2fs", ev.WaitSec)
+		case telemetry.KindRetry, telemetry.KindSkip, telemetry.KindFault:
+			detail = fmt.Sprintf("attempt %d: %s", ev.Attempt, ev.Detail)
+		case telemetry.KindAbandon:
+			detail = fmt.Sprintf("from L%d: %s", ev.PrevLevel, ev.Detail)
+		}
+		fmt.Fprintf(tw, "%d\t%.2f\t%s\t%d\t%d\t%.2f\t%.2f\t%s\n",
+			ev.Seq, ev.TimeSec, ev.Kind, ev.Chunk, ev.Level, ev.BufferSec, ev.EstBps/1e6, detail)
+	}
+	return tw.Flush()
 }

@@ -26,6 +26,10 @@ func main() {
 		stats = flag.Bool("stats", false, "print summary statistics instead of writing files")
 	)
 	flag.Parse()
+	if *n <= 0 {
+		fmt.Fprintf(os.Stderr, "tracegen: -n %d: want a positive trace count\n", *n)
+		os.Exit(2)
+	}
 
 	var traces []*trace.Trace
 	switch *set {

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	abreval -list
-//	abreval -exp fig8 [-traces 200] [-workers 8]
+//	abreval -exp fig8 [-traces 200]
 //	abreval -all [-traces 50]
 //
 // Each experiment prints the rows/series of the corresponding paper
@@ -27,7 +27,6 @@ func main() {
 		all      = flag.Bool("all", false, "run every experiment")
 		list     = flag.Bool("list", false, "list experiment ids")
 		traces   = flag.Int("traces", 0, "traces per set (default 200)")
-		workers  = flag.Int("workers", 0, "parallel workers (default GOMAXPROCS)")
 		cacheDir = flag.String("cache-dir", "", "persist sweep results as JSON under this directory; repeated invocations skip completed sweeps")
 	)
 	flag.Parse()
@@ -39,7 +38,7 @@ func main() {
 		return
 	}
 
-	opt := experiments.Options{Traces: *traces, Workers: *workers}
+	opt := experiments.Options{Traces: *traces}
 	if *cacheDir != "" {
 		opt.Cache = cache.New(cache.WithDir(*cacheDir))
 	}

@@ -32,7 +32,6 @@ func runAutoTune(opt Options) (*Result, error) {
 			Schemes: schemes,
 			Config:  defaultConfig(),
 			Metric:  metric,
-			Workers: opt.Workers,
 			Cache:   opt.cache(),
 		})
 		if err != nil {

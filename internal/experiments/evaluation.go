@@ -132,7 +132,6 @@ func windowSweep(opt Options, values []float64, set func(*core.Params, float64))
 			Schemes: []abr.Scheme{sc},
 			Config:  defaultConfig(),
 			Metric:  quality.VMAFPhone,
-			Workers: opt.Workers,
 			Cache:   opt.cache(),
 		})
 		if err != nil {
@@ -188,7 +187,6 @@ func fig8Run(opt Options) (*sim.Results, *video.Video, error) {
 		Schemes: comparisonSchemes(),
 		Config:  defaultConfig(),
 		Metric:  quality.VMAFPhone,
-		Workers: opt.Workers,
 		Cache:   opt.cache(),
 	})
 	return res, v, err
@@ -308,7 +306,6 @@ func runFig10(opt Options) (*Result, error) {
 		Schemes: []abr.Scheme{sim.CAVAP1, sim.CAVAP12, cavaP123},
 		Config:  defaultConfig(),
 		Metric:  quality.VMAFPhone,
-		Workers: opt.Workers,
 		Cache:   opt.cache(),
 	})
 	if err != nil {
@@ -358,7 +355,6 @@ func runFig10(opt Options) (*Result, error) {
 		Schemes: []abr.Scheme{sim.CAVAP12, cavaP123},
 		Config:  defaultConfig(),
 		Metric:  quality.VMAFPhone,
-		Workers: opt.Workers,
 		Cache:   opt.cache(),
 	})
 	if err != nil {

@@ -30,8 +30,6 @@ import (
 type Options struct {
 	// Traces is the number of traces per set (default 200).
 	Traces int
-	// Workers bounds sweep parallelism (default GOMAXPROCS).
-	Workers int
 	// Cache memoizes generated videos, derived artifacts and whole sweep
 	// results across runners (nil uses the process-wide cache.Shared, so
 	// e.g. fig8 and fig9 — which need the same sweep — execute it once).

@@ -46,10 +46,9 @@ func runAlpha(opt Options) (*Result, error) {
 			Schemes: []abr.Scheme{{Name: name, New: func(v *video.Video) abr.Algorithm {
 				return core.NewWith(v, p, core.AllPrinciples, name)
 			}}},
-			Config:  defaultConfig(),
-			Metric:  quality.VMAFPhone,
-			Workers: opt.Workers,
-			Cache:   opt.cache(),
+			Config: defaultConfig(),
+			Metric: quality.VMAFPhone,
+			Cache:  opt.cache(),
 		})
 		if err != nil {
 			return nil, err

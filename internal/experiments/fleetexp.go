@@ -25,7 +25,7 @@ func init() {
 // reduced bench mix) — and reports each scheme's fleet-level distributions:
 // the tail percentiles an operator sees, which cell means hide. Sessions
 // scale with the trace-count option (25 sessions per trace: 200 traces →
-// 5000 sessions at paper scale); the engine shards across opt.Workers.
+// 5000 sessions at paper scale); the engine shards across all cores.
 func runFleet(opt Options) (*Result, error) {
 	videos := []*video.Video{edYouTube(), edFFmpeg()}
 	nTraces := opt.traces()
@@ -42,7 +42,6 @@ func runFleet(opt Options) (*Result, error) {
 			Scheme:             sc,
 			Player:             defaultConfig(),
 			Sessions:           sessions,
-			Workers:            opt.Workers,
 			ArrivalRatePerSec:  2,
 			RandomTraceOffsets: true,
 			Seed:               1,

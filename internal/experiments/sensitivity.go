@@ -94,7 +94,6 @@ func runStartup(opt Options) (*Result, error) {
 			Schemes: []abr.Scheme{sim.CAVA, sim.RobustMPC},
 			Config:  cfg,
 			Metric:  quality.VMAFPhone,
-			Workers: opt.Workers,
 			Cache:   opt.cache(),
 		})
 		if err != nil {
@@ -132,7 +131,6 @@ func runChunkDur(opt Options) (*Result, error) {
 		Schemes: []abr.Scheme{sim.CAVA, sim.RobustMPC, sim.PANDAMaxMin},
 		Config:  defaultConfig(),
 		Metric:  quality.VMAFPhone,
-		Workers: opt.Workers,
 		Cache:   opt.cache(),
 	})
 	if err != nil {
@@ -168,7 +166,6 @@ func runBaselines(opt Options) (*Result, error) {
 		Schemes: schemes,
 		Config:  defaultConfig(),
 		Metric:  quality.VMAFPhone,
-		Workers: opt.Workers,
 		Cache:   opt.cache(),
 	})
 	if err != nil {

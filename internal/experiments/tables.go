@@ -47,7 +47,6 @@ func runTable1(opt Options) (*Result, error) {
 			Schemes: comparisonSchemes(),
 			Config:  defaultConfig(),
 			Metric:  metric,
-			Workers: opt.Workers,
 			Cache:   opt.cache(),
 		})
 		if err != nil {
@@ -98,7 +97,6 @@ func runCodec(opt Options) (*Result, error) {
 			Schemes: comparisonSchemes(),
 			Config:  defaultConfig(),
 			Metric:  quality.VMAFPhone,
-			Workers: opt.Workers,
 			Cache:   opt.cache(),
 		})
 		if err != nil {
@@ -139,7 +137,6 @@ func runCap4x(opt Options) (*Result, error) {
 			Schemes: comparisonSchemes(),
 			Config:  defaultConfig(),
 			Metric:  quality.VMAFPhone,
-			Workers: opt.Workers,
 			Cache:   opt.cache(),
 		})
 		if err != nil {
@@ -177,7 +174,6 @@ func runPredErr(opt Options) (*Result, error) {
 			Schemes: comparisonSchemes(),
 			Config:  defaultConfig(),
 			Metric:  quality.VMAFPhone,
-			Workers: opt.Workers,
 			// PredictorFor makes the sweep unfingerprintable, so only the
 			// per-video artifacts are cached — the sessions always run.
 			Cache: opt.cache(),

@@ -38,7 +38,6 @@ func runFig11(opt Options) (*Result, error) {
 		Schemes: []abr.Scheme{sim.CAVA, sim.BOLAEPeak, sim.BOLAEAvg, sim.BOLAESeg},
 		Config:  defaultConfig(),
 		Metric:  quality.VMAFPhone,
-		Workers: opt.Workers,
 		Cache:   opt.cache(),
 	})
 	if err != nil {
@@ -89,7 +88,6 @@ func runTable2(opt Options) (*Result, error) {
 		Schemes: []abr.Scheme{sim.CAVA, sim.BOLAESeg},
 		Config:  defaultConfig(),
 		Metric:  quality.VMAFPhone,
-		Workers: opt.Workers,
 		Cache:   opt.cache(),
 	})
 	if err != nil {

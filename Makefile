@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint lint-fixtures build vet test race bench bench-telemetry bench-sweep-short soak soak-edge soak-fleet soak-crash bench-fleet-short
+.PHONY: check lint lint-fixtures build cli vet test race bench bench-telemetry bench-sweep-short soak soak-edge soak-fleet soak-crash bench-fleet-short
 
 # check is the one-command tier-1 gate every PR must pass. The gate list
 # lives in scripts/check.sh alone; the targets below run its pieces locally.
@@ -22,6 +22,11 @@ lint-fixtures:
 
 build:
 	$(GO) build ./...
+
+# cli runs the documented command lines of every binary at small scale,
+# plus the bad inputs that must fail with a one-line error.
+cli:
+	sh scripts/check.sh cli
 
 vet:
 	$(GO) vet ./...

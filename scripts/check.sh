@@ -1,10 +1,10 @@
 #!/bin/sh
-# Tier-1 gate: static analysis, build, race-enabled tests, the benchmark
-# module, the telemetry benchmark smoke (which also runs the zero-alloc
-# guards: the AllocsPerRun assertions in internal/telemetry,
-# internal/player and internal/fleet, outside the race build), the short
-# sweep and fleet gates and the soaks. This is the one gate list; `make
-# check` runs it whole.
+# Tier-1 gate: static analysis, build, the documented CLI command lines,
+# race-enabled tests, the benchmark module, the telemetry benchmark smoke
+# (which also runs the zero-alloc guards: the AllocsPerRun assertions in
+# internal/telemetry, internal/player and internal/fleet, outside the race
+# build), the short sweep and fleet gates and the soaks. This is the one
+# gate list; `make check` runs it whole.
 #
 #   sh scripts/check.sh                 every step below, in order
 #   sh scripts/check.sh STEP [ARGS...]  one step; ARGS go to its go test
@@ -13,7 +13,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-steps="lint build race bench-module race-hot bench-telemetry bench-sweep-short bench-fleet-short soak-fleet soak soak-edge soak-crash"
+steps="lint build cli race bench-module race-hot bench-telemetry bench-sweep-short bench-fleet-short soak-fleet soak soak-edge soak-crash"
 
 step() {
 	name=$1
@@ -37,6 +37,57 @@ step() {
 		;;
 	build)
 		go build ./...
+		;;
+	cli)
+		# The documented command lines at small scale, on binaries built
+		# outside the repo: README's "Supporting tools" and decision-trace
+		# blocks, one session's trace dumped and rendered against the same
+		# trace rendered directly, every listed video id, and bad input,
+		# which must fail with a one-line error and no panic and leave an
+		# existing -out file as it was.
+		tmp=$(mktemp -d)
+		trap 'rm -rf "$tmp"' EXIT
+		go build -o "$tmp/bin/" ./cmd/...
+		b=$tmp/bin
+		$b/cava-sim -video ED-youtube-h264 -trace lte:0 -scheme cava -v >/dev/null
+		$b/tracegen -set lte -n 5 -stats >/dev/null
+		$b/tracegen -set fcc -n 5 -out "$tmp/traces" >/dev/null
+		$b/videogen -stats >/dev/null
+		for f in json mpd hls; do
+			$b/videogen -out "$tmp/manifests-$f" -format $f >/dev/null
+		done
+		$b/videogen -video ED-youtube-h264 -chunks >/dev/null
+		$b/dashserve -video BBB-youtube-h264 -trace lte:0 -scheme cava -run \
+			-chunks 6 -scale 200 -trace-out "$tmp/dash.jsonl" >/dev/null
+		$b/cava-sim -in "$tmp/dash.jsonl" >/dev/null
+		$b/abrexport -videos ED-ffmpeg-h264 -set lte -traces 5 -out "$tmp/r.csv" >/dev/null
+		$b/fleetsim -sessions 200 -max-chunks 10 -trace-corpus lte:40,fcc:20 -scheme cava >/dev/null
+		session="-video ED-ffmpeg-h264 -trace lte:3 -scheme cava"
+		$b/cava-sim $session -trace-out "$tmp/session.jsonl" >/dev/null
+		$b/cava-sim -in "$tmp/session.jsonl" >"$tmp/in.txt"
+		$b/cava-sim $session -events >"$tmp/events.txt"
+		cmp "$tmp/in.txt" "$tmp/events.txt"
+		for id in $($b/cava-sim -list-videos | awk '{print $1}'); do
+			$b/cava-sim -video "$id" -trace const:5 >/dev/null
+		done
+		echo keep >"$tmp/keep"
+		for cmd in "abrexport -format xml -traces 2 -out $tmp/keep" \
+			"abrexport -traces -1 -out $tmp/keep" "abrexport trace -out $tmp/keep" \
+			"tracegen -set lte -n 0 -stats" "tracegen -n -3 -stats"; do
+			if $b/$cmd >/dev/null 2>"$tmp/err"; then
+				echo "cli: $cmd succeeded" >&2
+				exit 1
+			fi
+			if [ "$(wc -l <"$tmp/err")" -ne 1 ] || grep -q 'panic:' "$tmp/err"; then
+				echo "cli: $cmd: want a one-line error, got:" >&2
+				cat "$tmp/err" >&2
+				exit 1
+			fi
+		done
+		if [ "$(cat "$tmp/keep")" != keep ]; then
+			echo "cli: a rejected abrexport changed its -out file" >&2
+			exit 1
+		fi
 		;;
 	race)
 		go test -race "$@" ./...

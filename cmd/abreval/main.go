@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"cava/internal/cache"
+	"cava/internal/cliutil"
 	"cava/internal/experiments"
 )
 
@@ -30,6 +31,7 @@ func main() {
 		cacheDir = flag.String("cache-dir", "", "persist sweep results as JSON under this directory; repeated invocations skip completed sweeps")
 	)
 	flag.Parse()
+	cliutil.RejectArgs("abreval")
 
 	if *list {
 		for _, id := range experiments.IDs() {

@@ -41,9 +41,7 @@ func main() {
 
 	// Every flag is checked before the sweep runs and before -out is
 	// created, so a bad invocation leaves an existing file untouched.
-	if flag.NArg() > 0 {
-		fail(2, fmt.Errorf("unexpected argument %q (one session's decision trace is cava-sim -events)", flag.Arg(0)))
-	}
+	cliutil.RejectArgs("abrexport")
 	var write func(io.Writer, []report.Row) error
 	switch *format {
 	case "csv":

@@ -1,7 +1,7 @@
 // Command abrlint runs the repository's project-specific static-analysis
-// suite (internal/lint): determinism, units, nopanic, floateq, errdrop,
-// hotalloc, locks, goroleak, atomicmix and metricname over every package
-// under ./internal/... and ./cmd/....
+// suite (internal/lint): the nine analyzers determinism, units, nopanic,
+// floateq, errdrop, hotalloc, locks, goroleak and atomicmix over every
+// package under ./internal/... and ./cmd/....
 //
 // Usage:
 //

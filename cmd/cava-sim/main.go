@@ -45,6 +45,7 @@ func main() {
 		listSchemes = flag.Bool("list-schemes", false, "list scheme names")
 	)
 	flag.Parse()
+	cliutil.RejectArgs("cava-sim")
 
 	if *listVideos {
 		for _, v := range video.Dataset() {

@@ -58,7 +58,7 @@ func main() {
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
 		resilient = flag.Bool("resilient", true, "client: retry/abandon/skip through faults instead of aborting")
 		debugAddr = flag.String("debug-addr", "", "listen address for /metrics and /debug/pprof (empty = off)")
-		traceOut  = flag.String("trace-out", "", "write the session's decision trace as JSONL ('-' = stdout)")
+		traceOut  = flag.String("trace-out", "", "write the session's decision trace as JSONL ('-' = stdout, the report going to stderr)")
 		maxSess   = flag.Int("max-sessions", 0, "admit at most N concurrent client sessions (0 = unbounded)")
 		shed      = flag.Bool("shed", false, "shed excess sessions immediately (503 + Retry-After) instead of queueing")
 		breaker   = flag.Bool("breaker", false, "wrap the serving path in a circuit breaker")
@@ -67,6 +67,13 @@ func main() {
 		edgeCache = flag.Int64("edge-cache-bytes", 64<<20, "edge: segment cache byte budget")
 	)
 	flag.Parse()
+	cliutil.RejectArgs("dashserve")
+	// The run's report goes to stdout, or to stderr when the decision trace
+	// takes stdout (-trace-out -), so that stream stays JSONL.
+	report := func(format string, a ...any) { fmt.Printf(format, a...) }
+	if *traceOut == "-" {
+		report = func(format string, a ...any) { fmt.Fprintf(os.Stderr, format, a...) }
+	}
 
 	v := video.ByID(*videoID)
 	if v == nil {
@@ -96,7 +103,7 @@ func main() {
 		shaper := dash.NewShaper(tr, *scale)
 		shaper.SetMetrics(reg)
 		listener = dash.NewShapedListener(ln, shaper)
-		fmt.Printf("shaping with %s at %gx time scale\n", tr.ID, *scale)
+		report("shaping with %s at %gx time scale\n", tr.ID, *scale)
 	}
 	// The serving path is either one fault-injected origin, or the edge
 	// tier fanned out over N such origins (each with its own listener and
@@ -143,7 +150,7 @@ func main() {
 		defer eg.Close()
 		eg.SetMetrics(reg)
 		inner = eg.Handler()
-		fmt.Printf("edge tier: %d origins, %d MiB segment cache\n", *originsN, *edgeCache>>20)
+		report("edge tier: %d origins, %d MiB segment cache\n", *originsN, *edgeCache>>20)
 	} else {
 		server := dash.NewServer(v)
 		server.SetMetrics(reg)
@@ -162,9 +169,9 @@ func main() {
 	faulty := injectors[0].Active()
 	switch {
 	case faulty && *edgeMode:
-		fmt.Printf("injecting faults at every origin: profile %s, base seed %d\n", *faults, *faultSeed)
+		report("injecting faults at every origin: profile %s, base seed %d\n", *faults, *faultSeed)
 	case faulty:
-		fmt.Printf("injecting faults: profile %s, seed %d\n", *faults, *faultSeed)
+		report("injecting faults: profile %s, seed %d\n", *faults, *faultSeed)
 	}
 	// Overload protection wraps the whole serving path (health endpoints,
 	// session admission, optional breaker) even when unconfigured, so
@@ -180,11 +187,11 @@ func main() {
 	// after the listener stops accepting.
 	defer protection.Close()
 	if *maxSess > 0 || *breaker {
-		fmt.Printf("overload protection: max-sessions %d, shed-immediately %v, breaker %v\n",
+		report("overload protection: max-sessions %d, shed-immediately %v, breaker %v\n",
 			*maxSess, *shed, *breaker)
 	}
 	srv := dash.NewHTTPServer(protection.Handler())
-	fmt.Printf("serving %s on http://%s\n", v.ID(), ln.Addr())
+	report("serving %s on http://%s\n", v.ID(), ln.Addr())
 
 	if *debugAddr != "" {
 		dln, err := net.Listen("tcp", *debugAddr)
@@ -202,7 +209,7 @@ func main() {
 		dbg := dash.NewHTTPServer(mux)
 		go dbg.Serve(dln)
 		defer dbg.Close()
-		fmt.Printf("debug endpoints on http://%s/metrics and /debug/pprof/\n", dln.Addr())
+		report("debug endpoints on http://%s/metrics and /debug/pprof/\n", dln.Addr())
 	}
 
 	if !*run {
@@ -219,7 +226,7 @@ func main() {
 			}
 		case <-ctx.Done():
 			stop()
-			fmt.Println("\nshutting down, draining in-flight requests...")
+			report("\nshutting down, draining in-flight requests...\n")
 			sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 			defer cancel()
 			if err := srv.Shutdown(sctx); err != nil {
@@ -261,22 +268,22 @@ func main() {
 	}
 	qt := quality.NewTable(v, quality.VMAFPhone)
 	s := metrics.Summarize(res, qt, scene.ClassifyDefault(v))
-	fmt.Printf("session complete: scheme %s, %d chunks, wall %.1fs (virtual %.1fs)\n",
+	report("session complete: scheme %s, %d chunks, wall %.1fs (virtual %.1fs)\n",
 		res.Scheme, len(res.Chunks), time.Since(start).Seconds(), res.SessionSec)
-	fmt.Printf("  Q4 quality %.1f | low-quality %.1f%% | rebuffer %.1fs | quality change %.2f | data %.1f MB\n",
+	report("  Q4 quality %.1f | low-quality %.1f%% | rebuffer %.1fs | quality change %.2f | data %.1f MB\n",
 		s.Q4Quality, s.LowQualityPct, s.RebufferSec, s.QualityChange, s.DataMB)
 	if faulty {
 		fs := injectors.Stats()
-		fmt.Printf("  faults injected: %d errors, %d resets, %d truncations, %d outage rejections (of %d requests)\n",
+		report("  faults injected: %d errors, %d resets, %d truncations, %d outage rejections (of %d requests)\n",
 			fs.Errors, fs.Resets, fs.Truncations, fs.OutageRejections, fs.Requests)
 	}
 	if faulty {
-		fmt.Printf("  client resilience: %d retries, %d truncations detected, %d abandonments, %d skipped chunks, %.2f MB wasted\n",
+		report("  client resilience: %d retries, %d truncations detected, %d abandonments, %d skipped chunks, %.2f MB wasted\n",
 			res.TotalRetries, res.TotalTruncations, res.TotalAbandonments, res.SkippedChunks, res.WastedBits/8/1e6)
 	}
 	if eg != nil {
 		es := eg.Stats()
-		fmt.Printf("  edge: %.0f%% cache hit ratio (%d hits, %d misses, %d coalesced), %d failovers, %d stale served, %d shed\n",
+		report("  edge: %.0f%% cache hit ratio (%d hits, %d misses, %d coalesced), %d failovers, %d stale served, %d shed\n",
 			100*es.HitRatio(), es.Hits, es.Misses, es.Coalesced, es.Failovers, es.StaleServed, es.Shed)
 	}
 	dumpTrace(*traceOut, ring)

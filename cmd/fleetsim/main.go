@@ -59,6 +59,7 @@ func main() {
 		watchdog   = flag.Float64("watchdog", 0, "fail the run when any shard makes no event progress for this many wall seconds (0: disabled)")
 	)
 	flag.Parse()
+	cliutil.RejectArgs("fleetsim")
 
 	videos, err := resolveVideos(*videoIDs)
 	if err != nil {

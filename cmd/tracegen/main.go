@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"cava/internal/cliutil"
 	"cava/internal/metrics"
 	"cava/internal/trace"
 )
@@ -26,6 +27,7 @@ func main() {
 		stats = flag.Bool("stats", false, "print summary statistics instead of writing files")
 	)
 	flag.Parse()
+	cliutil.RejectArgs("tracegen")
 	if *n <= 0 {
 		fmt.Fprintf(os.Stderr, "tracegen: -n %d: want a positive trace count\n", *n)
 		os.Exit(2)

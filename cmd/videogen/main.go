@@ -22,30 +22,22 @@ import (
 	"cava/internal/video"
 )
 
-// writeManifest renders one video's manifest in the chosen format.
-func writeManifest(dir, format, id string, m *dash.Manifest) error {
-	write := func(name string, enc func(io.Writer) error) error {
-		return cliutil.WriteOutput(filepath.Join(dir, name), enc)
-	}
-	switch format {
-	case "json":
-		return write(id+".json", m.EncodeTo)
-	case "mpd":
-		return write(id+".mpd", func(w io.Writer) error { return dash.WriteMPD(w, m) })
-	case "hls":
-		if err := write(id+".m3u8", func(w io.Writer) error { return dash.WriteHLSMaster(w, m) }); err != nil {
-			return err
-		}
-		for ti := range m.Tracks {
+// manifestWriters write one video's manifests into dir, by -format.
+var manifestWriters = map[string]func(dir, id string, m *dash.Manifest) error{
+	"json": func(dir, id string, m *dash.Manifest) error {
+		return cliutil.WriteOutput(filepath.Join(dir, id+".json"), m.EncodeTo)
+	},
+	"mpd": func(dir, id string, m *dash.Manifest) error {
+		return cliutil.WriteOutput(filepath.Join(dir, id+".mpd"), func(w io.Writer) error { return dash.WriteMPD(w, m) })
+	},
+	"hls": func(dir, id string, m *dash.Manifest) error {
+		err := cliutil.WriteOutput(filepath.Join(dir, id+".m3u8"), func(w io.Writer) error { return dash.WriteHLSMaster(w, m) })
+		for ti := 0; err == nil && ti < len(m.Tracks); ti++ {
 			name := fmt.Sprintf("%s_track_%d.m3u8", id, ti)
-			if err := write(name, func(w io.Writer) error { return dash.WriteHLSMedia(w, m, ti) }); err != nil {
-				return err
-			}
+			err = cliutil.WriteOutput(filepath.Join(dir, name), func(w io.Writer) error { return dash.WriteHLSMedia(w, m, ti) })
 		}
-		return nil
-	default:
-		return fmt.Errorf("unknown format %q (want json, mpd, or hls)", format)
-	}
+		return err
+	},
 }
 
 func main() {
@@ -57,6 +49,7 @@ func main() {
 		chunks  = flag.Bool("chunks", false, "dump per-chunk sizes and categories for -video")
 	)
 	flag.Parse()
+	cliutil.RejectArgs("videogen")
 
 	switch {
 	case *stats:
@@ -84,6 +77,11 @@ func main() {
 			fmt.Println()
 		}
 	case *out != "":
+		write, ok := manifestWriters[*format]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "videogen: unknown format %q (want json, mpd, or hls)\n", *format)
+			os.Exit(2)
+		}
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "videogen: %v\n", err)
 			os.Exit(1)
@@ -91,7 +89,7 @@ func main() {
 		files := 0
 		for _, v := range video.Dataset() {
 			m := dash.BuildManifest(v)
-			if err := writeManifest(*out, *format, v.ID(), m); err != nil {
+			if err := write(*out, v.ID(), m); err != nil {
 				fmt.Fprintf(os.Stderr, "videogen: %v\n", err)
 				os.Exit(1)
 			}

@@ -1,10 +1,11 @@
 // Package cliutil holds the helpers shared by the command-line tools:
 // trace specs ("lte:3", "fcc:10", "const:2.5", "mahimahi:<path>"),
-// CLI-name lookups over the scheme roster (sim.Roster) and the output-path
-// convention ("-" is stdout).
+// CLI-name lookups over the scheme roster (sim.Roster), the output-path
+// convention ("-" is stdout) and the flags-only command line.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -149,4 +150,14 @@ func WriteOutput(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// RejectArgs exits 2 with one line on stderr when the command line holds a
+// positional argument: the flag package stops at the first one, so every
+// flag after it would be ignored silently. Call it right after flag.Parse.
+func RejectArgs(cmd string) {
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "%s: unexpected argument %q (the command takes flags only)\n", cmd, flag.Arg(0))
+		os.Exit(2)
+	}
 }

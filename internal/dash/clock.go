@@ -5,12 +5,14 @@ import (
 	"time"
 )
 
-// Clock abstracts wall-clock access for the testbed. Everything in this
-// package that needs the current time or a delay goes through a Clock, so
-// unit tests drive the shaper, the fault injector and the client on a
-// FakeClock and observe exactly reproducible virtual-time behaviour. This
-// file is the only place in the package allowed to read the real clock
-// (abrlint's determinism allowlist names it).
+// Clock abstracts wall-clock access for the testbed. Every read of the
+// current time in this package goes through a Clock, so unit tests drive
+// the shaper, the fault injector and the client on a FakeClock. This file
+// is the only place in the package allowed to read the real clock
+// (abrlint's determinism allowlist names it). Not every wait goes through
+// it yet: the client's fetch pipeline (fetch.go) sleeps on time.NewTimer
+// and bounds attempts with context.WithTimeout, both on the wall clock, so
+// on a FakeClock those waits take no virtual time.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time

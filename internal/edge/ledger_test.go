@@ -7,16 +7,20 @@ import (
 	"testing"
 	"time"
 
+	"cava/internal/abr"
 	"cava/internal/dash"
+	"cava/internal/fleet"
+	"cava/internal/player"
+	"cava/internal/quality"
+	"cava/internal/sim"
 	"cava/internal/telemetry"
+	"cava/internal/trace"
+	"cava/internal/video"
 )
 
-// servingTierSeries is the /metrics surface the serving tier registers:
-// every series (with its TYPE line, values stripped) that Edge, Breaker,
-// Protection and FaultInjector put on one registry, i.e. the union of
-// dashserve's single-origin and -edge topologies minus the handle-only
-// Server and Shaper series.
-const servingTierSeries = `
+// registeredSeries is every series TestServingTierSeriesGolden registers,
+// with its TYPE line and without values.
+const registeredSeries = `
 # TYPE dash_admission_active_sessions gauge
 dash_admission_active_sessions
 # TYPE dash_admission_admitted_total counter
@@ -37,6 +41,36 @@ dash_breaker_state
 dash_breaker_transitions_total{to="closed"}
 dash_breaker_transitions_total{to="half_open"}
 dash_breaker_transitions_total{to="open"}
+# TYPE dash_client_abandonments_total counter
+dash_client_abandonments_total
+# TYPE dash_client_bytes_total counter
+dash_client_bytes_total
+# TYPE dash_client_deadline_hits_total counter
+dash_client_deadline_hits_total
+# TYPE dash_client_fetch_virtual_seconds histogram
+dash_client_fetch_virtual_seconds_bucket{le="0.005"}
+dash_client_fetch_virtual_seconds_bucket{le="0.01"}
+dash_client_fetch_virtual_seconds_bucket{le="0.025"}
+dash_client_fetch_virtual_seconds_bucket{le="0.05"}
+dash_client_fetch_virtual_seconds_bucket{le="0.1"}
+dash_client_fetch_virtual_seconds_bucket{le="0.25"}
+dash_client_fetch_virtual_seconds_bucket{le="0.5"}
+dash_client_fetch_virtual_seconds_bucket{le="1"}
+dash_client_fetch_virtual_seconds_bucket{le="2.5"}
+dash_client_fetch_virtual_seconds_bucket{le="5"}
+dash_client_fetch_virtual_seconds_bucket{le="10"}
+dash_client_fetch_virtual_seconds_bucket{le="30"}
+dash_client_fetch_virtual_seconds_bucket{le="+Inf"}
+dash_client_fetch_virtual_seconds_sum
+dash_client_fetch_virtual_seconds_count
+# TYPE dash_client_retries_total counter
+dash_client_retries_total
+# TYPE dash_client_retry_after_waits_total counter
+dash_client_retry_after_waits_total
+# TYPE dash_client_skips_total counter
+dash_client_skips_total
+# TYPE dash_client_truncations_total counter
+dash_client_truncations_total
 # TYPE dash_faults_injected_total counter
 dash_faults_injected_total{type="error"}
 dash_faults_injected_total{type="latency"}
@@ -46,6 +80,22 @@ dash_faults_injected_total{type="stall"}
 dash_faults_injected_total{type="truncate"}
 # TYPE dash_faults_requests_total counter
 dash_faults_requests_total
+# TYPE dash_server_bad_request_total counter
+dash_server_bad_request_total
+# TYPE dash_server_not_found_total counter
+dash_server_not_found_total
+# TYPE dash_server_requests_total counter
+dash_server_requests_total
+# TYPE dash_server_segment_bytes_total counter
+dash_server_segment_bytes_total
+# TYPE dash_server_segment_requests_total counter
+dash_server_segment_requests_total
+# TYPE dash_shaper_bytes_total counter
+dash_shaper_bytes_total
+# TYPE dash_shaper_queue_bytes gauge
+dash_shaper_queue_bytes
+# TYPE dash_shaper_waiters gauge
+dash_shaper_waiters
 # TYPE edge_cache_bytes gauge
 edge_cache_bytes
 # TYPE edge_cache_evictions_total counter
@@ -64,6 +114,24 @@ edge_served_bytes_total
 edge_shed_total
 # TYPE edge_stale_served_total counter
 edge_stale_served_total
+# TYPE fleet_checkpoint_errors_total counter
+fleet_checkpoint_errors_total
+# TYPE fleet_checkpoints_written_total counter
+fleet_checkpoints_written_total
+# TYPE fleet_events_total counter
+fleet_events_total
+# TYPE fleet_sessions_active gauge
+fleet_sessions_active
+# TYPE fleet_sessions_completed_total counter
+fleet_sessions_completed_total
+# TYPE fleet_sessions_quarantined_total counter
+fleet_sessions_quarantined_total
+# TYPE sim_jobs_pending gauge
+sim_jobs_pending
+# TYPE sim_session_errors_total counter
+sim_session_errors_total
+# TYPE sim_sessions_total counter
+sim_sessions_total
 `
 
 // exposition renders reg's text exposition as its samples (values) or as
@@ -88,9 +156,13 @@ func exposition(t *testing.T, reg *telemetry.Registry, values bool) string {
 	return out.String()
 }
 
-// TestServingTierSeriesGolden pins the names, label sets and types of the
-// 28 serving-tier series, so moving a component's exposition from handles
-// to its Stats cannot rename, drop or retype one.
+// TestServingTierSeriesGolden pins the name, labels and type of every
+// series the repository registers: the serving tier's (Edge, Breaker,
+// Protection, FaultInjector), read from each component's Stats, and the
+// handle-backed ones of a dash.Server, Shaper and Client, a fleet engine
+// and a sim.Run sweep, all on one registry. The registry refuses a name
+// that breaks the naming rules; this golden keeps names constant, since a
+// name built per instance would show up here as one series per instance.
 func TestServingTierSeriesGolden(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e, err := New(Config{Origins: []string{"http://127.0.0.1:1"}})
@@ -107,12 +179,33 @@ func TestServingTierSeriesGolden(t *testing.T) {
 	}
 	dash.FaultInjectors{inj}.SetMetrics(reg)
 
-	got := exposition(t, reg, false)
-	if got != servingTierSeries {
-		t.Errorf("serving-tier series:\n%s\nwant:\n%s", got, servingTierSeries)
+	v := video.ByID("ED-ffmpeg-h264")
+	tr := trace.Constant("const", 5e6, 1200, 1)
+	scheme := sim.Roster()[0].Scheme
+	dash.NewServer(v).SetMetrics(reg)
+	dash.NewShaper(tr, 1).SetMetrics(reg)
+	client, err := dash.NewClient(dash.ClientConfig{BaseURL: "http://127.0.0.1:1", NewAlgorithm: scheme.New, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := strings.Count(got, "\n") - strings.Count(got, "# TYPE") - 1; n != 28 {
-		t.Errorf("%d series, want 28", n)
+	defer client.Close()
+	fcfg := fleet.Config{Videos: []*video.Video{v}, Traces: []*trace.Trace{tr}, Scheme: scheme, Metrics: reg}
+	if _, err := fleet.New(fcfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(sim.Request{
+		Videos: fcfg.Videos, Traces: fcfg.Traces, Schemes: []abr.Scheme{scheme},
+		Config: player.DefaultConfig(), Metric: quality.VMAFPhone, Metrics: reg,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	got := exposition(t, reg, false)
+	if got != registeredSeries {
+		t.Errorf("registered series:\n%s\nwant:\n%s", got, registeredSeries)
+	}
+	if n := strings.Count(got, "# TYPE"); n != 44 {
+		t.Errorf("%d metric names, want 44", n)
 	}
 }
 

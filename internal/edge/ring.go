@@ -69,9 +69,6 @@ func NewRing(names []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Origins returns the number of origins on the ring.
-func (r *Ring) Origins() int { return r.origins }
-
 // Order returns every origin index exactly once, primary first, in the
 // clockwise order a failover should try them.
 func (r *Ring) Order(key string) []int {

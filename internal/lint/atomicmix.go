@@ -16,38 +16,40 @@ import (
 //     also read or written plainly elsewhere in the package: the plain
 //     access races with the atomic ones, and the race detector only sees
 //     it when both sides fire;
-//   - a value of a typed-atomic-bearing type (atomic.Uint64, atomic.Value,
-//     …) copied by value — a parameter, receiver, result, or assignment
-//     copy: the copy carries its own cell, so updates through it are lost,
-//     and the vet copylocks check only catches types with a noCopy field.
+//   - any use of atomic.Value, the one typed atomic without a noCopy
+//     marker: go vet's copylocks check (TestVetCopylocks) catches every
+//     other typed atomic copied by value, but not this one.
 //
 // The fix for the first is always to pick one discipline — the typed
-// atomics make the atomic one self-enforcing; the fix for the second is to
-// pass a pointer.
+// atomics make the atomic one self-enforcing; the fix for the second is
+// atomic.Pointer[T], which copylocks can check.
 
 func runAtomicMix(p *Package, cfg Config) []Finding {
-	out := copiedByValue(p, "atomicmix", containsAtomic, "typed atomic")
+	out := atomicValueFindings(p)
 	out = append(out, mixedAccessFindings(p)...)
 	return out
 }
 
-// atomicTypeName returns the sync/atomic type name behind t, or "".
-func atomicTypeName(t types.Type) string {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return ""
+// atomicValueFindings flags every reference to the atomic.Value type.
+func atomicValueFindings(p *Package) []Finding {
+	var out []Finding
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			tn, ok := p.Info.Uses[id].(*types.TypeName)
+			if ok && tn.Pkg() != nil && tn.Pkg().Path() == "sync/atomic" && tn.Name() == "Value" {
+				out = append(out, Finding{
+					Pos: p.Fset.Position(id.Pos()), Analyzer: "atomicmix",
+					Message: "atomic.Value has no noCopy marker, so go vet cannot see it copied; use atomic.Pointer[T]",
+				})
+			}
+			return true
+		})
 	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
-		return ""
-	}
-	return obj.Name()
-}
-
-// containsAtomic reports whether t holds a sync/atomic typed value by
-// value (directly, in a struct field, or in an array element).
-func containsAtomic(t types.Type) bool {
-	return containsType(t, func(t types.Type) bool { return atomicTypeName(t) != "" }, map[types.Type]bool{})
+	return out
 }
 
 // inSpans reports whether pos falls inside any of the source spans.

@@ -142,7 +142,7 @@ func goStmtStoppable(p *Package, scope *ast.BlockStmt, g *ast.GoStmt, closeable 
 			}
 			if obj, name := syncMethodTarget(p.Info, n); obj != nil &&
 				(name == "Done" || name == "Wait") &&
-				syncTypeName(derefType(objType(obj))) == "WaitGroup" {
+				isWaitGroup(derefType(objType(obj))) {
 				stoppable = true
 			}
 		case ast.Expr:
@@ -171,7 +171,7 @@ func wgAddBefore(p *Package, scope *ast.BlockStmt, pos token.Pos) bool {
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
 			if obj, name := syncMethodTarget(p.Info, call); obj != nil && name == "Add" &&
-				syncTypeName(derefType(objType(obj))) == "WaitGroup" {
+				isWaitGroup(derefType(objType(obj))) {
 				found = true
 			}
 		}

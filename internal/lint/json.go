@@ -1,12 +1,9 @@
 package lint
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"go/token"
 	"io"
-	"strings"
 )
 
 // JSON exposition for editor and CI tooling: one Finding object per line
@@ -43,34 +40,4 @@ func WriteJSON(w io.Writer, findings []Finding) error {
 		}
 	}
 	return nil
-}
-
-// ParseJSON reads a JSON Lines finding stream back into Findings — the
-// round-trip consumers (and TestJSONRoundTrip) rely on.
-func ParseJSON(r io.Reader) ([]Finding, error) {
-	var out []Finding
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var jf jsonFinding
-		if err := json.Unmarshal([]byte(text), &jf); err != nil {
-			return nil, fmt.Errorf("lint: parse JSON finding on line %d: %w", line, err)
-		}
-		out = append(out, Finding{
-			Pos:        token.Position{Filename: jf.File, Line: jf.Line, Column: jf.Col},
-			Analyzer:   jf.Analyzer,
-			Message:    jf.Message,
-			Suppressed: jf.Suppressed,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("lint: read JSON findings: %w", err)
-	}
-	return out, nil
 }

@@ -5,16 +5,17 @@
 // warm results byte-for-byte), every float64 carries its unit only in its
 // name (bits vs bytes, Bps vs Kbps, seconds vs milliseconds), and library
 // packages return errors instead of panicking — two are bug-class gates
-// (float equality, silently dropped errors), and five guard the
+// (float equality, silently dropped errors), and four guard the
 // fleet-scale concurrency and allocation contracts (hotalloc, locks,
-// goroleak, atomicmix, metricname) that are otherwise pinned only
-// dynamically by testing.AllocsPerRun and -race soaks.
+// goroleak, atomicmix) that are otherwise pinned only dynamically by
+// testing.AllocsPerRun, leakcheck and -race soaks. Copying a lock or a
+// typed atomic by value is go vet's copylocks check (TestVetCopylocks), and
+// metric names are checked by telemetry.Registry when a series is created.
 //
 // The suite is built on go/parser and go/types with the source importer
 // only, so it works offline with zero module dependencies and runs as a
-// tier-1 gate next to go vet. Analysis fans out across GOMAXPROCS workers
-// per package; output order is position-sorted and identical to a
-// sequential run.
+// tier-1 gate next to go vet. Packages are analyzed one after another;
+// output is position-sorted.
 //
 // Suppressions: a finding may be waived with a comment on the flagged line
 // or on the directive stack directly above it:
@@ -30,10 +31,8 @@ package lint
 import (
 	"fmt"
 	"go/token"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Finding is one reported violation.
@@ -81,9 +80,12 @@ type Config struct {
 
 // DefaultConfig is the repository configuration: the deterministic set is
 // every package the sweep cache assumes replays byte-identically, plus
-// internal/dash whose only wall-clock access is the Clock interface's real
-// implementation (clock.go, allowlisted). internal/telemetry stays outside
-// the deterministic set: it timestamps real traffic by design.
+// internal/dash, whose only wall-clock read is the Clock interface's real
+// implementation (clock.go, allowlisted). The analyzer sees reads, not
+// waits: internal/dash/fetch.go still waits on time.NewTimer and sets
+// context.WithTimeout deadlines on the wall clock, which a FakeClock does
+// not drive. internal/telemetry stays outside the deterministic set: it
+// timestamps real traffic by design.
 func DefaultConfig() Config {
 	return Config{
 		DeterministicPkgs: []string{
@@ -171,7 +173,6 @@ func Analyzers() []*Analyzer {
 		{Name: "locks", Run: runLocks},
 		{Name: "goroleak", Run: runGoroleak},
 		{Name: "atomicmix", Run: runAtomicMix},
-		{Name: "metricname", Run: runMetricName},
 	}
 }
 
@@ -179,7 +180,7 @@ func Analyzers() []*Analyzer {
 // pseudo-analyzer broken suppression directives report under). The
 // suppression scanner validates lint:allow directives against this set.
 func AnalyzerNames() []string {
-	names := make([]string, 0, 11)
+	names := make([]string, 0, 10)
 	for _, a := range Analyzers() {
 		names = append(names, a.Name)
 	}
@@ -214,48 +215,12 @@ func Analyze(pkgs []*Package, cfg Config) []Finding {
 	return dropSuppressed(AnalyzeAll(pkgs, cfg))
 }
 
-// AnalyzeAll applies the suite to already-loaded packages, fanning the
-// per-package analysis out across GOMAXPROCS workers, and returns every
-// finding — suppressed ones marked — in deterministic position order.
+// AnalyzeAll applies the suite to already-loaded packages, in order, and
+// returns every finding — suppressed ones marked — in position order.
 func AnalyzeAll(pkgs []*Package, cfg Config) []Finding {
-	return analyzeAll(pkgs, cfg, runtime.GOMAXPROCS(0))
-}
-
-// analyzeAll runs the suite with an explicit worker count. Findings are
-// collected per package and flattened in package order, then sorted, so
-// the output is bit-identical for every worker count (the equivalence is
-// pinned by TestParallelAnalysisMatchesSequential).
-func analyzeAll(pkgs []*Package, cfg Config, workers int) []Finding {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	perPkg := make([][]Finding, len(pkgs))
-	if workers <= 1 {
-		for i, p := range pkgs {
-			perPkg[i] = analyzePackage(p, cfg)
-		}
-	} else {
-		// Static interleaved partition: package i goes to worker i%workers.
-		// Analyzers only read shared state (ASTs, type info, the mutex-
-		// guarded FileSet), so the fan-out is race-free by construction.
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(pkgs); i += workers {
-					perPkg[i] = analyzePackage(pkgs[i], cfg)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
 	var all []Finding
-	for _, fs := range perPkg {
-		all = append(all, fs...)
+	for _, p := range pkgs {
+		all = append(all, analyzePackage(p, cfg)...)
 	}
 	sortFindings(all)
 	return all
@@ -275,8 +240,8 @@ func analyzePackage(p *Package, cfg Config) []Finding {
 	return all
 }
 
-// sortFindings orders findings by (file, line, column, analyzer, message)
-// — a total order, so parallel and sequential runs print identically.
+// sortFindings orders findings by (file, line, column, analyzer, message),
+// a total order.
 func sortFindings(all []Finding) {
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -29,13 +30,11 @@ func fixtureConfig() Config {
 	}
 }
 
-// fixturePackages is the full golden corpus (the telemetry stub rides
-// along as a must-stay-clean package).
+// fixturePackages is the full golden corpus.
 var fixturePackages = []string{
 	"determfix", "unitsfix", "nopanicfix", "nopanicmain",
 	"floateqfix", "errdropfix", "hotallocfix", "locksfix",
-	"goroleakfix", "atomicmixfix", "metricfix", "suppressfix",
-	"telemetry",
+	"goroleakfix", "atomicmixfix", "suppressfix",
 }
 
 // loadFixture type-checks one package under testdata/src.
@@ -150,6 +149,21 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if len(findings) > 0 {
 		t.Fatalf("%d findings; the repository must stay lint-clean", len(findings))
+	}
+}
+
+// TestVetCopylocks runs go vet's copylocks check over the module: it is
+// the gate against copying a sync primitive or a typed atomic by value,
+// and go test does not run it itself.
+func TestVetCopylocks(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	cmd := exec.Command(goTool, "vet", "-copylocks", "./...")
+	cmd.Dir = filepath.Join("..", "..")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet -copylocks ./...: %v\n%s", err, out)
 	}
 }
 

@@ -2,7 +2,9 @@ package lint
 
 import (
 	"bytes"
+	"encoding/json"
 	"go/token"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -20,14 +22,13 @@ func loadFixtureCorpus(t *testing.T) []*Package {
 	return pkgs
 }
 
-// TestTenAnalyzersRegistered pins the suite roster: the repo-clean gate
+// TestNineAnalyzersRegistered pins the suite roster: the repo-clean gate
 // (TestRepoIsClean) runs Analyzers(), so this list is exactly what that
-// gate covers — the five v1 analyzers plus the five concurrency/allocation
-// ones, and the "allow" pseudo-analyzer for broken directives.
-func TestTenAnalyzersRegistered(t *testing.T) {
+// gate covers, plus the "allow" pseudo-analyzer for broken directives.
+func TestNineAnalyzersRegistered(t *testing.T) {
 	want := []string{
 		"determinism", "units", "nopanic", "floateq", "errdrop",
-		"hotalloc", "locks", "goroleak", "atomicmix", "metricname",
+		"hotalloc", "locks", "goroleak", "atomicmix",
 	}
 	var got []string
 	for _, a := range Analyzers() {
@@ -44,27 +45,25 @@ func TestTenAnalyzersRegistered(t *testing.T) {
 	}
 }
 
-// TestParallelAnalysisMatchesSequential pins the fan-out contract: the
-// same corpus analyzed with 1, 2, 3, and 8 workers yields byte-identical
-// findings in identical order. The corpus spans every fixture package, so
-// every analyzer and the suppression scanner run under the partition.
-func TestParallelAnalysisMatchesSequential(t *testing.T) {
-	pkgs := loadFixtureCorpus(t)
-	cfg := fixtureConfig()
-	sequential := analyzeAll(pkgs, cfg, 1)
-	if len(sequential) == 0 {
-		t.Fatal("fixture corpus produced no findings; the equivalence check would be vacuous")
-	}
-	for _, workers := range []int{2, 3, 8, len(pkgs) + 5} {
-		got := analyzeAll(pkgs, cfg, workers)
-		if !reflect.DeepEqual(got, sequential) {
-			t.Errorf("analyzeAll with %d workers diverged from sequential\n got: %v\nwant: %v",
-				workers, got, sequential)
+// decodeJSON reads a WriteJSON stream back with encoding/json.
+func decodeJSON(t *testing.T, r io.Reader) []Finding {
+	t.Helper()
+	var out []Finding
+	dec := json.NewDecoder(r)
+	for dec.More() {
+		var jf jsonFinding
+		if err := dec.Decode(&jf); err != nil {
+			t.Fatal(err)
 		}
+		out = append(out, Finding{
+			Pos:      token.Position{Filename: jf.File, Line: jf.Line, Column: jf.Col},
+			Analyzer: jf.Analyzer, Message: jf.Message, Suppressed: jf.Suppressed,
+		})
 	}
+	return out
 }
 
-// TestJSONRoundTrip pins the -json wire format: WriteJSON then ParseJSON
+// TestJSONRoundTrip pins the -json wire format: WriteJSON then a decode
 // reproduces the findings exactly, suppressed markers included.
 func TestJSONRoundTrip(t *testing.T) {
 	in := []Finding{
@@ -75,8 +74,8 @@ func TestJSONRoundTrip(t *testing.T) {
 		},
 		{
 			Pos:        token.Position{Filename: "internal/cache/cache.go", Line: 75, Column: 2},
-			Analyzer:   "metricname",
-			Message:    `counter "cache_bytes" must end in _total`,
+			Analyzer:   "errdrop",
+			Message:    "f.Close returns an error that is silently dropped",
 			Suppressed: true,
 		},
 	}
@@ -87,11 +86,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if lines := strings.Count(buf.String(), "\n"); lines != len(in) {
 		t.Fatalf("WriteJSON emitted %d lines, want one per finding (%d)", lines, len(in))
 	}
-	out, err := ParseJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
+	if out := decodeJSON(t, &buf); !reflect.DeepEqual(out, in) {
 		t.Fatalf("round trip diverged\n got: %+v\nwant: %+v", out, in)
 	}
 }
@@ -108,11 +103,7 @@ func TestJSONRoundTripLiveFindings(t *testing.T) {
 	if err := WriteJSON(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ParseJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
+	if out := decodeJSON(t, &buf); !reflect.DeepEqual(out, in) {
 		t.Fatalf("live round trip diverged (%d findings in, %d out)", len(in), len(out))
 	}
 }
@@ -122,7 +113,7 @@ func TestJSONRoundTripLiveFindings(t *testing.T) {
 // filters exactly the marked ones.
 func TestSuppressedMarkedNotDropped(t *testing.T) {
 	ld := NewLoader(filepath.Join("testdata", "src"), "fixture")
-	pkgs := []*Package{loadFixture(t, ld, "telemetry"), loadFixture(t, ld, "metricfix")}
+	pkgs := []*Package{loadFixture(t, ld, "errdropfix")}
 	all := AnalyzeAll(pkgs, fixtureConfig())
 	var suppressed []Finding
 	for _, f := range all {
@@ -131,10 +122,10 @@ func TestSuppressedMarkedNotDropped(t *testing.T) {
 		}
 	}
 	if len(suppressed) == 0 {
-		t.Fatal("AnalyzeAll dropped the waived metricname finding instead of marking it")
+		t.Fatal("AnalyzeAll dropped the waived errdrop finding instead of marking it")
 	}
 	for _, f := range suppressed {
-		if f.Analyzer != "metricname" {
+		if f.Analyzer != "errdrop" {
 			t.Errorf("unexpected suppressed finding %s", f)
 		}
 	}

@@ -7,12 +7,9 @@ import (
 	"go/types"
 )
 
-// The locks analyzer guards the three sync mistakes the -race soaks catch
+// The locks analyzer guards the two sync mistakes the -race soaks catch
 // only when the interleaving cooperates:
 //
-//   - sync.Mutex / sync.RWMutex / sync.WaitGroup copied by value (a value
-//     parameter, receiver, result, or assignment copy): the copy has its
-//     own state, so the original's exclusion silently stops applying;
 //   - Lock with no matching Unlock, or a return statement between a Lock
 //     and its Unlock with no deferred Unlock in scope: the early-return
 //     path leaves the mutex held forever;
@@ -20,12 +17,15 @@ import (
 //     Wait before the goroutine is scheduled, so Wait returns early. Add
 //     must happen before the go statement, in the spawning goroutine.
 //
+// A sync primitive copied by value is go vet's copylocks check, which
+// TestVetCopylocks runs over the module.
+//
 // Lock/Unlock matching is per-object (the field or variable the method is
 // called on) and per-kind (Lock pairs with Unlock, RLock with RUnlock),
 // scanning each function body as its own scope.
 
 func runLocks(p *Package, cfg Config) []Finding {
-	out := copiedByValue(p, "locks", containsLocker, "sync primitive")
+	var out []Finding
 	for _, body := range functionBodies(p) {
 		out = append(out, lockPairFindings(p, body)...)
 	}
@@ -33,134 +33,14 @@ func runLocks(p *Package, cfg Config) []Finding {
 	return out
 }
 
-// syncTypeName returns the sync-package type name (Mutex, RWMutex,
-// WaitGroup) behind t, or "".
-func syncTypeName(t types.Type) string {
+// isWaitGroup reports whether t is sync.WaitGroup.
+func isWaitGroup(t types.Type) bool {
 	n, ok := t.(*types.Named)
 	if !ok {
-		return ""
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return ""
-	}
-	switch obj.Name() {
-	case "Mutex", "RWMutex", "WaitGroup":
-		return obj.Name()
-	}
-	return ""
-}
-
-// containsLocker reports whether t holds a sync.Mutex/RWMutex/WaitGroup by
-// value (directly, in a struct field, or in an array element).
-func containsLocker(t types.Type) bool {
-	return containsType(t, func(t types.Type) bool { return syncTypeName(t) != "" }, map[types.Type]bool{})
-}
-
-// containsType walks value-embedded structure (struct fields, arrays)
-// looking for a type matching the predicate. Pointers, slices, maps and
-// channels are references, not copies, so the walk stops there.
-func containsType(t types.Type, match func(types.Type) bool, seen map[types.Type]bool) bool {
-	if seen[t] {
 		return false
 	}
-	seen[t] = true
-	if match(t) {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsType(u.Field(i).Type(), match, seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsType(u.Elem(), match, seen)
-	}
-	return false
-}
-
-// copiedByValue flags value parameters, receivers, results and assignment
-// copies whose type carries a non-copyable value (per the contains
-// predicate). Shared by locks and atomicmix.
-func copiedByValue(p *Package, analyzer string, contains func(types.Type) bool, what string) []Finding {
-	var out []Finding
-	flag := func(pos token.Pos, form string, t types.Type) {
-		out = append(out, Finding{
-			Pos: p.Fset.Position(pos), Analyzer: analyzer,
-			Message: fmt.Sprintf("%s of type %s copies a %s by value; pass a pointer", form, t, what),
-		})
-	}
-	checkField := func(fld *ast.Field, form string) {
-		tv, ok := p.Info.Types[fld.Type]
-		if !ok || tv.Type == nil || !contains(tv.Type) {
-			return
-		}
-		pos := fld.Type.Pos()
-		if len(fld.Names) > 0 {
-			pos = fld.Names[0].Pos()
-		}
-		flag(pos, form, tv.Type)
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Recv != nil {
-					for _, fld := range n.Recv.List {
-						checkField(fld, "receiver")
-					}
-				}
-			case *ast.FuncType:
-				if n.Params != nil {
-					for _, fld := range n.Params.List {
-						checkField(fld, "parameter")
-					}
-				}
-				if n.Results != nil {
-					for _, fld := range n.Results.List {
-						checkField(fld, "result")
-					}
-				}
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					if !copiesExistingValue(rhs) {
-						continue
-					}
-					// Assigning to the blank identifier discards the value;
-					// no second copy of the state survives.
-					if len(n.Lhs) == len(n.Rhs) {
-						if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-							continue
-						}
-					}
-					tv, ok := p.Info.Types[rhs]
-					if ok && tv.Type != nil && contains(tv.Type) {
-						flag(rhs.Pos(), "assignment", tv.Type)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// copiesExistingValue reports whether the expression reads an existing
-// value (identifier, field, deref, or index) — the shapes whose assignment
-// duplicates state. Composite literals and calls build fresh values and
-// are fine to bind.
-func copiesExistingValue(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
-		return true
-	case *ast.StarExpr:
-		return true
-	case *ast.ParenExpr:
-		return copiesExistingValue(e.X)
-	}
-	return false
+	obj := n.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
 }
 
 // functionBodies yields every function scope in the package: each FuncDecl
@@ -339,7 +219,7 @@ func addInsideGoroutine(p *Package) []Finding {
 					return true
 				}
 				if obj, name := syncMethodTarget(p.Info, call); obj != nil && name == "Add" {
-					if syncTypeName(derefType(objType(obj))) == "WaitGroup" {
+					if isWaitGroup(derefType(objType(obj))) {
 						out = append(out, Finding{
 							Pos: p.Fset.Position(call.Pos()), Analyzer: "locks",
 							Message: fmt.Sprintf("%s.Add inside the goroutine it gates; call Add before the go statement", obj.Name()),

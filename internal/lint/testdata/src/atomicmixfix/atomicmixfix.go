@@ -1,6 +1,6 @@
 // Package atomicmixfix exercises the atomicmix analyzer: a field that is
 // the target of sync/atomic function calls must never be read or written
-// plainly, and typed-atomic-bearing values must not be copied.
+// plainly, and atomic.Value is not used at all.
 package atomicmixfix
 
 import "sync/atomic"
@@ -31,26 +31,23 @@ func (h *hits) plainOnly() {
 	h.other++
 }
 
-type gauge struct {
-	v atomic.Uint64
+// atomic.Value is flagged wherever its type is named: go vet's copylocks
+// check cannot see it copied.
+type box struct {
+	v atomic.Value // want atomicmix
 }
 
-func byValue(g gauge) uint64 { // want atomicmix
-	return g.v.Load()
+func newValue() *atomic.Value { // want atomicmix
+	return new(atomic.Value) // want atomicmix
 }
 
-func (g gauge) valueRecv() uint64 { // want atomicmix
-	return g.v.Load()
+// pointerBox is the replacement, which copylocks checks.
+type pointerBox struct {
+	p atomic.Pointer[hits]
 }
 
-func copyAssign(g *gauge) {
-	snapshot := *g // want atomicmix
-	_ = snapshot
-}
-
-// byPointer is the safe shape.
-func byPointer(g *gauge) uint64 {
-	return g.v.Load()
+func (b *pointerBox) load() *hits {
+	return b.p.Load()
 }
 
 // bareWaiver shows that a reason-less directive does not suppress.

@@ -1,6 +1,6 @@
-// Package locksfix exercises the locks analyzer: sync primitives copied
-// by value, Lock calls whose Unlock is missing or skippable by an early
-// return, and WaitGroup.Add inside the goroutine it gates.
+// Package locksfix exercises the locks analyzer: Lock calls whose Unlock
+// is missing or skippable by an early return, and WaitGroup.Add inside the
+// goroutine it gates.
 package locksfix
 
 import "sync"
@@ -8,24 +8,6 @@ import "sync"
 type guarded struct {
 	mu sync.Mutex
 	n  int
-}
-
-func byValue(g guarded) int { // want locks
-	return g.n
-}
-
-func (g guarded) valueRecv() int { // want locks
-	return g.n
-}
-
-func freshMutex() sync.Mutex { // want locks
-	var mu sync.Mutex
-	return mu
-}
-
-func assignCopy(g *guarded) {
-	local := *g // want locks
-	_ = local
 }
 
 func (g *guarded) neverUnlocks() {

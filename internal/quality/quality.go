@@ -55,8 +55,6 @@ const (
 	LowQualityVMAF = 40.0
 	// GoodQualityVMAF marks good viewing quality.
 	GoodQualityVMAF = 60.0
-	// JND is the just-noticeable VMAF difference.
-	JND = 6.0
 )
 
 // Model parameters of the compression-quality sigmoid
@@ -122,14 +120,10 @@ func noise(id string, level, chunk int) float64 {
 	return float64(u%200000)/100000 - 1
 }
 
-// Chunk returns the quality of chunk i at track level under metric m.
-// VMAF values are in [0,100], PSNR in dB (roughly 22–50), SSIM in (0,1].
-func Chunk(v *video.Video, level, chunk int, m Metric) float64 {
-	return chunkQuality(v, v.ID(), level, chunk, m)
-}
-
-// chunkQuality is Chunk with the video's ID passed in, so that NewTable
-// formats it once per table rather than once per cell.
+// chunkQuality returns the quality of chunk i at track level under metric
+// m. VMAF values are in [0,100], PSNR in dB (roughly 22–50), SSIM in
+// (0,1]. The video's ID is passed in so that NewTable formats it once per
+// table rather than once per cell.
 func chunkQuality(v *video.Video, id string, level, chunk int, m Metric) float64 {
 	s := chunkScore(v, id, level, chunk)
 	rung := ladderIndex(v.Tracks[level].Res)

@@ -30,15 +30,15 @@ func TestRanges(t *testing.T) {
 	for l := 0; l < v.NumTracks(); l++ {
 		for i := 0; i < v.NumChunks(); i++ {
 			for _, m := range []Metric{VMAFTV, VMAFPhone} {
-				q := Chunk(v, l, i, m)
+				q := chunkQuality(v, v.ID(), l, i, m)
 				if q < 0 || q > 100 {
 					t.Fatalf("%s track %d chunk %d = %v out of [0,100]", m, l, i, q)
 				}
 			}
-			if p := Chunk(v, l, i, PSNR); p < 20 || p > 50 {
+			if p := chunkQuality(v, v.ID(), l, i, PSNR); p < 20 || p > 50 {
 				t.Fatalf("PSNR track %d chunk %d = %v out of [20,50]", l, i, p)
 			}
-			if s := Chunk(v, l, i, SSIM); s < 0.5 || s > 1 {
+			if s := chunkQuality(v, v.ID(), l, i, SSIM); s < 0.5 || s > 1 {
 				t.Fatalf("SSIM track %d chunk %d = %v out of [0.5,1]", l, i, s)
 			}
 		}
@@ -52,7 +52,7 @@ func TestMeanQualityIncreasesWithLevel(t *testing.T) {
 		for l := 0; l < v.NumTracks(); l++ {
 			sum := 0.0
 			for i := 0; i < v.NumChunks(); i++ {
-				sum += Chunk(v, l, i, m)
+				sum += chunkQuality(v, v.ID(), l, i, m)
 			}
 			mean := sum / float64(v.NumChunks())
 			if mean <= prev {
@@ -99,7 +99,7 @@ func TestQuartileQualityOrdering(t *testing.T) {
 	for _, m := range []Metric{VMAFTV, VMAFPhone, PSNR, SSIM} {
 		med := map[scene.Category][]float64{}
 		for i := 0; i < v.NumChunks(); i++ {
-			med[cats[i]] = append(med[cats[i]], Chunk(v, mid, i, m))
+			med[cats[i]] = append(med[cats[i]], chunkQuality(v, v.ID(), mid, i, m))
 		}
 		q1 := testMedian(med[scene.Q1])
 		q4 := testMedian(med[scene.Q4])
@@ -117,7 +117,7 @@ func TestQ4GapMatchesPaper(t *testing.T) {
 	cats := scene.ClassifyDefault(v)
 	var q1s, q4s []float64
 	for i := 0; i < v.NumChunks(); i++ {
-		q := Chunk(v, 3, i, VMAFPhone)
+		q := chunkQuality(v, v.ID(), 3, i, VMAFPhone)
 		switch cats[i] {
 		case scene.Q1:
 			q1s = append(q1s, q)
@@ -143,7 +143,7 @@ func Test4xCapRaisesQ4Quality(t *testing.T) {
 		var qs []float64
 		for i := 0; i < v.NumChunks(); i++ {
 			if cats[i] == scene.Q4 {
-				qs = append(qs, Chunk(v, 3, i, VMAFPhone))
+				qs = append(qs, chunkQuality(v, v.ID(), 3, i, VMAFPhone))
 			}
 		}
 		return testMedian(qs)
@@ -155,7 +155,7 @@ func Test4xCapRaisesQ4Quality(t *testing.T) {
 	// Q4 must still lag Q1 under 4x (§3.3's central point).
 	var q1s, q4s []float64
 	for i := 0; i < v4.NumChunks(); i++ {
-		q := Chunk(v4, 3, i, VMAFPhone)
+		q := chunkQuality(v4, v4.ID(), 3, i, VMAFPhone)
 		if cats4[i] == scene.Q1 {
 			q1s = append(q1s, q)
 		} else if cats4[i] == scene.Q4 {
@@ -173,7 +173,7 @@ func TestPhoneModelMoreForgiving(t *testing.T) {
 	v := edVideo()
 	for l := 0; l < 4; l++ {
 		for i := 0; i < v.NumChunks(); i += 17 {
-			tv, ph := Chunk(v, l, i, VMAFTV), Chunk(v, l, i, VMAFPhone)
+			tv, ph := chunkQuality(v, v.ID(), l, i, VMAFTV), chunkQuality(v, v.ID(), l, i, VMAFPhone)
 			if ph < tv {
 				t.Fatalf("phone VMAF %.1f below TV %.1f at track %d chunk %d", ph, tv, l, i)
 			}
@@ -189,10 +189,10 @@ func TestH265MatchesH264Quality(t *testing.T) {
 	for l := 0; l < h4.NumTracks(); l++ {
 		m4, m5 := 0.0, 0.0
 		for i := 0; i < h4.NumChunks(); i++ {
-			m4 += Chunk(h4, l, i, VMAFTV)
+			m4 += chunkQuality(h4, h4.ID(), l, i, VMAFTV)
 		}
 		for i := 0; i < h5.NumChunks(); i++ {
-			m5 += Chunk(h5, l, i, VMAFTV)
+			m5 += chunkQuality(h5, h5.ID(), l, i, VMAFTV)
 		}
 		m4 /= float64(h4.NumChunks())
 		m5 /= float64(h5.NumChunks())
@@ -207,7 +207,7 @@ func TestTableMatchesChunk(t *testing.T) {
 	tb := NewTable(v, VMAFPhone)
 	for l := 0; l < v.NumTracks(); l++ {
 		for i := 0; i < v.NumChunks(); i += 13 {
-			if tb.At(l, i) != Chunk(v, l, i, VMAFPhone) {
+			if tb.At(l, i) != chunkQuality(v, v.ID(), l, i, VMAFPhone) {
 				t.Fatalf("table mismatch at track %d chunk %d", l, i)
 			}
 		}
@@ -220,7 +220,7 @@ func TestTableMatchesChunk(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	v1, v2 := edVideo(), edVideo()
 	for i := 0; i < v1.NumChunks(); i += 7 {
-		if Chunk(v1, 2, i, VMAFTV) != Chunk(v2, 2, i, VMAFTV) {
+		if chunkQuality(v1, v1.ID(), 2, i, VMAFTV) != chunkQuality(v2, v2.ID(), 2, i, VMAFTV) {
 			t.Fatalf("quality not deterministic at chunk %d", i)
 		}
 	}

@@ -26,6 +26,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -246,24 +247,82 @@ func escapeLabelValue(v string) string {
 // lookup returns the entry for (name, labels), creating it with mk when
 // absent. Re-registering a handle under an existing (name, labels) of the
 // same kind returns the existing instance. Everything else panics, because
-// it is a wiring bug, not a runtime condition: a kind mismatch, and any
+// it is a wiring bug, not a runtime condition: a new series whose name
+// breaks the naming rules (see nameProblem), a kind mismatch, and any
 // second registration involving a function form (fn), whose series has
 // exactly one reader.
 func (r *Registry) lookup(name, help string, labels []Label, k kind, fn bool, mk func(*entry)) *entry {
 	key := name + renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.entries[key]; ok {
-		if e.kind != k || fn || e.fn {
-			//lint:allow nopanic kind mismatch on re-registration is a programmer error
-			panic(fmt.Sprintf("telemetry: %s re-registered as %s, func %v (was %s, func %v)", key, k, fn, e.kind, e.fn))
-		}
+	e, ok := r.entries[key]
+	var bad string
+	switch {
+	case !ok:
+		bad = nameProblem(name, k)
+	case e.kind != k || fn || e.fn:
+		bad = fmt.Sprintf("%s re-registered as %s, func %v (was %s, func %v)", key, k, fn, e.kind, e.fn)
+	}
+	if bad != "" {
+		//lint:allow nopanic a misnamed series or a kind mismatch on re-registration is a programmer error
+		panic("telemetry: " + bad)
+	}
+	if ok {
 		return e
 	}
-	e := &entry{name: name, help: help, labels: renderLabels(labels), kind: k, fn: fn}
+	e = &entry{name: name, help: help, labels: renderLabels(labels), kind: k, fn: fn}
 	mk(e)
 	r.entries[key] = e
 	return e
+}
+
+// snakeCase matches Prometheus snake_case: lowercase words joined by
+// single underscores.
+var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+
+// histogramUnits are the unit suffixes a histogram name ends in.
+var histogramUnits = []string{"_seconds", "_sec", "_ms", "_bytes", "_bits"}
+
+// bareQuantities are the words that leave a gauge's unit unstated when
+// they end its name (abrlint's units analyzer asks a Go identifier ending
+// in one of them for a unit suffix).
+var bareQuantities = map[string]bool{
+	"bitrate": true, "size": true, "sizes": true,
+	"dur": true, "duration": true, "delay": true,
+	"interval": true, "throughput": true, "bandwidth": true,
+	"latency": true, "timeout": true,
+}
+
+// nameProblem says why name cannot name a series of kind k, or returns ""
+// when it can: the name is snake_case, a counter's ends in _total, a
+// gauge's ends neither in _total nor in a bare quantity, and a
+// histogram's ends in a unit. /metrics exposes names verbatim, and
+// dashboards key on them.
+func nameProblem(name string, k kind) string {
+	if !snakeCase.MatchString(name) {
+		return fmt.Sprintf("%s name %q is not snake_case", k, name)
+	}
+	switch k {
+	case kindCounter:
+		if !strings.HasSuffix(name, "_total") {
+			return fmt.Sprintf("counter name %q must end in _total", name)
+		}
+	case kindGauge:
+		if strings.HasSuffix(name, "_total") {
+			return fmt.Sprintf("gauge name %q must not end in _total; a gauge is a level, not a count", name)
+		}
+		if last := name[strings.LastIndexByte(name, '_')+1:]; bareQuantities[last] {
+			return fmt.Sprintf("gauge name %q ends in the bare quantity %q; spell out the unit (_bytes, _seconds, ...)", name, last)
+		}
+	case kindHistogram:
+		for _, u := range histogramUnits {
+			if strings.HasSuffix(name, u) {
+				return ""
+			}
+		}
+		return fmt.Sprintf("histogram name %q must end in a unit (%s)", name, strings.Join(histogramUnits, ", "))
+	}
+	return ""
 }
 
 // Counter returns the counter registered under name (creating it if

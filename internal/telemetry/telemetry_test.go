@@ -90,13 +90,60 @@ func TestNilRegistryAndHandlesAreSafe(t *testing.T) {
 
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("m", "")
+	r.Counter("m_total", "")
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("expected panic on kind mismatch")
 		}
 	}()
-	r.Gauge("m", "")
+	r.Gauge("m_total", "")
+}
+
+// TestRegistryNamingRules pins the names a registry refuses when it
+// creates a series: each bad name panics at registration, each good one
+// registers and is exposed.
+func TestRegistryNamingRules(t *testing.T) {
+	counter := func(r *Registry, name string) { r.Counter(name, "") }
+	gauge := func(r *Registry, name string) { r.Gauge(name, "") }
+	histogram := func(r *Registry, name string) { r.Histogram(name, "", nil) }
+	counterFunc := func(r *Registry, name string) { r.CounterFunc(name, "", func() uint64 { return 0 }) }
+	gaugeFunc := func(r *Registry, name string) { r.GaugeFunc(name, "", func() float64 { return 0 }) }
+	for _, c := range []struct {
+		register func(*Registry, string)
+		name     string
+		ok       bool
+	}{
+		{counter, "requests_total", true},
+		{gauge, "queue_depth", true},
+		{histogram, "fetch_seconds", true},
+		{counterFunc, "hits_total", true},
+		{gaugeFunc, "cache_bytes", true},
+		{counter, "requests", false},       // no _total
+		{counter, "Bad_Case_total", false}, // not snake_case
+		{gauge, "queue_total", false},      // _total on a gauge
+		{gauge, "fetch_latency", false},    // bare quantity
+		{histogram, "fetch_time", false},   // no unit
+		{counterFunc, "hits", false},
+		{gaugeFunc, "hits_total", false},
+		{gaugeFunc, "cache_size", false},
+		{counter, "legacy", false},
+		{counter, "bare", false},
+	} {
+		r := NewRegistry()
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			c.register(r, c.name)
+			return false
+		}()
+		var buf bytes.Buffer
+		if err := r.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		exposed := strings.Contains(buf.String(), "# TYPE "+c.name+" ")
+		if panicked == c.ok || exposed != c.ok {
+			t.Errorf("%q: panicked %v, exposed %v; want the name accepted = %v", c.name, panicked, exposed, c.ok)
+		}
+	}
 }
 
 // TestFuncFormsExposeLikeHandles pins CounterFunc/GaugeFunc: read at

@@ -20,12 +20,13 @@ step() {
 	shift
 	case $name in
 	lint)
-		# Static analysis first: formatting, go vet, then abrlint (the
-		# project analyzer suite — determinism, units, nopanic, floateq,
-		# errdrop, hotalloc, locks, goroleak, atomicmix, metricname; see
-		# DESIGN.md "Static analysis"). -counts prints the per-analyzer
-		# tally so a regression is attributable to the analyzer that
-		# caught it.
+		# Static analysis first: formatting, go vet (whose copylocks check
+		# is the gate against copied locks and typed atomics), then
+		# abrlint (the project analyzer suite — determinism, units,
+		# nopanic, floateq, errdrop, hotalloc, locks, goroleak, atomicmix;
+		# see DESIGN.md "Static analysis"). -counts prints the
+		# per-analyzer tally so a regression is attributable to the
+		# analyzer that caught it.
 		unformatted=$(gofmt -l .)
 		if [ -n "$unformatted" ]; then
 			echo "gofmt needed on:" >&2
@@ -42,9 +43,10 @@ step() {
 		# The documented command lines at small scale, on binaries built
 		# outside the repo: README's "Supporting tools" and decision-trace
 		# blocks, one session's trace dumped and rendered against the same
-		# trace rendered directly, every listed video id, and bad input,
-		# which must fail with a one-line error and no panic and leave an
-		# existing -out file as it was.
+		# trace rendered directly, dashserve's stdout trace dump rendered,
+		# every listed video id, and bad input (a positional argument to
+		# each binary among them), which must fail with a one-line error
+		# and no panic and leave an existing -out file as it was.
 		tmp=$(mktemp -d)
 		trap 'rm -rf "$tmp"' EXIT
 		go build -o "$tmp/bin/" ./cmd/...
@@ -60,6 +62,9 @@ step() {
 		$b/dashserve -video BBB-youtube-h264 -trace lte:0 -scheme cava -run \
 			-chunks 6 -scale 200 -trace-out "$tmp/dash.jsonl" >/dev/null
 		$b/cava-sim -in "$tmp/dash.jsonl" >/dev/null
+		$b/dashserve -video BBB-youtube-h264 -trace lte:0 -scheme cava -run \
+			-chunks 4 -scale 200 -trace-out - >"$tmp/dash-stdout.jsonl" 2>/dev/null
+		$b/cava-sim -in "$tmp/dash-stdout.jsonl" >/dev/null
 		$b/abrexport -videos ED-ffmpeg-h264 -set lte -traces 5 -out "$tmp/r.csv" >/dev/null
 		$b/fleetsim -sessions 200 -max-chunks 10 -trace-corpus lte:40,fcc:20 -scheme cava >/dev/null
 		session="-video ED-ffmpeg-h264 -trace lte:3 -scheme cava"
@@ -73,7 +78,12 @@ step() {
 		echo keep >"$tmp/keep"
 		for cmd in "abrexport -format xml -traces 2 -out $tmp/keep" \
 			"abrexport -traces -1 -out $tmp/keep" "abrexport trace -out $tmp/keep" \
-			"tracegen -set lte -n 0 -stats" "tracegen -n -3 -stats"; do
+			"tracegen -set lte -n 0 -stats" "tracegen -n -3 -stats" \
+			"videogen -out $tmp/xml -format xml" \
+			"abreval -list extra" "abrexport -traces 2 -out $tmp/keep extra" \
+			"cava-sim -trace const:5 -v extra" "dashserve -run -chunks 2 -scale 200 extra" \
+			"fleetsim -sessions 10 -max-chunks 2 extra" "tracegen -stats -n 2 extra" \
+			"videogen -stats extra"; do
 			if $b/$cmd >/dev/null 2>"$tmp/err"; then
 				echo "cli: $cmd succeeded" >&2
 				exit 1
@@ -86,6 +96,10 @@ step() {
 		done
 		if [ "$(cat "$tmp/keep")" != keep ]; then
 			echo "cli: a rejected abrexport changed its -out file" >&2
+			exit 1
+		fi
+		if [ -e "$tmp/xml" ]; then
+			echo "cli: videogen created -out before rejecting -format" >&2
 			exit 1
 		fi
 		;;

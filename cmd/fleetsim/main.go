@@ -6,17 +6,20 @@
 // (fleet.Result.Invariants: exact event accounting, no vanished or
 // starved session); a violation is reported on stderr and exits 1.
 //
-// Long runs are crash-tolerant: -checkpoint-dir snapshots the engine
-// periodically and on SIGINT/SIGTERM, and -resume restores a run whose
-// final output is bit-identical to the uninterrupted one. Even without a
-// checkpoint dir, an interrupt drains cleanly and reports the partial
-// population to stderr instead of losing all output.
+// Long runs are crash-tolerant: -checkpoint-dir snapshots the finished
+// sessions every minute and on SIGINT/SIGTERM, and -resume restores a run
+// whose final output is bit-identical to the uninterrupted one. Even
+// without a checkpoint dir, an interrupt drains cleanly and reports the
+// partial population to stderr instead of losing all output.
+//
+// The engine runs one shard per core (GOMAXPROCS bounds the count); the
+// output is identical for every shard count.
 //
 // Usage:
 //
-//	fleetsim -sessions 1000000 -workers 0 -trace-corpus lte:100,fcc:100 -scheme cava
+//	fleetsim -sessions 1000000 -trace-corpus lte:100,fcc:100 -scheme cava
 //	fleetsim -sessions 2000 -scheme robustmpc -videos ED-youtube-h264
-//	fleetsim -sessions 1000000 -checkpoint-dir /tmp/fleet -checkpoint-every 60
+//	fleetsim -sessions 1000000 -checkpoint-dir /tmp/fleet
 //	fleetsim -sessions 1000000 -checkpoint-dir /tmp/fleet -resume
 //	fleetsim -arrival 0 -max-chunks 40           (the checked fleet, all at once)
 package main
@@ -43,6 +46,10 @@ import (
 	"cava/internal/video"
 )
 
+// checkpointEverySec is the wall-clock interval between periodic
+// checkpoints when -checkpoint-dir is set.
+const checkpointEverySec = 60
+
 func main() {
 	var (
 		sessions   = flag.Int("sessions", 10000, "fleet size (concurrent sessions)")
@@ -50,12 +57,10 @@ func main() {
 		corpusSpec = flag.String("trace-corpus", "lte:40,fcc:20", "trace corpus: lte:<n>,fcc:<n>,const:<mbps>,mahimahi:<path>")
 		schemeName = flag.String("scheme", "cava", "adaptation scheme (see cava-sim -list-schemes)")
 		videoIDs   = flag.String("videos", "ED-youtube-h264,BBB-youtube-h264", "comma-separated dataset video ids")
-		workers    = flag.Int("workers", 0, "event-loop shards/worker goroutines (0: all cores); results are identical for every value")
 		seed       = flag.Int64("seed", 1, "seed for corpus assignment, offsets and arrivals")
 		maxChunks  = flag.Int("max-chunks", 0, "truncate each session after this many chunks (0: full video)")
-		ckptDir    = flag.String("checkpoint-dir", "", "directory for engine checkpoints: written periodically and on SIGINT/SIGTERM, read by -resume")
-		ckptEvery  = flag.Float64("checkpoint-every", 60, "seconds between periodic checkpoints (with -checkpoint-dir; 0: only on interrupt)")
-		resumeRun  = flag.Bool("resume", false, "restore the run from -checkpoint-dir instead of starting fresh (same flags, any -workers)")
+		ckptDir    = flag.String("checkpoint-dir", "", "directory for engine checkpoints: written every minute and on SIGINT/SIGTERM, read by -resume")
+		resumeRun  = flag.Bool("resume", false, "restore the run from -checkpoint-dir instead of starting fresh (same flags, any GOMAXPROCS)")
 		watchdog   = flag.Float64("watchdog", 0, "fail the run when any shard makes no event progress for this many wall seconds (0: disabled)")
 	)
 	flag.Parse()
@@ -80,7 +85,6 @@ func main() {
 		Scheme:             abr.Scheme{Name: *schemeName, New: factory},
 		Player:             player.DefaultConfig(),
 		Sessions:           *sessions,
-		Workers:            *workers,
 		ArrivalRatePerSec:  *arrival,
 		RandomTraceOffsets: true,
 		Seed:               *seed,
@@ -99,16 +103,17 @@ func main() {
 		fail(err)
 	}
 
-	// SIGINT/SIGTERM cancel the run's context: the engine quiesces at a
-	// batch boundary, checkpoints when a dir is configured, and returns
-	// the partial population — a kill no longer loses all output.
+	// SIGINT/SIGTERM cancel the run's context: the shards stop at a
+	// batch boundary, the engine checkpoints when a dir is configured, and
+	// RunContext returns the partial population — a kill no longer loses
+	// all output.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	start := time.Now()
 	res, runErr := e.RunContext(ctx, fleet.RunOptions{
 		CheckpointDir:      *ckptDir,
-		CheckpointEverySec: *ckptEvery,
+		CheckpointEverySec: checkpointEverySec,
 		WatchdogSec:        *watchdog,
 	})
 	wallSec := time.Since(start).Seconds()
@@ -124,12 +129,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fleetsim: checkpoint at %s — continue with -resume -checkpoint-dir %s\n",
 				fleet.CheckpointPath(*ckptDir), *ckptDir)
 		}
-		_ = summarize(os.Stderr, res, *schemeName, len(videos), len(traces), *arrival, *seed, *workers, wallSec)
+		_ = summarize(os.Stderr, res, *schemeName, len(videos), len(traces), *arrival, *seed, wallSec)
 		reportQuarantines(res)
 		os.Exit(1)
 	}
 
-	if err := summarize(os.Stdout, res, *schemeName, len(videos), len(traces), *arrival, *seed, *workers, wallSec); err != nil {
+	if err := summarize(os.Stdout, res, *schemeName, len(videos), len(traces), *arrival, *seed, wallSec); err != nil {
 		fail(err)
 	}
 	reportQuarantines(res)
@@ -147,16 +152,12 @@ func main() {
 // sessions that finished before the interrupt. Write errors latch in the
 // buffered writer and surface from the final Flush.
 func summarize(out io.Writer, res *fleet.Result, schemeName string, nVideos, nTraces int,
-	arrival float64, seed int64, workers int, wallSec float64) error {
-	shards := workers
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
+	arrival float64, seed int64, wallSec float64) error {
 	w := bufio.NewWriter(out)
 	fmt.Fprintf(w, "fleet: %d sessions (%s), %d videos × %d traces, arrival %g/s, seed %d\n",
 		res.Sessions, schemeName, nVideos, nTraces, arrival, seed)
-	fmt.Fprintf(w, "engine: %d events in %.2f s wall — %.0f events/s, %.0f sessions/s (%d workers, GOMAXPROCS %d)\n",
-		res.Events, wallSec, float64(res.Events)/wallSec, float64(res.Sessions)/wallSec, shards, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(w, "engine: %d events in %.2f s wall — %.0f events/s, %.0f sessions/s (GOMAXPROCS %d)\n",
+		res.Events, wallSec, float64(res.Events)/wallSec, float64(res.Sessions)/wallSec, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "virtual horizon: %.0f s (last completion)\n\n", res.VirtualSec)
 
 	fmt.Fprintf(w, "%-16s %10s %10s %10s %10s\n", "per-session", "p10", "p50", "p90", "p99")

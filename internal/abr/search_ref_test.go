@@ -175,13 +175,11 @@ func (p *refPANDACQ) Select(st State) int {
 		}
 		if !a.feasible {
 			// Nothing fits the budget: less data wins.
-			//lint:allow floateq exact tie-break between candidate byte sums
 			if a.bits != b.bits {
 				return a.bits < b.bits
 			}
 			return a.obj > b.obj
 		}
-		//lint:allow floateq exact tie-break between candidate objectives
 		if a.obj != b.obj {
 			return a.obj > b.obj
 		}

@@ -14,26 +14,23 @@ import (
 	"cava/internal/cache"
 )
 
-// Checkpoint format. A checkpoint is a consistent cut of a quiescent
-// engine: every shard is parked at a batch boundary (or drained), so no
-// session is mid-step and per-session state is stable. Because sessions
-// are mutually independent and every session's trajectory is a pure
-// function of the Config (seeded assignment + deterministic chunk steps),
-// the snapshot does not serialize opaque algorithm or predictor state at
-// all. It records only per-session *progress*:
+// Checkpoint format. A checkpoint is the set of sessions finished at the
+// cut. Sessions are mutually independent and every session's trajectory is
+// a pure function of the Config (seeded assignment + deterministic chunk
+// steps), so a session that has not finished is simply restarted at its
+// seeded arrival by Resume, and the snapshot serializes no algorithm,
+// predictor or player state at all. Per session it records:
 //
-//   - pending sessions (first event not yet fired): nothing — the arrival
-//     is re-derived from the seed;
-//   - in-flight sessions: the number of chunk events completed plus the
-//     bit pattern of the pending wakeup time. Resume re-runs exactly that
-//     many Advance calls against the same video/trace/offset, which
-//     reconstructs the algorithm, predictor and player state bit-for-bit;
-//     the stored wakeup doubles as a self-check that the replay really did
-//     land where the original run was (any divergence fails the resume);
+//   - pending sessions (not finished at the cut, started or not): nothing;
 //   - done sessions: the event count and the session's nine distribution
-//     samples by bit pattern — no replay needed;
-//   - quarantined sessions: the recorded Quarantine plus the chunks they
-//     completed before panicking, so lost-event accounting survives.
+//     samples by bit pattern;
+//   - quarantined sessions: the recorded Quarantine (its Chunk is also the
+//     session's event count), so lost-event accounting survives.
+//
+// A finished session's record never changes once its shard has published
+// it (session.done, or the quarantine list under the shard's qmu), so any
+// set of finished sessions is a valid cut and the writer runs while the
+// shards keep draining.
 //
 // The file is little-endian binary: an 8-byte magic, the config
 // fingerprint, the session count, one tagged record per session, and a
@@ -42,15 +39,9 @@ import (
 // write can never be mistaken for a checkpoint; a flipped bit fails the
 // checksum and the resume.
 //
-// Replay cost is bounded by the concurrent working set (sessions arrived
-// but unfinished at the cut), not the fleet: a million-session run with
-// 50k concurrent sessions replays 50k partial sessions and restores the
-// rest from samples.
-//
 // Telemetry is process-local and is not restored: counters on a resumed
-// engine cover post-resume work only, while the fleet_sessions_active
-// gauge is re-raised for replayed in-flight sessions so it drains back to
-// zero as they finish.
+// engine cover post-resume work only, and the fleet_sessions_active gauge
+// rises again as restarted sessions take their first event.
 
 // CheckpointFile is the checkpoint's file name inside the checkpoint
 // directory.
@@ -62,24 +53,23 @@ func CheckpointPath(dir string) string { return filepath.Join(dir, CheckpointFil
 
 // ckptMagic identifies the format; bump the trailing digit on any layout
 // change so stale files are rejected up front.
-const ckptMagic = "cavaflt1"
+const ckptMagic = "cavaflt2"
 
 // Per-session record tags.
 const (
 	ckptPending     = 0 // no fields
-	ckptInflight    = 1 // eventsDone u64, wakeBits u64
-	ckptDone        = 2 // eventsDone u64, 9 sample bit patterns
-	ckptQuarantined = 3 // chunksDone u64, chunk u64, reason str, stack str
+	ckptDone        = 1 // eventsDone u64, 9 sample bit patterns
+	ckptQuarantined = 2 // chunk u64, reason str, stack str
 )
 
 // configFingerprint digests every Config field that determines a session's
 // trajectory: the corpus content, the scheme identity, the seed and
 // arrival process, truncation and the player constants. Workers is
 // deliberately excluded — a checkpoint may be resumed at any worker count,
-// exactly as a fresh run may use any — as are Cache/Metrics/Collect/
-// CrashHook, which affect observation, not trajectories.
+// exactly as a fresh run may use any — as are Cache/Metrics/CrashHook,
+// which affect observation, not trajectories.
 func configFingerprint(cfg Config) string {
-	h := cache.NewHasher("fleet-ckpt-v1")
+	h := cache.NewHasher("fleet-ckpt-v2")
 	h.I64(int64(len(cfg.Videos)))
 	for _, v := range cfg.Videos {
 		h.Str(cache.VideoFingerprint(v))
@@ -189,32 +179,34 @@ func (r *ckptReader) str() string {
 	return string(r.take(int(n)))
 }
 
-// writeCheckpoint snapshots the engine into dir atomically. The engine
-// must be quiescent: drained, or every shard parked at the control
-// barrier (RunContext guarantees this). The write lands as a temp file
-// first and renames over CheckpointFile, replacing any previous snapshot
-// only once the new one is durably complete.
+// writeCheckpoint snapshots the engine's finished sessions into dir
+// atomically, and counts the outcome in fleet_checkpoints_written_total or
+// fleet_checkpoint_errors_total. It reads only what the shards have
+// published, so it may run while they drain. The write lands as a temp
+// file first and renames over CheckpointFile, replacing any previous
+// snapshot only once the new one is durably complete.
 func (e *Engine) writeCheckpoint(dir string) (err error) {
-	if e.cfg.Collect {
-		return fmt.Errorf("fleet: checkpoint with Collect set (per-chunk records are not snapshotted)")
-	}
+	defer func() {
+		if err != nil {
+			e.mCkptErrors.Inc()
+		} else {
+			e.mCkptWritten.Inc()
+		}
+	}()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("fleet: checkpoint dir: %w", err)
 	}
 
-	// Harvest the pending wakeup of every live session from the shard
-	// queues (each alive session has exactly one scheduled event).
-	wakeBits := make(map[int32]uint64)
+	// Quarantine records by session id, copied under each shard's qmu. A
+	// session quarantined after its shard's copy is written as pending.
+	quarantines := make(map[int32]Quarantine)
 	for i := range e.shards {
-		e.shards[i].heap.each(func(ev event) { wakeBits[ev.id] = math.Float64bits(ev.wakeSec) })
-	}
-	// Quarantine records by session id, for the tagged records below.
-	quarantines := make(map[int32]*Quarantine)
-	for i := range e.shards {
-		qs := e.shards[i].quarantined
-		for j := range qs {
-			quarantines[qs[j].SessionID] = &qs[j]
+		sh := &e.shards[i]
+		sh.qmu.Lock()
+		for _, q := range sh.quarantined {
+			quarantines[q.SessionID] = q
 		}
+		sh.qmu.Unlock()
 	}
 
 	f, err := os.CreateTemp(dir, CheckpointFile+".tmp*")
@@ -234,34 +226,21 @@ func (e *Engine) writeCheckpoint(dir string) (err error) {
 	w.raw([]byte(ckptMagic))
 	w.str(configFingerprint(e.cfg))
 	w.u64(uint64(e.cfg.Sessions))
+	fields := e.sampleFields()
 	for id := range e.sessions {
 		s := &e.sessions[id]
-		switch {
-		case s.quarantined:
-			q := quarantines[int32(id)]
-			if q == nil {
-				return fmt.Errorf("fleet: checkpoint: session %d quarantined without a record", id)
-			}
+		if q, ok := quarantines[int32(id)]; ok {
 			w.u8(ckptQuarantined)
-			w.u64(uint64(s.chunks))
 			w.u64(uint64(q.Chunk))
 			w.str(q.Reason)
 			w.str(q.Stack)
-		case s.done:
+		} else if s.done.Load() {
 			w.u8(ckptDone)
 			w.u64(uint64(s.chunks))
-			for _, xs := range e.sampleFields() {
+			for _, xs := range fields {
 				w.u64(math.Float64bits(xs[id]))
 			}
-		case s.started:
-			bits, ok := wakeBits[int32(id)]
-			if !ok {
-				return fmt.Errorf("fleet: checkpoint: live session %d has no scheduled event", id)
-			}
-			w.u8(ckptInflight)
-			w.u64(uint64(s.chunks))
-			w.u64(bits)
-		default:
+		} else {
 			w.u8(ckptPending)
 		}
 	}
@@ -297,14 +276,9 @@ func (e *Engine) sampleFields() [9][]float64 {
 // dir. The config must describe the same run that wrote the checkpoint
 // (verified by fingerprint) except for Workers, which may differ: the
 // restored run's final Result is bit-identical to an uninterrupted run of
-// cfg at any worker count. In-flight sessions are reconstructed by
-// deterministic replay of their completed chunks; a replay that does not
-// land on the checkpointed wakeup bit-for-bit fails the resume rather
-// than continuing a diverged run.
+// cfg at any worker count. Done and quarantined sessions are restored from
+// their records; every other session restarts at its seeded arrival.
 func Resume(cfg Config, dir string) (*Engine, error) {
-	if cfg.Collect {
-		return nil, fmt.Errorf("fleet: Resume with Collect set (checkpoints do not hold per-chunk records)")
-	}
 	data, err := os.ReadFile(CheckpointPath(dir))
 	if err != nil {
 		return nil, fmt.Errorf("fleet: resume: %w", err)
@@ -360,20 +334,6 @@ func Resume(cfg Config, dir string) (*Engine, error) {
 		case tag == ckptPending:
 			sh.heap.push(event{wakeSec: s.arrivalSec, id: int32(id)})
 
-		case tag == ckptInflight:
-			eventsDone := r.u64()
-			storedBits := r.u64()
-			if r.err != nil {
-				return nil, fmt.Errorf("fleet: resume: session %d: %w", id, r.err)
-			}
-			budget := uint64(e.chunkBudget(int32(id)))
-			if eventsDone == 0 || eventsDone >= budget {
-				return nil, fmt.Errorf("fleet: resume: session %d: in-flight with %d of %d events done", id, eventsDone, budget)
-			}
-			if err := e.replaySession(sh, int32(id), int(eventsDone), storedBits); err != nil {
-				return nil, err
-			}
-
 		case tag == ckptDone:
 			eventsDone := r.u64()
 			var bits [9]uint64
@@ -383,7 +343,7 @@ func Resume(cfg Config, dir string) (*Engine, error) {
 			if r.err != nil {
 				return nil, fmt.Errorf("fleet: resume: session %d: %w", id, r.err)
 			}
-			s.done = true
+			s.done.Store(true)
 			s.chunks = int32(eventsDone)
 			for i, xs := range e.sampleFields() {
 				xs[id] = math.Float64frombits(bits[i])
@@ -395,23 +355,20 @@ func Resume(cfg Config, dir string) (*Engine, error) {
 			sh.completed++
 
 		case tag == ckptQuarantined:
-			chunksDone := r.u64()
 			chunk := r.u64()
 			reason := r.str()
 			stack := r.str()
 			if r.err != nil {
 				return nil, fmt.Errorf("fleet: resume: session %d: %w", id, r.err)
 			}
-			s.quarantined = true
-			s.chunks = int32(chunksDone)
 			sh.quarantined = append(sh.quarantined, Quarantine{
 				SessionID: int32(id),
 				Chunk:     int(chunk),
 				Reason:    reason,
 				Stack:     stack,
 			})
-			sh.events += int64(chunksDone)
-			sh.lostEvents += int64(e.chunkBudget(int32(id))) - int64(chunksDone)
+			sh.events += int64(chunk)
+			sh.lostEvents += int64(e.chunkBudget(int32(id))) - int64(chunk)
 
 		default:
 			return nil, fmt.Errorf("fleet: resume: session %d: unknown record tag %d", id, tag)
@@ -421,36 +378,4 @@ func Resume(cfg Config, dir string) (*Engine, error) {
 		return nil, fmt.Errorf("fleet: resume: %d trailing bytes after last session record", len(r.data)-r.off)
 	}
 	return e, nil
-}
-
-// replaySession reconstructs one in-flight session by re-running its
-// completed chunk steps. The step core is a deterministic function of
-// (video, trace, offset, player config, scheme), so eventsDone Advance
-// calls rebuild the algorithm, predictor and buffer state the original
-// process held at the cut; the resulting pending wakeup must match the
-// checkpointed bits exactly or the resume is refused.
-func (e *Engine) replaySession(sh *shard, id int32, eventsDone int, storedBits uint64) error {
-	s := &e.sessions[id]
-	e.startSession(s)
-	qt := e.qts[s.video]
-	var wakeSec float64
-	for k := 0; k < eventsDone; k++ {
-		if s.step.Done() {
-			return fmt.Errorf("fleet: resume: session %d finished after %d of %d replayed events: checkpoint does not match deterministic replay", id, k, eventsDone)
-		}
-		prevLevel := s.step.PrevLevel
-		wakeSec = s.step.Advance(s.tr, s.offsetSec)
-		observeChunk(s, qt, prevLevel)
-	}
-	if s.step.Done() {
-		return fmt.Errorf("fleet: resume: session %d done after replaying %d events but checkpointed in-flight", id, eventsDone)
-	}
-	absWakeSec := s.arrivalSec + wakeSec
-	if math.Float64bits(absWakeSec) != storedBits {
-		return fmt.Errorf("fleet: resume: session %d: replayed wakeup %v does not match deterministic replay of the checkpointed run (stored bits %016x, got %016x)",
-			id, absWakeSec, storedBits, math.Float64bits(absWakeSec))
-	}
-	sh.heap.push(event{wakeSec: absWakeSec, id: id})
-	sh.events += int64(eventsDone)
-	return nil
 }

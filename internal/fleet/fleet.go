@@ -47,6 +47,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"cava/internal/abr"
 	"cava/internal/cache"
@@ -105,10 +106,6 @@ type Config struct {
 	// Cache memoizes per-video quality tables across runs (nil computes
 	// them directly).
 	Cache *cache.Cache
-	// Collect retains every session's full per-chunk player.Result —
-	// memory grows with sessions × chunks, so this is for equivalence
-	// tests and small-fleet debugging, not scale runs.
-	Collect bool
 	// Metrics, when non-nil, receives fleet_events_total,
 	// fleet_sessions_completed_total, fleet_sessions_quarantined_total and
 	// the fleet_sessions_active gauge. Counters and gauges are lock-free
@@ -122,6 +119,12 @@ type Config struct {
 	// shard and trips the RunContext watchdog. The hook is called from
 	// shard goroutines concurrently and must be safe for concurrent use.
 	CrashHook func(sessionID int32, chunk int)
+
+	// collect retains every session's full per-chunk player.Result in
+	// Result.results. Memory grows with sessions × chunks and checkpoints
+	// do not hold the records, so only the package's equivalence tests
+	// set it.
+	collect bool
 }
 
 // Quarantine records one session retired by the per-shard panic isolation:
@@ -177,15 +180,16 @@ type Result struct {
 	Switches      metrics.Sorted
 	// DataMB is per-session downloaded volume in megabytes.
 	DataMB metrics.Sorted
-	// Results holds the full per-session results when Config.Collect is
+
+	// results holds the full per-session results when Config.collect is
 	// set, indexed by session id, nil otherwise.
-	Results []*player.Result
+	results []*player.Result
 }
 
 // session is one fleet member: the step core plus its corpus assignment
 // and the online aggregates that replace per-chunk records. It is the
 // fleet's per-session memory. The step core holds its predictor inline and,
-// without Collect or a Recorder, no cold block, so a session's algorithm is
+// without collect or a Recorder, no cold block, so a session's algorithm is
 // its only other heap object (pinned by TestFleetSessionFootprint).
 type session struct {
 	step       player.StepState
@@ -195,12 +199,14 @@ type session struct {
 	// video indexes Config.Videos and Engine.qts.
 	video int32
 
-	chunks        int32
-	switches      int32
-	levelSum      int32
+	chunks   int32
+	switches int32
+	levelSum int32
+	// done is stored by the owning shard once the session's samples and
+	// chunks are final, and loaded by a checkpoint written while the
+	// shards run. A quarantined session is never done.
+	done          atomic.Bool
 	started       bool
-	done          bool
-	quarantined   bool
 	lastQual      float64
 	qualSum       float64
 	qualChangeSum float64
@@ -232,6 +238,10 @@ type Engine struct {
 	avgQuality, qualityChange                             []float64
 	avgLevel, switches, dataMB                            []float64
 	results                                               []*player.Result
+
+	// abort stops the shards at their next batch boundary (RunContext on
+	// cancel or a watchdog failure).
+	abort atomic.Bool
 
 	mEvents      *telemetry.Counter
 	mCompleted   *telemetry.Counter
@@ -297,7 +307,7 @@ func New(cfg Config) (*Engine, error) {
 		mCkptErrors:   cfg.Metrics.Counter("fleet_checkpoint_errors_total", "fleet checkpoint writes that failed"),
 		mActive:       cfg.Metrics.Gauge("fleet_sessions_active", "fleet sessions arrived and not yet complete"),
 	}
-	if cfg.Collect {
+	if cfg.collect {
 		e.results = make([]*player.Result, n)
 	}
 
@@ -363,7 +373,7 @@ func (e *Engine) merge() (*Result, error) {
 	return r, nil
 }
 
-// result aggregates the quiescent engine, drained or interrupted, into a
+// result aggregates the stopped engine, drained or interrupted, into a
 // fleet result. The distributions cover exactly the sessions marked done:
 // quarantined and unfinished sessions' zero-valued slots must not dilute
 // them. The sample slices are id-indexed (each shard wrote only its own
@@ -377,7 +387,7 @@ func (e *Engine) result() *Result {
 		for i, xs := range d {
 			done := make([]float64, 0, completed)
 			for id, x := range xs {
-				if e.sessions[id].done {
+				if e.sessions[id].done.Load() {
 					done = append(done, x)
 				}
 			}
@@ -401,14 +411,13 @@ func (e *Engine) result() *Result {
 		AvgLevel:        metrics.NewSorted(d[6]),
 		Switches:        metrics.NewSorted(d[7]),
 		DataMB:          metrics.NewSorted(d[8]),
-		Results:         e.results,
+		results:         e.results,
 	}
 }
 
 // tallies folds the per-shard scalar tallies in shard-index order and
 // collects the quarantine records in ascending session id. It reads state
-// written by shard goroutines, so the engine must be quiescent (drained,
-// or paused at the control barrier).
+// written by shard goroutines, so every shard must have returned.
 func (e *Engine) tallies() (events int64, completed int, lost int64, maxDoneSec float64, quarantined []Quarantine) {
 	for i := range e.shards {
 		sh := &e.shards[i]

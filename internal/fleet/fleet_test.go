@@ -48,17 +48,17 @@ func TestFleetEquivalence(t *testing.T) {
 			}
 			res, err := Run(Config{
 				Videos: []*video.Video{v}, Traces: []*trace.Trace{tr},
-				Scheme: sc, Sessions: 1, Collect: true,
+				Scheme: sc, Sessions: 1, collect: true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Results) != 1 {
-				t.Fatalf("Collect returned %d results, want 1", len(res.Results))
+			if len(res.results) != 1 {
+				t.Fatalf("collect returned %d results, want 1", len(res.results))
 			}
-			if !reflect.DeepEqual(want, res.Results[0]) {
+			if !reflect.DeepEqual(want, res.results[0]) {
 				t.Errorf("one-session fleet diverges from player.Simulate\nsim:   %+v\nfleet: %+v",
-					want, res.Results[0])
+					want, res.results[0])
 			}
 		})
 	}
@@ -80,12 +80,12 @@ func TestFleetSessionsIndependent(t *testing.T) {
 	}
 	res, err := Run(Config{
 		Videos: []*video.Video{v}, Traces: []*trace.Trace{tr},
-		Scheme: sc, Sessions: 5, Collect: true,
+		Scheme: sc, Sessions: 5, collect: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, got := range res.Results {
+	for i, got := range res.results {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("session %d diverges from the solo run despite identical inputs", i)
 		}
@@ -185,7 +185,7 @@ func TestFleetSessionsEndMidHeap(t *testing.T) {
 	cfg := Config{
 		Videos: []*video.Video{long, short},
 		Traces: []*trace.Trace{trace.GenLTE(2)},
-		Scheme: fixedScheme(1), Sessions: 20, Seed: 9, Collect: true,
+		Scheme: fixedScheme(1), Sessions: 20, Seed: 9, collect: true,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -195,7 +195,7 @@ func TestFleetSessionsEndMidHeap(t *testing.T) {
 		t.Errorf("invariant violated: %v", e)
 	}
 	lens := map[int]bool{}
-	for _, r := range res.Results {
+	for _, r := range res.results {
 		lens[len(r.Chunks)] = true
 	}
 	if !lens[long.NumChunks()] || !lens[short.NumChunks()] {
@@ -233,7 +233,7 @@ func TestFleetTraceWraparound(t *testing.T) {
 	run := func(offsetSec float64) *player.Result {
 		e, err := New(Config{
 			Videos: []*video.Video{v}, Traces: []*trace.Trace{tr},
-			Scheme: fixedScheme(3), Sessions: 1, Collect: true,
+			Scheme: fixedScheme(3), Sessions: 1, collect: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -243,7 +243,7 @@ func TestFleetTraceWraparound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Results[0]
+		return res.results[0]
 	}
 
 	rotated := &trace.Trace{ID: tr.ID, IntervalSec: tr.IntervalSec,
@@ -407,7 +407,7 @@ func TestFleetSessionFootprint(t *testing.T) {
 }
 
 // TestFleetShardEquivalence is the sharding contract: the Result — every
-// sorted distribution, Events, VirtualSec and the Collect-mode per-session
+// sorted distribution, Events, VirtualSec and the collect-mode per-session
 // Results — is bit-identical for every worker count at a fixed seed. The
 // assignment pass is sequential and sessions are mutually independent, so
 // partitioning must be unobservable in the output.
@@ -423,7 +423,7 @@ func TestFleetShardEquivalence(t *testing.T) {
 		ArrivalRatePerSec:  1.5,
 		RandomTraceOffsets: true,
 		Seed:               42,
-		Collect:            true,
+		collect:            true,
 	}
 	cfg.Workers = 1
 	want, err := Run(cfg)
@@ -463,7 +463,7 @@ func TestFleetSoloReference(t *testing.T) {
 	res, err := Run(Config{
 		Videos: videos, Traces: traces, Scheme: sc,
 		Sessions: n, ArrivalRatePerSec: rate, Seed: seed,
-		Workers: 1, Collect: true,
+		Workers: 1, collect: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +485,7 @@ func TestFleetSoloReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, res.Results[i]) {
+		if !reflect.DeepEqual(want, res.results[i]) {
 			t.Fatalf("session %d diverges from its solo player.Simulate run", i)
 		}
 		completion[i] = arrivalSec + want.SessionSec
@@ -542,7 +542,7 @@ func TestFleetMaxChunksBudget(t *testing.T) {
 	v := shortVideo()
 	res, err := Run(Config{
 		Videos: []*video.Video{v}, Traces: []*trace.Trace{trace.GenLTE(6)},
-		Scheme: fixedScheme(1), Sessions: 7, MaxChunks: 9, Collect: true,
+		Scheme: fixedScheme(1), Sessions: 7, MaxChunks: 9, collect: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -550,7 +550,7 @@ func TestFleetMaxChunksBudget(t *testing.T) {
 	if want := int64(7 * 9); res.ExpectedEvents != want || res.Events != want {
 		t.Errorf("events %d/expected %d, want %d", res.Events, res.ExpectedEvents, want)
 	}
-	for _, r := range res.Results {
+	for _, r := range res.results {
 		if len(r.Chunks) != 9 {
 			t.Fatalf("session ran %d chunks, want 9", len(r.Chunks))
 		}

@@ -225,21 +225,6 @@ func (h *eventHeap) takeDue(batch []int32) []int32 {
 	return batch
 }
 
-// each calls fn for every pending event, in no particular order.
-func (h *eventHeap) each(fn func(event)) {
-	for occ := h.occupied; occ != 0; occ &= occ - 1 {
-		c := &h.buckets[bits.TrailingZeros64(occ)]
-		for b := c.head; ; b = h.next[b] {
-			for _, e := range h.filled(c, b) {
-				fn(e)
-			}
-			if b == c.tail {
-				break
-			}
-		}
-	}
-}
-
 // reset empties the queue and rewinds its floor to 0, keeping its storage.
 func (h *eventHeap) reset() {
 	*h = eventHeap{pool: h.pool[:0], next: h.next[:0], free: noBlock}

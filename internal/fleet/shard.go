@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"cava/internal/player"
@@ -14,10 +15,12 @@ import (
 // with its own event queue, batch buffer and scalar tallies. Sessions are
 // mutually independent, so a shard never reads or writes another shard's
 // sessions; the only shared state it touches is immutable (corpus, quality
-// tables, Config), atomic (telemetry handles, the progress counter) or
-// id-indexed slots it alone owns (the engine's per-session sample slices).
-// That makes the shard pass race-free by partition and its output
-// independent of scheduling.
+// tables, Config), atomic (telemetry handles, the progress counter, the
+// abort flag) or id-indexed slots it alone owns (the engine's per-session
+// sample slices). That makes the shard pass race-free by partition and its
+// output independent of scheduling. The checkpoint writer reads a session's
+// slots only after the shard has published it finished (session.done), and
+// the quarantine records under qmu.
 type shard struct {
 	e     *Engine
 	heap  *eventHeap
@@ -34,8 +37,10 @@ type shard struct {
 	maxDoneSec float64
 	completed  int
 
-	// quarantined collects the shard's panic-isolated sessions;
+	// quarantined collects the shard's panic-isolated sessions, appended
+	// under qmu so the checkpoint writer can copy it while the shard runs;
 	// lostEvents is their forfeited remainder of the event budget.
+	qmu         sync.Mutex
 	quarantined []Quarantine
 	lostEvents  int64
 
@@ -69,13 +74,13 @@ func (sh *shard) init(e *Engine, lo, hi int32) {
 }
 
 // drain runs the shard to completion, one virtual instant at a time. It
-// checks the control barrier between batches — parking for checkpoints,
-// returning early on abort — and publishes its event progress for the
+// checks the engine's abort flag between batches, returning early when
+// RunContext stops the run, and publishes its event progress for the
 // watchdog.
-func (sh *shard) drain(ctl *control) {
+func (sh *shard) drain() {
 	var publishAt int64
 	for sh.heap.len() > 0 {
-		if !ctl.gate() {
+		if sh.e.abort.Load() {
 			return
 		}
 		sh.runBatch()
@@ -85,7 +90,6 @@ func (sh *shard) drain(ctl *control) {
 		}
 	}
 	sh.progress.Store(shardFinished)
-	ctl.shardDone()
 }
 
 // runBatch fully drains the earliest pending virtual instant: every event
@@ -133,17 +137,17 @@ func (sh *shard) advanceSession(id int32) {
 	sh.heap.push(event{wakeSec: s.arrivalSec + wakeSec, id: id})
 }
 
-// startSession builds session s's algorithm and initializes its step core,
-// at the session's first event or when a resume replays it. Only a kept
-// Result or a decision trace reads the video label, so the label (a
-// formatted string) is built only for them.
+// startSession builds session s's algorithm and initializes its step core
+// at the session's first event. Only a kept Result or a decision trace
+// reads the video label, so the label (a formatted string) is built only
+// for them.
 func (e *Engine) startSession(s *session) {
 	v := e.cfg.Videos[s.video]
 	videoID := ""
-	if e.cfg.Collect || e.cfg.Player.Recorder != nil {
+	if e.cfg.collect || e.cfg.Player.Recorder != nil {
 		videoID = v.ID()
 	}
-	s.step.Init(v, videoID, s.tr.ID, e.cfg.Scheme.New(v), e.cfg.Player, e.cfg.Collect)
+	s.step.Init(v, videoID, s.tr.ID, e.cfg.Scheme.New(v), e.cfg.Player, e.cfg.collect)
 	s.step.LimitChunks(e.cfg.MaxChunks)
 	s.started = true
 	e.mActive.Add(1)
@@ -166,14 +170,16 @@ func (sh *shard) recoverStep() {
 	s := &e.sessions[id]
 	buf := make([]byte, 64<<10)
 	buf = buf[:runtime.Stack(buf, false)]
-	sh.quarantined = append(sh.quarantined, Quarantine{
+	q := Quarantine{
 		SessionID: id,
 		Chunk:     int(s.chunks),
 		Reason:    fmt.Sprint(r),
 		Stack:     string(buf),
-	})
+	}
+	sh.qmu.Lock()
+	sh.quarantined = append(sh.quarantined, q)
+	sh.qmu.Unlock()
 	sh.lostEvents += int64(e.chunkBudget(id) - int(s.chunks))
-	s.quarantined = true
 	if s.started {
 		e.mActive.Add(-1)
 	}
@@ -201,9 +207,9 @@ func observeChunk(s *session, qt *quality.Table, prevLevel int) {
 }
 
 // finishSession writes the session's distribution samples into its
-// id-indexed slots and releases its per-session state (algorithm, step
-// core) back to the collector. It reads the step core's running totals
-// directly: only Collect builds a Result.
+// id-indexed slots, publishes the session finished, and releases its
+// per-session state (algorithm, step core) back to the collector. It reads
+// the step core's running totals directly: only collect builds a Result.
 func (sh *shard) finishSession(id int32, s *session) {
 	e := sh.e
 	startupSec, rebufferSec, totalBits := s.step.Totals()
@@ -222,11 +228,13 @@ func (sh *shard) finishSession(id int32, s *session) {
 	e.qualityChange[id] = s.qualChangeSum / chunks
 	e.avgLevel[id] = float64(s.levelSum) / chunks
 	e.switches[id] = float64(s.switches)
-	s.done = true
+	// The samples and s.chunks are final: the store publishes them to a
+	// concurrent checkpoint writer.
+	s.done.Store(true)
 	sh.completed++
 	e.mCompleted.Inc()
 	e.mActive.Add(-1)
-	if e.cfg.Collect {
+	if e.cfg.collect {
 		e.results[id] = s.step.Take()
 		return
 	}

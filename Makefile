@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint lint-fixtures build cli vet test race bench bench-telemetry bench-sweep-short soak soak-edge soak-fleet soak-crash bench-fleet-short
+.PHONY: check lint lint-fixtures build cli vet test race bench bench-telemetry bench-sweep-short soak soak-edge soak-fleet bench-fleet-short
 
 # check is the one-command tier-1 gate every PR must pass. The gate list
 # lives in scripts/check.sh alone; the targets below run its pieces locally.
@@ -59,15 +59,11 @@ soak:
 soak-edge:
 	sh scripts/check.sh soak-edge -v
 
-# Fleet-engine chaos smoke: 2000 sessions sharded across 4 workers under the
-# race detector, checked against fleet.Result.Invariants.
+# Fleet soak: 2000 sessions sharded across 4 workers under the race
+# detector, with seeded in-step panics and an interrupt, checkpoint and
+# resume, checked against fleet.Result.Invariants and the uninterrupted run.
 soak-fleet:
 	sh scripts/check.sh soak-fleet -v
-
-# Crash-tolerance soak: seeded in-step panics, checkpoint/resume
-# equivalence and disk-cache corruption recovery, race-enabled.
-soak-crash:
-	sh scripts/check.sh soak-crash -v
 
 # Fleet throughput gate: one reduced multi-worker point under the
 # per-worker sessions/sec floor (fleet numbers come from

@@ -32,6 +32,10 @@ func main() {
 	)
 	flag.Parse()
 	cliutil.RejectArgs("abreval")
+	if *traces < 0 {
+		fmt.Fprintf(os.Stderr, "abreval: -traces %d: want a non-negative trace count (0: default)\n", *traces)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
@@ -60,6 +64,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "abreval: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("===== %s — %s (%.1fs)\n%s\n", res.ID, res.Title, time.Since(start).Seconds(), res.Text)
+		fmt.Printf("===== %s — %s (%.1fs)\n%s\n", id, experiments.Title(id), time.Since(start).Seconds(), res.Text)
 	}
 }

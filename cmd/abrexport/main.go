@@ -62,7 +62,7 @@ func main() {
 
 	var videos []*video.Video
 	for _, id := range strings.Split(*videosFlag, ",") {
-		v, err := c.VideoByIDErr(strings.TrimSpace(id))
+		v, err := c.VideoByID(strings.TrimSpace(id))
 		if err != nil {
 			fail(2, err)
 		}

@@ -68,6 +68,14 @@ func main() {
 	)
 	flag.Parse()
 	cliutil.RejectArgs("dashserve")
+	if *scale < 0 {
+		fmt.Fprintf(os.Stderr, "dashserve: -scale %g: want a non-negative time compression factor\n", *scale)
+		os.Exit(2)
+	}
+	if *chunksN < 0 {
+		fmt.Fprintf(os.Stderr, "dashserve: -chunks %d: want a non-negative count (0 = all)\n", *chunksN)
+		os.Exit(2)
+	}
 	// The run's report goes to stdout, or to stderr when the decision trace
 	// takes stdout (-trace-out -), so that stream stays JSONL.
 	report := func(format string, a ...any) { fmt.Printf(format, a...) }

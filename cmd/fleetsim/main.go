@@ -65,6 +65,12 @@ func main() {
 	)
 	flag.Parse()
 	cliutil.RejectArgs("fleetsim")
+	if *arrival < 0 {
+		fail(fmt.Errorf("-arrival %g: want a non-negative rate (0: all at once)", *arrival))
+	}
+	if *maxChunks < 0 {
+		fail(fmt.Errorf("-max-chunks %d: want a non-negative count (0: full video)", *maxChunks))
+	}
 
 	videos, err := resolveVideos(*videoIDs)
 	if err != nil {

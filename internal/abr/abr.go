@@ -100,14 +100,11 @@ func ClampLevel(l, numTracks int) int {
 	return l
 }
 
-// clampLevel is the historical package-private spelling.
-func clampLevel(l, numTracks int) int { return ClampLevel(l, numTracks) }
-
 // Fixed returns an Algorithm that always selects the same track level,
 // useful as a floor/ceiling reference and in tests.
 func Fixed(level int) Factory {
 	return func(v *video.Video) Algorithm {
-		return fixed{level: clampLevel(level, v.NumTracks())}
+		return fixed{level: ClampLevel(level, v.NumTracks())}
 	}
 }
 

@@ -28,8 +28,8 @@ func TestFixed(t *testing.T) {
 }
 
 func TestClampLevel(t *testing.T) {
-	if clampLevel(-3, 6) != 0 || clampLevel(7, 6) != 5 || clampLevel(2, 6) != 2 {
-		t.Error("clampLevel broken")
+	if ClampLevel(-3, 6) != 0 || ClampLevel(7, 6) != 5 || ClampLevel(2, 6) != 2 {
+		t.Error("ClampLevel broken")
 	}
 }
 

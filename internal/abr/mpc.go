@@ -101,7 +101,7 @@ func (m *MPC) Select(st State) int {
 
 	horizon := min(mpcHorizon, v.NumChunks()-st.ChunkIndex)
 	if horizon <= 0 {
-		return clampLevel(st.PrevLevel, v.NumTracks())
+		return ClampLevel(st.PrevLevel, v.NumTracks())
 	}
 
 	prevQ := 0.0

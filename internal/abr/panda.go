@@ -119,7 +119,7 @@ func (p *PANDACQ) Select(st State) int {
 	}
 	horizon := min(pandaHorizon, v.NumChunks()-st.ChunkIndex)
 	if horizon <= 0 {
-		return clampLevel(st.PrevLevel, v.NumTracks())
+		return ClampLevel(st.PrevLevel, v.NumTracks())
 	}
 
 	tracks := v.NumTracks()

@@ -77,7 +77,7 @@ func (m *refMPC) Select(st State) int {
 		horizon = rem
 	}
 	if horizon <= 0 {
-		return clampLevel(st.PrevLevel, v.NumTracks())
+		return ClampLevel(st.PrevLevel, v.NumTracks())
 	}
 
 	prevQ := 0.0
@@ -157,7 +157,7 @@ func (p *refPANDACQ) Select(st State) int {
 		horizon = rem
 	}
 	if horizon <= 0 {
-		return clampLevel(st.PrevLevel, v.NumTracks())
+		return ClampLevel(st.PrevLevel, v.NumTracks())
 	}
 
 	type cand struct {

@@ -47,15 +47,15 @@ func (c *Cache) GenerateAll(cfgs []video.GenConfig) []*video.Video {
 }
 
 // VideoByID returns the dataset video with the given ID, generating at most
-// once per cache, or nil when the ID is not in the dataset. Only the
+// once per cache, or an error when the ID is not in the dataset. Only the
 // requested video is generated, unlike video.ByID's original
 // scan-the-dataset behavior.
-func (c *Cache) VideoByID(id string) *video.Video {
+func (c *Cache) VideoByID(id string) (*video.Video, error) {
 	cfg, ok := video.ConfigByID(id)
 	if !ok {
-		return nil
+		return nil, fmt.Errorf("cache: unknown video ID %q", id)
 	}
-	return c.Generate(cfg)
+	return c.Generate(cfg), nil
 }
 
 // QualityTable returns the per-chunk quality table of a video under a
@@ -82,14 +82,4 @@ func (c *Cache) Categories(v *video.Video) []scene.Category {
 		return scene.ClassifyDefault(v), nil
 	})
 	return cats.([]scene.Category)
-}
-
-// VideoByIDErr is VideoByID returning an error for unknown IDs, for call
-// sites that thread errors instead of handling the nil sentinel.
-func (c *Cache) VideoByIDErr(id string) (*video.Video, error) {
-	v := c.VideoByID(id)
-	if v == nil {
-		return nil, fmt.Errorf("cache: unknown video ID %q", id)
-	}
-	return v, nil
 }

@@ -204,23 +204,17 @@ func TestArtifactHelpersNilSafe(t *testing.T) {
 
 func TestVideoByID(t *testing.T) {
 	c := New()
-	v := c.VideoByID("ED-ffmpeg-h264")
-	if v == nil || v.ID() != "ED-ffmpeg-h264" {
-		t.Fatalf("VideoByID = %v", v)
+	v, err := c.VideoByID("ED-ffmpeg-h264")
+	if err != nil || v.ID() != "ED-ffmpeg-h264" {
+		t.Fatalf("VideoByID = %v, %v", v, err)
 	}
-	if c.VideoByID("ED-ffmpeg-h264") != v {
-		t.Fatal("VideoByID did not memoize")
+	if again, err := c.VideoByID("ED-ffmpeg-h264"); err != nil || again != v {
+		t.Fatalf("VideoByID did not memoize: %v, %v", again, err)
 	}
-	if c.VideoByID("nope") != nil {
-		t.Fatal("unknown ID should return nil")
-	}
-	// Regression: the error-returning variant must report unknown IDs as
-	// errors, not crash (the former MustVideoByID panicked here).
-	if _, err := c.VideoByIDErr("nope"); err == nil {
-		t.Fatal("VideoByIDErr accepted an unknown ID")
-	}
-	if ev, err := c.VideoByIDErr("ED-ffmpeg-h264"); err != nil || ev != v {
-		t.Fatalf("VideoByIDErr = %v, %v", ev, err)
+	// Regression: an unknown ID is an error, not a crash (the former
+	// MustVideoByID panicked here).
+	if nv, err := c.VideoByID("nope"); err == nil || nv != nil {
+		t.Fatalf("VideoByID accepted an unknown ID: %v, %v", nv, err)
 	}
 	// Matches the package-level lookup.
 	if want := video.ByID("ED-ffmpeg-h264"); !reflect.DeepEqual(v, want) {
@@ -335,24 +329,31 @@ func TestCacheDiskCorruptionQuarantine(t *testing.T) {
 	}
 }
 
-// TestCacheDiskTornAndLegacyFiles covers the two non-checksum-match shapes:
-// a framed file cut short mid-payload (a torn write that somehow bypassed
-// the rename protocol) is corrupt and quarantined; a pre-checksum legacy
-// file (bare JSON, no magic) is merely unverifiable — recomputed and
-// rewritten in the framed format, but never counted or renamed as corrupt.
+// TestCacheDiskTornAndLegacyFiles covers the three non-checksum-match
+// shapes: a framed file cut short mid-payload (a torn write that somehow
+// bypassed the rename protocol) and a file whose header after the magic
+// does not parse are corrupt and quarantined; a pre-checksum legacy file
+// (bare JSON, no magic) is merely unverifiable — recomputed and rewritten
+// in the framed format, but never counted or renamed as corrupt.
 func TestCacheDiskTornAndLegacyFiles(t *testing.T) {
 	dir := t.TempDir()
 	seed := New(WithDir(dir))
-	if _, err := GetOrComputeJSON(seed, "sweep", "torn", func() (int, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
+	damage := map[string]func(raw []byte) []byte{
+		"torn":    func(raw []byte) []byte { return raw[:len(raw)-1] },
+		"mangled": func(raw []byte) []byte { return append([]byte(diskMagic+"zzzz\n"), raw...) },
 	}
-	tornPath := filepath.Join(dir, "sweep", "torn.json")
-	raw, err := os.ReadFile(tornPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(tornPath, raw[:len(raw)-1], 0o644); err != nil {
-		t.Fatal(err)
+	for key, f := range damage {
+		if _, err := GetOrComputeJSON(seed, "sweep", key, func() (int, error) { return 1, nil }); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "sweep", key+".json")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, f(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	legacyPath := filepath.Join(dir, "sweep", "legacy.json")
@@ -361,11 +362,13 @@ func TestCacheDiskTornAndLegacyFiles(t *testing.T) {
 	}
 
 	c := New(WithDir(dir))
-	if v, err := GetOrComputeJSON(c, "sweep", "torn", func() (int, error) { return 1, nil }); err != nil || v != 1 {
-		t.Fatalf("torn entry: %v, %v", v, err)
-	}
-	if _, err := os.Stat(tornPath + ".corrupt"); err != nil {
-		t.Errorf("torn entry not quarantined: %v", err)
+	for key := range damage {
+		if v, err := GetOrComputeJSON(c, "sweep", key, func() (int, error) { return 1, nil }); err != nil || v != 1 {
+			t.Fatalf("%s entry: %v, %v", key, v, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "sweep", key+".json.corrupt")); err != nil {
+			t.Errorf("%s entry not quarantined: %v", key, err)
+		}
 	}
 	if v, err := GetOrComputeJSON(c, "sweep", "legacy", func() (int, error) { return 9, nil }); err != nil || v != 9 {
 		t.Fatalf("legacy entry: %v, %v", v, err)
@@ -373,11 +376,11 @@ func TestCacheDiskTornAndLegacyFiles(t *testing.T) {
 	if _, err := os.Stat(legacyPath + ".corrupt"); err == nil {
 		t.Error("legacy (unframed) file was quarantined as corrupt")
 	}
-	if s := c.Stats("sweep"); s.Corrupt != 1 || s.Misses != 2 {
-		t.Errorf("stats = %+v, want 1 corrupt 2 misses", s)
+	if s := c.Stats("sweep"); s.Corrupt != 2 || s.Misses != 3 {
+		t.Errorf("stats = %+v, want 2 corrupt 3 misses", s)
 	}
-	// Both keys are now framed on disk and verify cleanly.
-	for _, key := range []string{"torn", "legacy"} {
+	// Every key is now framed on disk and verifies cleanly.
+	for _, key := range []string{"torn", "mangled", "legacy"} {
 		data, err := os.ReadFile(filepath.Join(dir, "sweep", key+".json"))
 		if err != nil {
 			t.Fatal(err)

@@ -29,16 +29,16 @@ func ParseTrace(spec string) (*trace.Trace, error) {
 		return nil, fmt.Errorf("trace spec %q: want lte:<idx>, fcc:<idx>, const:<mbps>, or mahimahi:<path>", spec)
 	}
 	switch parts[0] {
-	case "lte":
+	case "lte", "fcc":
 		i, err := strconv.Atoi(parts[1])
 		if err != nil {
 			return nil, fmt.Errorf("trace spec %q: %v", spec, err)
 		}
-		return trace.GenLTE(i), nil
-	case "fcc":
-		i, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("trace spec %q: %v", spec, err)
+		if i < 0 {
+			return nil, fmt.Errorf("trace spec %q: negative index", spec)
+		}
+		if parts[0] == "lte" {
+			return trace.GenLTE(i), nil
 		}
 		return trace.GenFCC(i), nil
 	case "const":

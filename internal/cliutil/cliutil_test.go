@@ -48,7 +48,7 @@ func TestParseTraceMahimahi(t *testing.T) {
 
 func TestParseTraceErrors(t *testing.T) {
 	for _, bad := range []string{
-		"", "lte", "lte:x", "fcc:y", "const:z", "const:-1",
+		"", "lte", "lte:x", "fcc:y", "lte:-1", "fcc:-4", "const:z", "const:-1",
 		"mars:1", "mahimahi:/does/not/exist",
 	} {
 		if _, err := ParseTrace(bad); err == nil {

@@ -54,5 +54,5 @@ func runAutoTune(opt Options) (*Result, error) {
 	var sb strings.Builder
 	sb.WriteString(table(header, rows))
 	sb.WriteString("\n(AutoCAVA re-tunes α and the low-buffer guards from the observed throughput CoV)\n")
-	return &Result{ID: "autotune", Title: Title("autotune"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }

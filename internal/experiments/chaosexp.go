@@ -60,5 +60,5 @@ func runChaos(opt Options) (*Result, error) {
 	sb.WriteString(table(header, rows))
 	fmt.Fprintf(&sb, "\n(real HTTP over one shared shaped link; admission bounded to half the "+
 		"session count, fault seed %d; \"shed seen\" counts client-observed 503 + Retry-After)\n", seed)
-	return &Result{ID: "chaos", Title: Title("chaos"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }

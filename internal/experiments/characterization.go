@@ -43,7 +43,7 @@ func runFig1(Options) (*Result, error) {
 		}
 		fmt.Fprintf(&sb, "%-6s %s\n", t.Res.Name, strings.Join(parts, " "))
 	}
-	return &Result{ID: "fig1", Title: Title("fig1"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // runFig2 regenerates the SI/TI quartile separation of Fig. 2 for both
@@ -84,7 +84,7 @@ func runFig2(opt Options) (*Result, error) {
 		}
 		fmt.Fprintf(&sb, "cross-track category correlation vs track 3: %s\n\n", strings.Join(corrs, " "))
 	}
-	return &Result{ID: "fig2", Title: Title("fig2"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // runFig3 regenerates the per-quartile quality CDFs of Fig. 3 on the middle
@@ -115,5 +115,5 @@ func runFig3(opt Options) (*Result, error) {
 		sb.WriteString(table(header, rows))
 		sb.WriteString("\n")
 	}
-	return &Result{ID: "fig3", Title: Title("fig3"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }

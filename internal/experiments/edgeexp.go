@@ -76,5 +76,5 @@ func runEdgeChaos(opt Options) (*Result, error) {
 	fmt.Fprintf(&sb, "\n(3 origin replicas behind one edge; kill-primary cell kills the ring-primary "+
 		"origin 0.25s in and restarts it 0.5s later; fault seed %d; sessions staggered over 1s so "+
 		"manifests age past the 10ms soft TTL and serve stale while revalidating)\n", seed)
-	return &Result{ID: "edge", Title: Title("edge"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }

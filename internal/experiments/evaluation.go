@@ -107,7 +107,7 @@ func runFig4(opt Options) (*Result, error) {
 	for _, tl := range timelines {
 		sb.WriteString(tl + "\n")
 	}
-	return &Result{ID: "fig4", Title: Title("fig4"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // windowSweep runs CAVA with one parameter override across the LTE set and
@@ -158,8 +158,7 @@ func runFig7(opt Options) (*Result, error) {
 		return nil, err
 	}
 	header := []string{"W(s)", "Q4 mean", "Q4 p10", "Q4 p90", "rebuf mean", "rebuf p10", "rebuf p90"}
-	return &Result{ID: "fig7", Title: Title("fig7"),
-		Text: table(header, rows) + "\n(ED, FFmpeg H.264, LTE traces; paper picks W=40s)\n"}, nil
+	return &Result{Text: table(header, rows) + "\n(ED, FFmpeg H.264, LTE traces; paper picks W=40s)\n"}, nil
 }
 
 // runFig7b sweeps the outer window W'. Rebuffering decreases with W', with
@@ -171,8 +170,7 @@ func runFig7b(opt Options) (*Result, error) {
 		return nil, err
 	}
 	header := []string{"W'(s)", "Q4 mean", "Q4 p10", "Q4 p90", "rebuf mean", "rebuf p10", "rebuf p90"}
-	return &Result{ID: "fig7b", Title: Title("fig7b"),
-		Text: table(header, rows) + "\n(ED, FFmpeg H.264, LTE traces; paper picks W'=200s)\n"}, nil
+	return &Result{Text: table(header, rows) + "\n(ED, FFmpeg H.264, LTE traces; paper picks W'=200s)\n"}, nil
 }
 
 // fig8Run executes the Fig. 8 sweep and returns the results handle. Both
@@ -261,7 +259,7 @@ func runFig8(opt Options) (*Result, error) {
 		}
 		fmt.Fprintf(&sb, "\nCDF plot — %s:\n%s", fd.name, plot.CDF(series, 64, 12))
 	}
-	return &Result{ID: "fig8", Title: Title("fig8"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // runFig9 prints the Q1–Q3 and all-chunk quality CDFs for the same sweep.
@@ -290,7 +288,7 @@ func runFig9(opt Options) (*Result, error) {
 		sb.WriteString(table([]string{"scheme", "mean", "deciles"}, rows))
 		sb.WriteString("\n")
 	}
-	return &Result{ID: "fig9", Title: Title("fig9"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // runFig10 reproduces the §6.4 ablation: per-trace Q4 quality of p12/p123
@@ -361,7 +359,7 @@ func runFig10(opt Options) (*Result, error) {
 		return nil, err
 	}
 	reportStallDeltas(&sb, res2.Summaries("CAVA-p12", v.ID()), res2.Summaries("CAVA-p123", v.ID()))
-	return &Result{ID: "fig10", Title: Title("fig10"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // reportStallDeltas prints the per-trace p123-vs-p12 rebuffering comparison

@@ -50,12 +50,11 @@ func (o Options) cache() *cache.Cache {
 	return cache.Shared
 }
 
-// Result is a completed experiment: an identifier, a human title, and the
-// formatted rows that regenerate the paper artifact.
+// Result is a completed experiment: the formatted rows that regenerate the
+// paper artifact. Its id and title are the ones it was registered under
+// (see IDs and Title).
 type Result struct {
-	ID    string
-	Title string
-	Text  string
+	Text string
 }
 
 // Runner executes one experiment.

@@ -52,7 +52,7 @@ func TestRunAllFastExperiments(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
-			if res.ID != id || res.Text == "" {
+			if res.Text == "" {
 				t.Fatalf("%s: empty result", id)
 			}
 		})

@@ -67,7 +67,7 @@ func runAlpha(opt Options) (*Result, error) {
 	var sb strings.Builder
 	sb.WriteString(table(header, rows))
 	sb.WriteString("\n(ED, FFmpeg H.264, LTE; stronger differential treatment lifts Q4 while deflation caps data)\n")
-	return &Result{ID: "alpha", Title: Title("alpha"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // runLiveExt evaluates the §8 future-work direction: true live VBR
@@ -152,5 +152,5 @@ func runLiveExt(opt Options) (*Result, error) {
 	sb.WriteString(table(header, rows))
 	sb.WriteString("\n(encoder-paced sessions; the scheme sees only already-encoded chunk sizes,\n")
 	sb.WriteString(" the buffer is bounded by the live edge, and stalls permanently raise latency)\n")
-	return &Result{ID: "liveext", Title: Title("liveext"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }

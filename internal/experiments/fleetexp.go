@@ -74,5 +74,5 @@ func runFleet(opt Options) (*Result, error) {
 	sb.WriteString("\nReading: per-session distributions across the whole fleet; p99 rebuffer is the\n" +
 		"operator's pain metric. Every scheme sees the identical session population\n" +
 		"(same seed ⇒ same video/trace/offset/arrival assignment).\n")
-	return &Result{ID: "fleet", Title: Title("fleet"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }

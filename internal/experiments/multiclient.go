@@ -77,5 +77,5 @@ func runMultiClient(opt Options) (*Result, error) {
 	fmt.Fprintf(&sb, "\n(%d traces x %d identical competing clients per scheme; the link is the\n", nTraces, clientsPerRun)
 	sb.WriteString(" LTE trace scaled x3 and split TCP-fairly among active downloads;\n")
 	sb.WriteString(" clients join 41 s apart)\n")
-	return &Result{ID: "multiclient", Title: Title("multiclient"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }

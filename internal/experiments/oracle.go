@@ -85,5 +85,5 @@ func runOracle(opt Options) (*Result, error) {
 	sb.WriteString(table(header, rows))
 	fmt.Fprintf(&sb, "\n(%d LTE traces; %d had no zero-stall schedule; the oracle bounds what any\n", nTraces, infeasible)
 	sb.WriteString(" online scheme could achieve — the CAVA-to-oracle gap is the remaining headroom)\n")
-	return &Result{ID: "oracle", Title: Title("oracle"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }

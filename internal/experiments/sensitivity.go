@@ -62,7 +62,7 @@ func runCBRvsVBR(opt Options) (*Result, error) {
 	sb.WriteString(table(header, rows))
 	sb.WriteString("\n(same content, same average bitrate: VBR trades its spare simple-scene bits\n")
 	sb.WriteString(" toward complex scenes, lifting both the mean and the worst case)\n")
-	return &Result{ID: "cbrvbr", Title: Title("cbrvbr"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 func stdev(xs []float64) float64 {
@@ -112,8 +112,7 @@ func runStartup(opt Options) (*Result, error) {
 			})
 		}
 	}
-	return &Result{ID: "startup", Title: Title("startup"),
-		Text: table(header, rows) + "\n(results stable across practical startup settings, as §6.1 reports)\n"}, nil
+	return &Result{Text: table(header, rows) + "\n(results stable across practical startup settings, as §6.1 reports)\n"}, nil
 }
 
 // runChunkDur contrasts the 2-second (FFmpeg) and 5-second (YouTube)
@@ -147,8 +146,7 @@ func runChunkDur(opt Options) (*Result, error) {
 			})
 		}
 	}
-	return &Result{ID: "chunkdur", Title: Title("chunkdur"),
-		Text: table(header, rows) + "\n(CAVA's window parameters are specified in seconds, so W/W' adapt across chunk durations)\n"}, nil
+	return &Result{Text: table(header, rows) + "\n(CAVA's window parameters are specified in seconds, so W/W' adapt across chunk durations)\n"}, nil
 }
 
 // runBaselines runs the complete scheme roster — including the related-work
@@ -180,5 +178,5 @@ func runBaselines(opt Options) (*Result, error) {
 	var sb strings.Builder
 	sb.WriteString(table(header, rows))
 	sb.WriteString("\n(PIA is the CBR-era PID scheme CAVA generalizes: same control core, no VBR awareness)\n")
-	return &Result{ID: "baselines", Title: Title("baselines"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }

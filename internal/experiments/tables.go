@@ -76,7 +76,7 @@ func runTable1(opt Options) (*Result, error) {
 	sb.WriteString(table(header, rows))
 	sb.WriteString("\neach cell: change by CAVA relative to RobustMPC, PANDA/CQ max-min\n")
 	sb.WriteString("Q4 qual in VMAF points (↑ better); other columns in % (↓ better)\n")
-	return &Result{ID: "table1", Title: Title("table1"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // runCodec reproduces §6.5: the comparison repeated on the H.265 encodes,
@@ -119,7 +119,7 @@ func runCodec(opt Options) (*Result, error) {
 	}
 	sb.WriteString(table(header, rows))
 	sb.WriteString("\n(H.265 tracks need ~0.62x the bits of H.264, so every scheme improves; CAVA's lead persists)\n")
-	return &Result{ID: "codec", Title: Title("codec"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // runCap4x reproduces §6.6 on the 4x-capped Elephant Dream encode.
@@ -152,7 +152,7 @@ func runCap4x(opt Options) (*Result, error) {
 	}
 	sb.WriteString(table(header, rows))
 	sb.WriteString("\n(the §3.3 characteristics persist under the 4x cap, and so does CAVA's advantage)\n")
-	return &Result{ID: "cap4x", Title: Title("cap4x"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // runPredErr reproduces §6.7: a controlled uniform prediction error err in
@@ -196,7 +196,7 @@ func runPredErr(opt Options) (*Result, error) {
 	}
 	sb.WriteString(table(header, rows))
 	sb.WriteString("\n(predictions drawn uniformly from C(t)(1±err); CAVA's control loop corrects the error)\n")
-	return &Result{ID: "prederr", Title: Title("prederr"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 func seedFromID(id string) int64 {

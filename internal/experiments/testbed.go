@@ -66,7 +66,7 @@ func runFig11(opt Options) (*Result, error) {
 		sb.WriteString(table([]string{"scheme", "mean", "deciles"}, rows))
 		sb.WriteString("\n")
 	}
-	return &Result{ID: "fig11", Title: Title("fig11"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // runTable2 regenerates Table 2: CAVA's change relative to BOLA-E (seg)
@@ -103,7 +103,7 @@ func runTable2(opt Options) (*Result, error) {
 	var sb strings.Builder
 	sb.WriteString(table(header, rows))
 	sb.WriteString("\n(change by CAVA relative to BOLA-E (seg); Q4 in VMAF points, others in %)\n")
-	return &Result{ID: "table2", Title: Title("table2"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // runLive streams a video over a real HTTP server through a trace-shaped
@@ -139,7 +139,7 @@ func runLive(opt Options) (*Result, error) {
 	var sb strings.Builder
 	sb.WriteString(table(header, rows))
 	fmt.Fprintf(&sb, "\n(real HTTP over a shaped loopback link; time scale %dx, first %d chunks)\n", scale, maxChunks)
-	return &Result{ID: "live", Title: Title("live"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // liveSession runs one real HTTP streaming session and returns the
@@ -236,5 +236,5 @@ func runRobustness(opt Options) (*Result, error) {
 	fmt.Fprintf(&sb, "\n(LTE trace %s, %d chunks, time scale %dx, fault seed %d; "+
 		"every session completes under the resilient fetch pipeline)\n",
 		tr.ID, maxChunks, scale, seed)
-	return &Result{ID: "robustness", Title: Title("robustness"), Text: sb.String()}, nil
+	return &Result{Text: sb.String()}, nil
 }

@@ -37,6 +37,18 @@ func ckptTestConfig() Config {
 	}
 }
 
+// withoutStacks returns a copy of r with every quarantine stack cleared.
+// Two recoveries of the same injected fault capture the stacks of
+// different goroutines, so Results are compared without them.
+func withoutStacks(r *Result) *Result {
+	c := *r
+	c.Quarantined = append([]Quarantine(nil), r.Quarantined...)
+	for i := range c.Quarantined {
+		c.Quarantined[i].Stack = ""
+	}
+	return &c
+}
+
 // TestFleetKillResumeEquivalence is the tentpole contract: a fleet
 // checkpointed at an arbitrary event count and resumed — at any worker
 // count — finishes with a Result bit-identical to the uninterrupted run.
@@ -157,17 +169,11 @@ func TestFleetPeriodicCheckpointResume(t *testing.T) {
 		}
 	}
 	cfg.CrashHook = fault
-	stripStacks := func(r *Result) *Result {
-		for i := range r.Quarantined {
-			r.Quarantined[i].Stack = ""
-		}
-		return r
-	}
 	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripStacks(want)
+	want = withoutStacks(want)
 
 	dir := t.TempDir()
 	stop := make(chan struct{})
@@ -200,7 +206,7 @@ func TestFleetPeriodicCheckpointResume(t *testing.T) {
 				t.Errorf("resume %d: run: %v", resumes, err)
 				return
 			}
-			if !reflect.DeepEqual(want, stripStacks(got)) {
+			if !reflect.DeepEqual(want, withoutStacks(got)) {
 				t.Errorf("resume %d: Result diverges from the uninterrupted run", resumes)
 				return
 			}
@@ -226,7 +232,7 @@ func TestFleetPeriodicCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, stripStacks(res)) {
+	if !reflect.DeepEqual(want, withoutStacks(res)) {
 		t.Error("checkpointed run diverges from the uninterrupted run")
 	}
 	if midRun == 0 {
@@ -312,15 +318,7 @@ func TestFleetQuarantine(t *testing.T) {
 	reg := cfg.Metrics
 	cfg.Metrics = nil
 	multi := run(4)
-	clearStacks := func(r *Result) *Result {
-		c := *r
-		c.Quarantined = append([]Quarantine(nil), r.Quarantined...)
-		for i := range c.Quarantined {
-			c.Quarantined[i].Stack = ""
-		}
-		return &c
-	}
-	if !reflect.DeepEqual(clearStacks(res), clearStacks(multi)) {
+	if !reflect.DeepEqual(withoutStacks(res), withoutStacks(multi)) {
 		t.Error("quarantined Result differs across worker counts")
 	}
 	// Counter handles are lookup-or-create: re-asking the registry returns
@@ -379,12 +377,7 @@ func TestFleetQuarantineCheckpointResume(t *testing.T) {
 	if len(got.Quarantined) != 1 || got.Quarantined[0].SessionID != 7 || got.Quarantined[0].Stack == "" {
 		t.Fatalf("resumed Quarantined = %+v, want session 7 with its original stack", got.Quarantined)
 	}
-	for _, r := range []*Result{want, got} {
-		for i := range r.Quarantined {
-			r.Quarantined[i].Stack = ""
-		}
-	}
-	if !reflect.DeepEqual(want, got) {
+	if !reflect.DeepEqual(withoutStacks(want), withoutStacks(got)) {
 		t.Error("resumed faulted run diverges from the uninterrupted faulted run")
 	}
 }

@@ -1,20 +1,26 @@
 package fleet
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cava/internal/abr"
 	"cava/internal/bandwidth"
+	"cava/internal/chaos/leakcheck"
 	"cava/internal/core"
 	"cava/internal/metrics"
 	"cava/internal/player"
 	"cava/internal/sim"
+	"cava/internal/telemetry"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -560,9 +566,16 @@ func TestFleetMaxChunksBudget(t *testing.T) {
 // TestFleetChaosSmoke is the fleet soak: two thousand CAVA sessions with
 // Poisson arrivals and random trace offsets over a mixed LTE/FCC corpus,
 // sharded across four workers (a multi-worker cell even on one core, so
-// the race-enabled soak exercises the shard partition itself), checked
-// against the fleet contract in Result.Invariants.
+// the race-enabled soak exercises the shard partition itself). Seeded
+// panics strike 25 sessions mid-step. The run must keep the fleet
+// contract (Result.Invariants), quarantine exactly the struck sessions
+// and count their lost events. The same run is then interrupted at a
+// third of its events, checkpointed and resumed, and must finish equal to
+// the uninterrupted one. The quarantine and checkpoint counters must
+// move, and no goroutine may outlive the test.
 func TestFleetChaosSmoke(t *testing.T) {
+	defer leakcheck.Check(t)()
+	reg := telemetry.NewRegistry()
 	cfg := Config{
 		Videos: []*video.Video{
 			video.FFmpegVideo(video.Title{Name: "ED", Genre: video.SciFi}, video.H264),
@@ -578,7 +591,23 @@ func TestFleetChaosSmoke(t *testing.T) {
 		RandomTraceOffsets: true,
 		Seed:               11,
 		MaxChunks:          40, // bounded smoke; the benchmark runs full-length sessions
+		Metrics:            reg,
 	}
+	// Every video is longer than MaxChunks, so each victim chunk, drawn
+	// in [1, MaxChunks), is reached and its panic fires.
+	const faults = 25
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	victims := make(map[int32]int, faults)
+	for len(victims) < faults {
+		victims[int32(rng.Intn(cfg.Sessions))] = 1 + rng.Intn(cfg.MaxChunks-1)
+	}
+	fault := func(id int32, chunk int) {
+		if c, ok := victims[id]; ok && chunk == c {
+			panic(fmt.Sprintf("injected fault in session %d at chunk %d", id, chunk))
+		}
+	}
+	cfg.CrashHook = fault
+
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -586,11 +615,62 @@ func TestFleetChaosSmoke(t *testing.T) {
 	for _, e := range res.Invariants(cfg) {
 		t.Errorf("invariant violated: %v", e)
 	}
-	if res.Events != int64(2000*40) {
-		t.Errorf("processed %d events, want %d", res.Events, 2000*40)
+	for _, q := range res.Quarantined {
+		if c, ok := victims[q.SessionID]; !ok || c != q.Chunk {
+			t.Errorf("session %d quarantined at chunk %d, no fault injected there", q.SessionID, q.Chunk)
+		}
 	}
-	t.Logf("fleet smoke: %d sessions, %d events, horizon %.0f virtual s, slowest session %.0f s, median rebuffer %.1f s",
-		res.Sessions, res.Events, res.VirtualSec, res.SessionLenSec.Percentile(100), res.RebufferSec.Median())
+	if len(res.Quarantined) != faults {
+		t.Errorf("%d sessions quarantined for %d injected faults", len(res.Quarantined), faults)
+	}
+	if res.LostEvents <= 0 {
+		t.Errorf("%d faults injected but LostEvents = %d", faults, res.LostEvents)
+	}
+	if want := int64(2000 * 40); res.ExpectedEvents != want {
+		t.Errorf("expected %d events, want %d", res.ExpectedEvents, want)
+	}
+
+	// The same run, cancelled at a third of its events: the engine writes
+	// its final checkpoint, and the resumed run, faults and all, must
+	// finish equal to the uninterrupted one.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var seen atomic.Int64
+	icfg := cfg
+	icfg.CrashHook = func(id int32, chunk int) {
+		if seen.Add(1) == res.ExpectedEvents/3 {
+			cancel()
+		}
+		fault(id, chunk)
+	}
+	e, err := New(icfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := e.RunContext(ctx, RunOptions{CheckpointDir: dir}); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("RunContext cancelled at event %d returned %v, want ErrInterrupted", res.ExpectedEvents/3, err)
+	}
+	re, err := Resume(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := re.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(withoutStacks(res), withoutStacks(got)) {
+		t.Error("resumed run diverges from the uninterrupted run")
+	}
+
+	for _, name := range []string{"fleet_sessions_quarantined_total", "fleet_checkpoints_written_total"} {
+		if reg.Counter(name, "").Value() == 0 {
+			t.Errorf("%s stayed 0", name)
+		}
+	}
+	t.Logf("fleet smoke: %d sessions, %d quarantined, %d/%d events (%d lost), horizon %.0f virtual s, slowest session %.0f s, median rebuffer %.1f s",
+		res.Sessions, len(res.Quarantined), res.Events, res.ExpectedEvents, res.LostEvents,
+		res.VirtualSec, res.SessionLenSec.Percentile(100), res.RebufferSec.Median())
 }
 
 // TestFleetInvariantsCatchViolations pins that each rule actually fires: a

@@ -34,6 +34,23 @@ func TestRunRejectsDuplicateSchemeNames(t *testing.T) {
 	}
 }
 
+// TestRunRejectsDuplicateVideos pins the same refusal for videos: a video
+// listed twice would put two sessions into each trace slot of its cells.
+func TestRunRejectsDuplicateVideos(t *testing.T) {
+	req := smallRequest(2)
+	req.Videos = append(req.Videos, req.Videos[0])
+	res, err := Run(req)
+	if err == nil {
+		t.Fatal("duplicate video accepted")
+	}
+	if res != nil {
+		t.Fatal("failed request returned results")
+	}
+	if want := "sim: duplicate video \"" + req.Videos[0].ID() + "\""; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
+	}
+}
+
 // TestRunKeysCellsBySchemeLabel is the regression test for keying cells by
 // algo.Name(): a scheme whose constructor names the algorithm differently
 // was unfindable via Results.Summaries, and two labeled variants of one

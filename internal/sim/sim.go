@@ -92,9 +92,9 @@ func (r *Results) SchemeAll(scheme string) []metrics.Summary {
 // failure (invalid video or trace) aborts the sweep and is returned after
 // the in-flight sessions drain.
 //
-// Scheme names must be unique within a request: results are keyed by
-// scheme name, so duplicates would merge distinct schemes into one cell.
-// Run rejects them with an error instead of silently dropping sessions.
+// Scheme names and video ids must be unique within a request: results
+// are keyed by (scheme name, video id), so a duplicate would merge two
+// cells into one. Run rejects them with an error instead.
 //
 // When req.Cache is set and the request is fingerprintable (see
 // Fingerprint), the whole sweep result is memoized: a repeated identical
@@ -107,6 +107,13 @@ func Run(req Request) (*Results, error) {
 			return nil, fmt.Errorf("sim: duplicate scheme name %q in request", sc.Name)
 		}
 		seen[sc.Name] = true
+	}
+	seenVideo := make(map[string]bool, len(req.Videos))
+	for _, v := range req.Videos {
+		if seenVideo[v.ID()] {
+			return nil, fmt.Errorf("sim: duplicate video %q in request", v.ID())
+		}
+		seenVideo[v.ID()] = true
 	}
 	if fp, ok := req.Fingerprint(); ok && req.Cache != nil {
 		enc, err := cache.GetOrComputeJSON(req.Cache, cache.KindSim, fp, func() (resultsEnc, error) {
@@ -126,11 +133,13 @@ func Run(req Request) (*Results, error) {
 
 // run executes the sweep unconditionally.
 func run(req Request) (*Results, error) {
+	// Each job writes its summary into its own slot of its cell, so every
+	// cell is in trace order however the workers interleave.
 	type job struct {
 		v      *video.Video
 		tr     *trace.Trace
 		scheme abr.Scheme
-		ti     int
+		out    *metrics.Summary
 	}
 	workers := req.Workers
 	if workers <= 0 {
@@ -157,17 +166,17 @@ func run(req Request) (*Results, error) {
 		cats[v.ID()] = req.Cache.Categories(v)
 	}
 
-	jobs := make(chan job)
-	type keyed struct {
-		key CellKey
-		ti  int
-		s   metrics.Summary
+	res := &Results{Cells: make(map[CellKey][]metrics.Summary, len(req.Videos)*len(req.Schemes))}
+	for _, v := range req.Videos {
+		for _, sc := range req.Schemes {
+			res.Cells[CellKey{Scheme: sc.Name, Video: v.ID()}] = make([]metrics.Summary, len(req.Traces))
+		}
 	}
-	out := make(chan keyed)
+	jobs := make(chan job)
 
 	// The first session error wins; later failures of the same sweep add
 	// nothing actionable. Workers keep draining the job channel after a
-	// failure (skipping the work) so the producer goroutine never blocks.
+	// failure (skipping the work) so the producer never blocks.
 	var errMu sync.Mutex
 	var firstErr error
 	fail := func(err error) {
@@ -198,7 +207,7 @@ func run(req Request) (*Results, error) {
 					cfg = req.PredictorFor(j.v, j.tr)
 				}
 				algo := j.scheme.New(j.v)
-				res, err := player.Simulate(j.v, j.tr, algo, cfg)
+				r, err := player.Simulate(j.v, j.tr, algo, cfg)
 				if err != nil {
 					errorsTot.Inc()
 					pending.Add(-1)
@@ -206,7 +215,7 @@ func run(req Request) (*Results, error) {
 						j.v.ID(), j.tr.ID, j.scheme.Name, err))
 					continue
 				}
-				s := metrics.Summarize(res, qts[j.v.ID()], cats[j.v.ID()])
+				s := metrics.Summarize(r, qts[j.v.ID()], cats[j.v.ID()])
 				// Cells — and the summaries inside them — carry the sweep's
 				// scheme label, not the algorithm's self-reported name: a
 				// constructor may name its algorithm differently (or several
@@ -215,52 +224,22 @@ func run(req Request) (*Results, error) {
 				s.Scheme = j.scheme.Name
 				sessionsTot.Inc()
 				pending.Add(-1)
-				out <- keyed{key: CellKey{Scheme: j.scheme.Name, Video: j.v.ID()}, ti: j.ti, s: s}
+				*j.out = s
 			}
 		}()
 	}
-	go func() {
-		for _, v := range req.Videos {
-			for ti, tr := range req.Traces {
-				for _, sc := range req.Schemes {
-					jobs <- job{v: v, tr: tr, scheme: sc, ti: ti}
-				}
+	for _, v := range req.Videos {
+		for ti, tr := range req.Traces {
+			for _, sc := range req.Schemes {
+				cell := res.Cells[CellKey{Scheme: sc.Name, Video: v.ID()}]
+				jobs <- job{v: v, tr: tr, scheme: sc, out: &cell[ti]}
 			}
 		}
-		close(jobs)
-		wg.Wait()
-		close(out)
-	}()
-
-	tmp := make(map[CellKey][]keyed)
-	for k := range out {
-		tmp[k.key] = append(tmp[k.key], k)
 	}
-	if failed() {
-		errMu.Lock()
-		defer errMu.Unlock()
+	close(jobs)
+	wg.Wait()
+	if firstErr != nil {
 		return nil, firstErr
-	}
-	res := &Results{Cells: make(map[CellKey][]metrics.Summary, len(tmp))}
-	for key, ks := range tmp {
-		// Restore trace order for determinism. Every cell must receive
-		// exactly one summary per trace; anything else is an aggregation
-		// bug and must surface, not silently leave zero-valued slots.
-		if len(ks) != len(req.Traces) {
-			return nil, fmt.Errorf("sim: cell (%s, %s) collected %d sessions for %d traces",
-				key.Scheme, key.Video, len(ks), len(req.Traces))
-		}
-		ordered := make([]metrics.Summary, len(ks))
-		filled := make([]bool, len(req.Traces))
-		for _, k := range ks {
-			if k.ti >= len(ordered) || filled[k.ti] {
-				return nil, fmt.Errorf("sim: cell (%s, %s) received conflicting sessions for trace %d",
-					key.Scheme, key.Video, k.ti)
-			}
-			ordered[k.ti] = k.s
-			filled[k.ti] = true
-		}
-		res.Cells[key] = ordered
 	}
 	return res, nil
 }

@@ -13,7 +13,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-steps="lint build cli race bench-module race-hot bench-telemetry bench-sweep-short bench-fleet-short soak-fleet soak soak-edge soak-crash"
+steps="lint build cli race bench-module race-hot bench-telemetry bench-sweep-short bench-fleet-short soak-fleet soak soak-edge"
 
 step() {
 	name=$1
@@ -45,8 +45,9 @@ step() {
 		# blocks, one session's trace dumped and rendered against the same
 		# trace rendered directly, dashserve's stdout trace dump rendered,
 		# every listed video id, and bad input (a positional argument to
-		# each binary among them), which must fail with a one-line error
-		# and no panic and leave an existing -out file as it was.
+		# each binary, negative counts, rates and trace indexes, and a
+		# video listed twice among them), which must fail with a one-line
+		# error and no panic and leave an existing -out file as it was.
 		tmp=$(mktemp -d)
 		trap 'rm -rf "$tmp"' EXIT
 		go build -o "$tmp/bin/" ./cmd/...
@@ -83,7 +84,12 @@ step() {
 			"abreval -list extra" "abrexport -traces 2 -out $tmp/keep extra" \
 			"cava-sim -trace const:5 -v extra" "dashserve -run -chunks 2 -scale 200 extra" \
 			"fleetsim -sessions 10 -max-chunks 2 extra" "tracegen -stats -n 2 extra" \
-			"videogen -stats extra"; do
+			"videogen -stats extra" \
+			"abrexport -videos ED-ffmpeg-h264,ED-ffmpeg-h264 -set lte -traces 2 -out $tmp/keep" \
+			"cava-sim -trace lte:-1" "cava-sim -trace fcc:-4" \
+			"fleetsim -sessions 10 -max-chunks -3" "fleetsim -sessions 10 -max-chunks 2 -arrival -3" \
+			"dashserve -run -chunks -2 -scale 200" "dashserve -run -chunks 2 -scale -5" \
+			"abreval -exp fig1 -traces -2"; do
 			if $b/$cmd >/dev/null 2>"$tmp/err"; then
 				echo "cli: $cmd succeeded" >&2
 				exit 1
@@ -145,11 +151,14 @@ step() {
 		go test -short -run='TestFleetBench$' -count=1 "$@" .
 		;;
 	soak-fleet)
-		# Fleet-engine chaos smoke: 2000 discrete-event sessions with
-		# Poisson arrivals and random trace offsets, sharded across 4
-		# workers under the race detector; asserts the fleet contract,
-		# fleet.Result.Invariants (exact event accounting, no vanished or
-		# starved session).
+		# Fleet soak: 2000 discrete-event sessions with Poisson arrivals
+		# and random trace offsets, sharded across 4 workers under the
+		# race detector, 25 of them struck by seeded in-step panics; the
+		# same run is interrupted mid-way, checkpointed and resumed.
+		# Asserts the fleet contract, fleet.Result.Invariants (exact
+		# event accounting, no vanished or starved session), exact
+		# quarantine, a resume equal to the uninterrupted run, the
+		# quarantine and checkpoint counters, and no goroutine leak.
 		go test -race -run='TestFleetChaosSmoke$' -count=1 "$@" ./internal/fleet
 		;;
 	soak)
@@ -166,15 +175,6 @@ step() {
 		# race-enabled. Asserts ≥ 99% completion via failover + stale
 		# serving, cache-hit recovery, and no goroutine leak.
 		go test -race -run='TestEdgeChaosSoak$' -count=1 "$@" ./internal/chaos
-		;;
-	soak-crash)
-		# Crash-tolerance soak: seeded panics inside session steps, a
-		# mid-run interrupt with checkpoint, and a resume that must be
-		# bit-identical to the uninterrupted baseline, plus disk-cache
-		# corruption detection (flipped byte, torn tail, mangled header)
-		# and recompute. Asserts exact quarantine/event accounting and no
-		# goroutine leak.
-		go test -race -run='TestCrashSoak$' -count=1 "$@" ./internal/chaos
 		;;
 	*)
 		echo "check: unknown step $name (have: $steps)" >&2

@@ -68,8 +68,8 @@ func main() {
 	)
 	flag.Parse()
 	cliutil.RejectArgs("dashserve")
-	if *scale < 0 {
-		fmt.Fprintf(os.Stderr, "dashserve: -scale %g: want a non-negative time compression factor\n", *scale)
+	if err := cliutil.NonNegative("-scale", *scale); err != nil {
+		fmt.Fprintf(os.Stderr, "dashserve: %v\n", err)
 		os.Exit(2)
 	}
 	if *chunksN < 0 {

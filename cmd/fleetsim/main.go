@@ -65,8 +65,11 @@ func main() {
 	)
 	flag.Parse()
 	cliutil.RejectArgs("fleetsim")
-	if *arrival < 0 {
-		fail(fmt.Errorf("-arrival %g: want a non-negative rate (0: all at once)", *arrival))
+	if err := cliutil.NonNegative("-arrival", *arrival); err != nil {
+		fail(err)
+	}
+	if err := cliutil.NonNegative("-watchdog", *watchdog); err != nil {
+		fail(err)
 	}
 	if *maxChunks < 0 {
 		fail(fmt.Errorf("-max-chunks %d: want a non-negative count (0: full video)", *maxChunks))

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -44,6 +45,9 @@ func ParseTrace(spec string) (*trace.Trace, error) {
 	case "const":
 		mbps, err := strconv.ParseFloat(parts[1], 64)
 		if err != nil {
+			return nil, fmt.Errorf("trace spec %q: %v", spec, err)
+		}
+		if err := NonNegative("rate", mbps); err != nil {
 			return nil, fmt.Errorf("trace spec %q: %v", spec, err)
 		}
 		if mbps <= 0 {
@@ -150,6 +154,16 @@ func WriteOutput(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// NonNegative returns an error naming what unless v is a finite number of
+// at least zero. NaN compares false with every bound, so a bare `v < 0`
+// check lets it through.
+func NonNegative(what string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return fmt.Errorf("%s %g: want a finite, non-negative number", what, v)
+	}
+	return nil
 }
 
 // RejectArgs exits 2 with one line on stderr when the command line holds a

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cava/internal/abr"
@@ -49,6 +51,7 @@ func TestParseTraceMahimahi(t *testing.T) {
 func TestParseTraceErrors(t *testing.T) {
 	for _, bad := range []string{
 		"", "lte", "lte:x", "fcc:y", "lte:-1", "fcc:-4", "const:z", "const:-1",
+		"const:0", "const:NaN", "const:Inf", "const:-Inf",
 		"mars:1", "mahimahi:/does/not/exist",
 	} {
 		if _, err := ParseTrace(bad); err == nil {
@@ -80,9 +83,24 @@ func TestParseCorpus(t *testing.T) {
 func TestParseCorpusErrors(t *testing.T) {
 	for _, bad := range []string{
 		"", "lte", "lte:0", "lte:-2", "fcc:x", "mars:1", "lte:3,,fcc:1",
+		"lte:2,const:NaN", "const:+Inf,fcc:1",
 	} {
 		if _, err := ParseCorpus(bad); err == nil {
 			t.Errorf("corpus spec %q accepted", bad)
+		}
+	}
+}
+
+func TestNonNegative(t *testing.T) {
+	for _, ok := range []float64{0, 1e-300, 2.5, math.MaxFloat64} {
+		if err := NonNegative("-x", ok); err != nil {
+			t.Errorf("NonNegative(%v) = %v, want nil", ok, err)
+		}
+	}
+	for _, bad := range []float64{-1e-300, -3, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := NonNegative("-x", bad)
+		if err == nil || !strings.HasPrefix(err.Error(), "-x ") {
+			t.Errorf("NonNegative(%v) = %v, want an error naming -x", bad, err)
 		}
 	}
 }

@@ -94,19 +94,27 @@ func paramsFor(r Regime) Params {
 	return p
 }
 
-// Tune replaces the controller's tunables mid-session, preserving the PID
-// state and the chunk classification (which depend on fixed structural
-// parameters: RefLevel, NumClasses, the video).
+// Tune replaces the session's per-decision tunables mid-session: the α's,
+// Kp and Ki, UMin and UMax, and the no-inflate and no-deflate thresholds.
+// Every other field of p is ignored. The plan's tables were computed from
+// the window, target, horizon, η and lookahead fields and the chunk
+// classification from RefLevel and NumClasses, so those stay fixed. The
+// session gets a private copy of the plan header and keeps sharing the
+// tables, and the PID state carries over.
 func (c *CAVA) Tune(p Params) {
-	p.RefLevel = c.p.RefLevel
-	p.NumClasses = c.p.NumClasses
-	c.p = p
+	h := *c.pl
+	h.p.AlphaComplex, h.p.AlphaSimple = p.AlphaComplex, p.AlphaSimple
+	h.p.Kp, h.p.Ki = p.Kp, p.Ki
+	h.p.UMin, h.p.UMax = p.UMin, p.UMax
+	h.p.Q4NoInflate, h.p.Q4NoInflateBuffer = p.Q4NoInflate, p.Q4NoInflateBuffer
+	h.p.NoDeflateBuffer, h.p.NoDeflateMaxLevel = p.NoDeflateBuffer, p.NoDeflateMaxLevel
+	c.pl = &h
 }
 
 // AutoCAVA wraps CAVA with online regime detection over the observed
 // per-chunk throughputs, re-tuning every AdaptEvery decisions.
 type AutoCAVA struct {
-	*CAVA
+	CAVA
 	// AdaptEvery is the re-tune period in chunks (8 by default).
 	AdaptEvery int
 	// WindowSize is how many throughput samples feed the detector (24).
@@ -120,16 +128,19 @@ type AutoCAVA struct {
 
 // NewAuto returns an auto-tuning CAVA instance.
 func NewAuto(v *video.Video) *AutoCAVA {
-	return &AutoCAVA{
-		CAVA:       NewWith(v, DefaultParams(), AllPrinciples, "CAVA-auto"),
-		AdaptEvery: 8,
-		WindowSize: 24,
-	}
+	return newAuto(newPlan(v, DefaultParams(), AllPrinciples, "CAVA-auto"))
 }
 
-// AutoFactory returns the AutoCAVA factory.
+// newAuto starts an AutoCAVA session on a plan of the default parameters.
+func newAuto(pl *plan) *AutoCAVA {
+	return &AutoCAVA{CAVA: CAVA{pl: pl}, AdaptEvery: 8, WindowSize: 24}
+}
+
+// AutoFactory returns the AutoCAVA factory; its sessions on one video
+// share one plan until they retune.
 func AutoFactory() abr.Factory {
-	return func(v *video.Video) abr.Algorithm { return NewAuto(v) }
+	m := &planMemo{p: DefaultParams(), pr: AllPrinciples, name: "CAVA-auto"}
+	return func(v *video.Video) abr.Algorithm { return newAuto(m.get(v)) }
 }
 
 // Regime exposes the currently detected regime.

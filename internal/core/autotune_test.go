@@ -31,25 +31,55 @@ func TestClassifyRegime(t *testing.T) {
 	}
 }
 
+// TestTunePreservesStructure pins Tune's contract: it replaces exactly the
+// per-decision tunables, leaves the structural fields (windows, target,
+// horizon, η, lookahead, RefLevel, NumClasses) as the plan was built, gives
+// the session a private plan header over the shared tables, and leaves the
+// factory's other sessions alone. A tuned session decides exactly as one
+// built with those tunables does.
 func TestTunePreservesStructure(t *testing.T) {
 	v := testVideo()
-	c := New(v)
+	f := Factory()
+	c, other := f(v).(*CAVA), f(v).(*CAVA)
+	shared := c.pl
 	before := c.Categories()
+
 	p := DefaultParams()
-	p.AlphaComplex = 1.2
-	p.RefLevel = 0   // must be ignored by Tune
-	p.NumClasses = 8 // must be ignored by Tune
+	p.AlphaComplex, p.AlphaSimple = 1.2, 0.9
+	p.Kp, p.Ki = 0.05, 0.0003
+	p.UMin, p.UMax = 0.3, 2.2
+	p.Q4NoInflate, p.Q4NoInflateBuffer = false, 15
+	p.NoDeflateBuffer, p.NoDeflateMaxLevel = 12, 1
+	tuned := p
+	// Structural fields: every one must be ignored by Tune.
+	p.HorizonN, p.InnerWindowSec, p.OuterWindowSec = 3, 20, 100
+	p.BaseTargetBuffer, p.TargetCapFactor, p.TargetMax = 40, 3, 70
+	p.EtaWeight, p.Lookahead = 2, 4
+	p.RefLevel, p.NumClasses = 0, 8
 	c.Tune(p)
-	if c.p.AlphaComplex != 1.2 {
-		t.Error("tunable not applied")
+
+	if c.pl.p != tuned {
+		t.Errorf("tuned params = %+v, want %+v", c.pl.p, tuned)
 	}
-	if c.p.RefLevel != DefaultParams().RefLevel {
-		t.Error("structural RefLevel changed by Tune")
+	if c.pl == shared || other.pl != shared || shared.p != DefaultParams() {
+		t.Error("Tune changed the shared plan instead of a private header")
+	}
+	if &c.pl.target[0] != &shared.target[0] || &c.pl.rbar[0] != &shared.rbar[0] {
+		t.Error("Tune rebuilt the tables")
 	}
 	after := c.Categories()
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatal("classification changed by Tune")
+		}
+	}
+
+	// A tuned session decides as one built with the tunables.
+	ref := NewWith(v, tuned, AllPrinciples, "CAVA")
+	for i := 0; i < v.NumChunks(); i++ {
+		st := abr.State{ChunkIndex: i, Now: float64(5 * i), Buffer: float64(5 + i%80), Est: 1e6 + 3e4*float64(i%50), PrevLevel: i % 6}
+		if got, want := c.Select(st), ref.Select(st); got != want {
+			t.Fatalf("chunk %d: tuned session picked %d, built session %d", i, got, want)
 		}
 	}
 }
@@ -68,7 +98,7 @@ func TestAutoCAVAAdaptsToRegime(t *testing.T) {
 	if a.Regime() != RegimeStable {
 		t.Errorf("regime = %v after stable samples", a.Regime())
 	}
-	if a.p.UMax != paramsFor(RegimeStable).UMax {
+	if a.pl.p.UMax != paramsFor(RegimeStable).UMax {
 		t.Error("stable params not applied")
 	}
 	// Now volatile samples flip the regime.
@@ -80,7 +110,7 @@ func TestAutoCAVAAdaptsToRegime(t *testing.T) {
 	if a.Regime() != RegimeVolatile {
 		t.Errorf("regime = %v after volatile samples", a.Regime())
 	}
-	if a.p.Q4NoInflateBuffer != paramsFor(RegimeVolatile).Q4NoInflateBuffer {
+	if a.pl.p.Q4NoInflateBuffer != paramsFor(RegimeVolatile).Q4NoInflateBuffer {
 		t.Error("volatile params not applied")
 	}
 }

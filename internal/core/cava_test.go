@@ -29,24 +29,24 @@ func TestNames(t *testing.T) {
 func TestVariantPrinciples(t *testing.T) {
 	v := testVideo()
 	p1 := Variant("p1")(v).(*CAVA)
-	if p1.pr.Differential || p1.pr.Proactive || !p1.pr.NonMyopic {
-		t.Errorf("p1 principles = %+v", p1.pr)
+	if p1.pl.pr.Differential || p1.pl.pr.Proactive || !p1.pl.pr.NonMyopic {
+		t.Errorf("p1 principles = %+v", p1.pl.pr)
 	}
 	p12 := Variant("p12")(v).(*CAVA)
-	if !p12.pr.Differential || p12.pr.Proactive {
-		t.Errorf("p12 principles = %+v", p12.pr)
+	if !p12.pl.pr.Differential || p12.pl.pr.Proactive {
+		t.Errorf("p12 principles = %+v", p12.pl.pr)
 	}
 	p123 := Variant("p123")(v).(*CAVA)
-	if !p123.pr.Differential || !p123.pr.Proactive || !p123.pr.NonMyopic {
-		t.Errorf("p123 principles = %+v", p123.pr)
+	if !p123.pl.pr.Differential || !p123.pl.pr.Proactive || !p123.pl.pr.NonMyopic {
+		t.Errorf("p123 principles = %+v", p123.pl.pr)
 	}
 }
 
 func TestTargetBufferBounds(t *testing.T) {
 	v := testVideo()
 	c := New(v)
-	base := c.p.BaseTargetBuffer
-	cap := c.p.TargetCapFactor * base
+	base := c.pl.p.BaseTargetBuffer
+	cap := c.pl.p.TargetCapFactor * base
 	for i := 0; i < v.NumChunks(); i++ {
 		x := c.TargetBuffer(i)
 		if x < base-1e-9 || x > cap+1e-9 {
@@ -59,7 +59,7 @@ func TestTargetBufferFlatWithoutP3(t *testing.T) {
 	v := testVideo()
 	c := Variant("p12")(v).(*CAVA)
 	for i := 0; i < v.NumChunks(); i += 11 {
-		if x := c.TargetBuffer(i); x != c.p.BaseTargetBuffer {
+		if x := c.TargetBuffer(i); x != c.pl.p.BaseTargetBuffer {
 			t.Fatalf("p12 target at %d = %v, want base", i, x)
 		}
 	}
@@ -72,7 +72,7 @@ func TestTargetBufferRisesBeforeLargeCluster(t *testing.T) {
 	// clusters) and flat elsewhere.
 	raised := 0
 	for i := 0; i < v.NumChunks(); i++ {
-		if c.TargetBuffer(i) > c.p.BaseTargetBuffer+1 {
+		if c.TargetBuffer(i) > c.pl.p.BaseTargetBuffer+1 {
 			raised++
 		}
 	}
@@ -100,11 +100,11 @@ func TestControlSignalDirection(t *testing.T) {
 	}
 	// Clamps.
 	c3 := New(v)
-	if u3 := c3.controlSignal(0, 0, 1e6); u3 > c3.p.UMax {
+	if u3 := c3.controlSignal(0, 0, 1e6); u3 > c3.pl.p.UMax {
 		t.Errorf("u exceeds UMax: %v", u3)
 	}
 	c4 := New(v)
-	if u4 := c4.controlSignal(0, 1e6, 0); u4 < c4.p.UMin {
+	if u4 := c4.controlSignal(0, 1e6, 0); u4 < c4.pl.p.UMin {
 		t.Errorf("u below UMin: %v", u4)
 	}
 }
@@ -119,7 +119,7 @@ func TestControlSignalIndicatorTerm(t *testing.T) {
 	}
 	c2 := New(v)
 	// Buffer below one chunk duration: indicator off.
-	if u := c2.controlSignal(0, 1, 1); u != c2.p.UMin {
+	if u := c2.controlSignal(0, 1, 1); u != c2.pl.p.UMin {
 		t.Errorf("u with near-empty buffer = %v, want UMin", u)
 	}
 }
@@ -132,7 +132,7 @@ func TestControlSignalAntiWindup(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.controlSignal(float64(i)*10, 0, 120)
 	}
-	if lim := 0.8 / c.p.Ki; c.integral > lim+1e-9 {
+	if lim := 0.8 / c.pl.p.Ki; c.integral > lim+1e-9 {
 		t.Errorf("integral %v above anti-windup limit %v", c.integral, lim)
 	}
 }
@@ -140,7 +140,7 @@ func TestControlSignalAntiWindup(t *testing.T) {
 func TestWindowAvgBitrate(t *testing.T) {
 	v := testVideo()
 	c := New(v)
-	w := int(math.Round(c.p.InnerWindowSec / v.ChunkDurSec))
+	w := int(math.Round(c.pl.p.InnerWindowSec / v.ChunkDurSec))
 	// Manual average for a mid-video chunk.
 	i, level := 20, 3
 	sum := 0.0
@@ -193,14 +193,14 @@ func TestAlphaRules(t *testing.T) {
 			simple = i
 		}
 	}
-	if a := c.alpha(q4, 60); a != c.p.AlphaComplex {
-		t.Errorf("alpha(Q4, rich buffer) = %v, want %v", a, c.p.AlphaComplex)
+	if a := c.alpha(q4, 60); a != c.pl.p.AlphaComplex {
+		t.Errorf("alpha(Q4, rich buffer) = %v, want %v", a, c.pl.p.AlphaComplex)
 	}
-	if a := c.alpha(simple, 60); a != c.p.AlphaSimple {
-		t.Errorf("alpha(simple) = %v, want %v", a, c.p.AlphaSimple)
+	if a := c.alpha(simple, 60); a != c.pl.p.AlphaSimple {
+		t.Errorf("alpha(simple) = %v, want %v", a, c.pl.p.AlphaSimple)
 	}
 	// Q4 no-inflate guard at low buffer.
-	if a := c.alpha(q4, c.p.Q4NoInflateBuffer-1); a != 1 {
+	if a := c.alpha(q4, c.pl.p.Q4NoInflateBuffer-1); a != 1 {
 		t.Errorf("alpha(Q4, low buffer) = %v, want 1", a)
 	}
 	// Without P2 alpha is always 1.
@@ -223,12 +223,12 @@ func TestEtaRules(t *testing.T) {
 		if boundary && e != 0 {
 			t.Fatalf("eta at category boundary %d = %v, want 0", i, e)
 		}
-		if !boundary && e != c.p.EtaWeight {
-			t.Fatalf("eta inside category run %d = %v, want %v", i, e, c.p.EtaWeight)
+		if !boundary && e != c.pl.p.EtaWeight {
+			t.Fatalf("eta inside category run %d = %v, want %v", i, e, c.pl.p.EtaWeight)
 		}
 	}
 	p1 := Variant("p1")(v).(*CAVA)
-	if p1.eta(5) != p1.p.EtaWeight {
+	if p1.eta(5) != p1.pl.p.EtaWeight {
 		t.Error("p1 should always penalize switches")
 	}
 }
@@ -316,12 +316,12 @@ func TestRefLevelOverride(t *testing.T) {
 	p := DefaultParams()
 	p.RefLevel = 1
 	c := NewWith(v, p, AllPrinciples, "CAVA")
-	if c.ref != 1 {
-		t.Errorf("ref = %d, want 1", c.ref)
+	if c.pl.ref != 1 {
+		t.Errorf("ref = %d, want 1", c.pl.ref)
 	}
 	p.RefLevel = 99
 	c = NewWith(v, p, AllPrinciples, "CAVA")
-	if c.ref != scene.DefaultReferenceTrack(v.NumTracks()) {
+	if c.pl.ref != scene.DefaultReferenceTrack(v.NumTracks()) {
 		t.Errorf("out-of-range ref not coerced to middle track")
 	}
 }

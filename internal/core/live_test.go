@@ -12,16 +12,16 @@ import (
 func TestLiveEdge(t *testing.T) {
 	v := testVideo()
 	vod := New(v)
-	if vod.liveEdge(10) != v.NumChunks() {
+	if vod.pl.liveEdge(10) != v.NumChunks() {
 		t.Error("VoD live edge should be the whole video")
 	}
 	p := DefaultParams()
 	p.Lookahead = 5
 	live := NewWith(v, p, AllPrinciples, "live")
-	if got := live.liveEdge(10); got != 16 {
+	if got := live.pl.liveEdge(10); got != 16 {
 		t.Errorf("liveEdge(10) with lookahead 5 = %d, want 16", got)
 	}
-	if got := live.liveEdge(v.NumChunks() - 2); got != v.NumChunks() {
+	if got := live.pl.liveEdge(v.NumChunks() - 2); got != v.NumChunks() {
 		t.Errorf("liveEdge near the end = %d, want %d", got, v.NumChunks())
 	}
 }

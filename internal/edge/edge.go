@@ -340,11 +340,14 @@ func (e *Edge) Handler() http.Handler {
 }
 
 // serveSegment answers a segment request through the LRU + singleflight
-// cache.
+// cache. The fetch is shared by every request coalesced onto it, so it
+// runs under the edge's own context, not the leading request's: a leader
+// that leaves mid-fetch neither fails its waiters nor counts as a failure
+// of a healthy origin. Each attempt keeps its own deadline.
 func (e *Edge) serveSegment(w http.ResponseWriter, r *http.Request) {
 	path, session := r.URL.Path, sessionOf(r)
 	ent, _, err := e.segs.GetOrFetch(path, func() (Entry, error) {
-		return e.fetchWithFailover(r.Context(), path, session)
+		return e.fetchWithFailover(e.ctx, path, session)
 	})
 	if err != nil {
 		e.shed(w, "all origins failed")

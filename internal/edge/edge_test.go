@@ -1,10 +1,13 @@
 package edge
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -299,6 +302,75 @@ func TestEdgeSegmentCachingAndCoalescing(t *testing.T) {
 	s := e.Stats()
 	if s.Hits != 1 || s.Misses != 1 || s.Coalesced != concurrent-1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss / %d coalesced", s, concurrent-1)
+	}
+}
+
+// gatedTransport stands in for the origin link: each round trip signals
+// started, waits for gate, and then fails with its request's context
+// error if that context is done by then, as a real transport would, or
+// answers 200 with body.
+type gatedTransport struct {
+	started, gate chan struct{}
+	body          string
+}
+
+func (t *gatedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	t.started <- struct{}{}
+	<-t.gate
+	if err := req.Context().Err(); err != nil {
+		return nil, err
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK, Header: make(http.Header), Request: req,
+		ContentLength: int64(len(t.body)), Body: io.NopCloser(strings.NewReader(t.body)),
+	}, nil
+}
+
+// TestEdgeCoalescedFetchOutlivesLeader pins that a shared segment fetch
+// belongs to the edge, not to the request that started it: the leader
+// leaves mid-fetch, and the coalesced waiter still gets the body, with no
+// shed and no failure charged to the origin or its breaker. The leader's
+// cancel returns before the gate opens, so a fetch under the leader's
+// context would fail every time.
+func TestEdgeCoalescedFetchOutlivesLeader(t *testing.T) {
+	e, err := New(Config{Origins: []string{"http://origin.test"}, VideoID: "vid",
+		Clock: dash.NewFakeClock(time.Unix(1000, 0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	tr := &gatedTransport{started: make(chan struct{}, 1), gate: make(chan struct{}), body: "segment-bytes"}
+	e.client.Transport = tr
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		req := httptest.NewRequest(http.MethodGet, "/seg/2/5", nil).WithContext(ctx)
+		e.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	<-tr.started
+	var waiter *httptest.ResponseRecorder
+	go func() {
+		defer wg.Done()
+		waiter = get(e, "/seg/2/5", "s2")
+	}()
+	waitFor(t, "the coalesced waiter", func() bool { return e.Stats().Coalesced == 1 })
+	cancel()
+	close(tr.gate)
+	wg.Wait()
+
+	if waiter.Code != http.StatusOK || waiter.Body.String() != tr.body {
+		t.Errorf("waiter got %d %q, want 200 %q", waiter.Code, waiter.Body.String(), tr.body)
+	}
+	s := e.Stats()
+	if s.Shed != 0 || s.Failovers != 0 || s.Origins[0].Failures != 0 {
+		t.Errorf("stats = %+v, want no shed, failover or origin failure", s)
+	}
+	if b := e.breakers[0].Stats(); b.Failures != 0 {
+		t.Errorf("origin breaker counted %d failures, want 0", b.Failures)
 	}
 }
 

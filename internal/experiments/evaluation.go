@@ -123,9 +123,7 @@ func windowSweep(opt Options, values []float64, set func(*core.Params, float64))
 		// each iteration; Key carries the full parameter set so each
 		// configuration fingerprints (and therefore memoizes) separately.
 		sc := abr.Scheme{Name: "CAVA", Key: fmt.Sprintf("cava-params-%+v", p),
-			New: func(v *video.Video) abr.Algorithm {
-				return core.NewWith(v, p, core.AllPrinciples, "CAVA")
-			}}
+			New: core.FactoryWith(p, core.AllPrinciples, "CAVA")}
 		res, err := sim.Run(sim.Request{
 			Videos:  []*video.Video{v},
 			Traces:  traces,

@@ -41,14 +41,12 @@ func runAlpha(opt Options) (*Result, error) {
 		p.AlphaComplex, p.AlphaSimple = pr.complex, pr.simple
 		name := fmt.Sprintf("CAVA α=%.1f/%.1f", pr.complex, pr.simple)
 		res, err := sim.Run(sim.Request{
-			Videos: []*video.Video{v},
-			Traces: traces,
-			Schemes: []abr.Scheme{{Name: name, New: func(v *video.Video) abr.Algorithm {
-				return core.NewWith(v, p, core.AllPrinciples, name)
-			}}},
-			Config: defaultConfig(),
-			Metric: quality.VMAFPhone,
-			Cache:  opt.cache(),
+			Videos:  []*video.Video{v},
+			Traces:  traces,
+			Schemes: []abr.Scheme{{Name: name, New: core.FactoryWith(p, core.AllPrinciples, name)}},
+			Config:  defaultConfig(),
+			Metric:  quality.VMAFPhone,
+			Cache:   opt.cache(),
 		})
 		if err != nil {
 			return nil, err
@@ -92,22 +90,21 @@ func runLiveExt(opt Options) (*Result, error) {
 		vod  bool
 	}
 	mk := func(la int, name string) liveScheme {
-		return liveScheme{name: name, make: func() abr.Algorithm {
-			p := core.DefaultParams()
-			p.Lookahead = la
-			// The live buffer is bounded by the edge; target what is
-			// reachable under the startup latency.
-			p.BaseTargetBuffer = cfg.StartupSec
-			p.TargetMax = cfg.StartupSec + 2*v.ChunkDurSec
-			return core.NewWith(v, p, core.AllPrinciples, name)
-		}}
+		p := core.DefaultParams()
+		p.Lookahead = la
+		// The live buffer is bounded by the edge; target what is
+		// reachable under the startup latency.
+		p.BaseTargetBuffer = cfg.StartupSec
+		p.TargetMax = cfg.StartupSec + 2*v.ChunkDurSec
+		f := core.FactoryWith(p, core.AllPrinciples, name)
+		return liveScheme{name: name, make: func() abr.Algorithm { return f(v) }}
 	}
 	schemes := []liveScheme{
 		mk(2, "CAVA-live2"),
 		mk(5, "CAVA-live5"),
 		mk(20, "CAVA-live20"),
 		{name: "RobustMPC-live", make: func() abr.Algorithm { return sim.RobustMPC.New(v) }},
-		{name: "CAVA (VoD ref)", make: func() abr.Algorithm { return core.New(v) }, vod: true},
+		{name: "CAVA (VoD ref)", make: func() abr.Algorithm { return sim.CAVA.New(v) }, vod: true},
 	}
 
 	header := []string{"scheme", "Q4 qual", "low-qual %", "rebuf (s)", "avg latency (s)", "max latency (s)", "data MB"}

@@ -263,6 +263,12 @@ func (e *Engine) writeCheckpoint(dir string) (err error) {
 	return nil
 }
 
+// sampleNames names the sampleFields, as Result's distributions do.
+var sampleNames = [9]string{
+	"RebufferSec", "StartupDelaySec", "CompletionSec", "SessionLenSec",
+	"AvgQuality", "QualityChange", "AvgLevel", "Switches", "DataMB",
+}
+
 // sampleFields returns the nine id-indexed sample slices in their fixed
 // serialization (and Result) order.
 func (e *Engine) sampleFields() [9][]float64 {
@@ -278,6 +284,12 @@ func (e *Engine) sampleFields() [9][]float64 {
 // restored run's final Result is bit-identical to an uninterrupted run of
 // cfg at any worker count. Done and quarantined sessions are restored from
 // their records; every other session restarts at its seeded arrival.
+//
+// A record must also hold values the run could have produced: a done
+// session's event count equals its chunk budget, a quarantined session's
+// chunk does not exceed it, and every sample is finite. A record that
+// fails is refused with the session and the field it names, before the
+// engine runs on it.
 func Resume(cfg Config, dir string) (*Engine, error) {
 	data, err := os.ReadFile(CheckpointPath(dir))
 	if err != nil {
@@ -343,6 +355,14 @@ func Resume(cfg Config, dir string) (*Engine, error) {
 			if r.err != nil {
 				return nil, fmt.Errorf("fleet: resume: session %d: %w", id, r.err)
 			}
+			if budget := e.chunkBudget(int32(id)); eventsDone != uint64(budget) {
+				return nil, fmt.Errorf("fleet: resume: session %d: done record holds %d events, want its chunk budget %d", id, eventsDone, budget)
+			}
+			for i, b := range bits {
+				if x := math.Float64frombits(b); math.IsNaN(x) || math.IsInf(x, 0) {
+					return nil, fmt.Errorf("fleet: resume: session %d: sample %s is %v, want a finite number", id, sampleNames[i], x)
+				}
+			}
 			s.done.Store(true)
 			s.chunks = int32(eventsDone)
 			for i, xs := range e.sampleFields() {
@@ -360,6 +380,9 @@ func Resume(cfg Config, dir string) (*Engine, error) {
 			stack := r.str()
 			if r.err != nil {
 				return nil, fmt.Errorf("fleet: resume: session %d: %w", id, r.err)
+			}
+			if budget := e.chunkBudget(int32(id)); chunk > uint64(budget) {
+				return nil, fmt.Errorf("fleet: resume: session %d: quarantine record's chunk %d exceeds its chunk budget %d", id, chunk, budget)
 			}
 			sh.quarantined = append(sh.quarantined, Quarantine{
 				SessionID: int32(id),

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -501,4 +503,85 @@ func TestFleetResumeRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectErr("previous layout", "bad magic", func() (*Engine, error) { return Resume(cfg, dir) })
+}
+
+// TestFleetResumeRejectsBadValues covers records that pass the checksum
+// and the structure checks but hold values no run produces: a done
+// session whose event count is not its chunk budget, a quarantine past
+// the budget, and non-finite samples. Each is refused with an error that
+// names the session and the field.
+func TestFleetResumeRejectsBadValues(t *testing.T) {
+	cfg := ckptTestConfig()
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = 7
+	budget := uint64(e.chunkBudget(id))
+	finite := [9]float64{1, 2, 3, 4, 50, 0.5, 2, 3, 12}
+	done := func(events uint64, samples [9]float64) func(*ckptWriter) {
+		return func(w *ckptWriter) {
+			w.u8(ckptDone)
+			w.u64(events)
+			for _, x := range samples {
+				w.u64(math.Float64bits(x))
+			}
+		}
+	}
+	with := func(i int, x float64) [9]float64 {
+		s := finite
+		s[i] = x
+		return s
+	}
+	quarantined := func(chunk uint64) func(*ckptWriter) {
+		return func(w *ckptWriter) {
+			w.u8(ckptQuarantined)
+			w.u64(chunk)
+			w.str("injected")
+			w.str("")
+		}
+	}
+	cases := []struct {
+		name   string
+		record func(*ckptWriter)
+		want   string // "" resumes
+	}{
+		{"done at budget", done(budget, finite), ""},
+		{"quarantine at chunk 0", quarantined(0), ""},
+		{"done past budget", done(budget+1, finite), "session 7: done record holds"},
+		{"done short of budget", done(budget-1, finite), "session 7: done record holds"},
+		{"done with a fuzzed count", done(9007199254741292, finite), "want its chunk budget"},
+		{"NaN rebuffering", done(budget, with(0, math.NaN())), "session 7: sample RebufferSec is NaN"},
+		{"infinite data volume", done(budget, with(8, math.Inf(1))), "session 7: sample DataMB is +Inf"},
+		{"negative infinite quality", done(budget, with(4, math.Inf(-1))), "sample AvgQuality is -Inf"},
+		{"quarantine past budget", quarantined(budget + 1), "session 7: quarantine record's chunk"},
+	}
+	for _, c := range cases {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		w := newCkptWriter(&buf)
+		w.raw([]byte(ckptMagic))
+		w.str(configFingerprint(cfg))
+		w.u64(uint64(cfg.Sessions))
+		for s := 0; s < cfg.Sessions; s++ {
+			if s == id {
+				c.record(w)
+			} else {
+				w.u8(ckptPending)
+			}
+		}
+		w.trailer()
+		if err := os.WriteFile(CheckpointPath(dir), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Resume(cfg, dir)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: resume failed: %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: resume succeeded, want an error containing %q", c.name, c.want)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q missing %q", c.name, err, c.want)
+		}
+	}
 }

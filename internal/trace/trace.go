@@ -33,16 +33,22 @@ func (t *Trace) Duration() float64 {
 }
 
 // BandwidthAt returns the bandwidth in effect at absolute time tm (seconds).
-// Negative times are treated as 0; times past the end wrap around.
+// Negative times are treated as 0; times past the end wrap around. It is
+// total: a NaN or infinite time reads the first sample, and a time too
+// large for an int window index wraps by an exact float remainder.
 func (t *Trace) BandwidthAt(tm float64) float64 {
-	if len(t.Samples) == 0 {
+	n := len(t.Samples)
+	if n == 0 {
 		return 0
 	}
-	if tm < 0 {
-		tm = 0
+	w := tm / t.IntervalSec
+	switch {
+	case !(w > 0) || math.IsInf(w, 1): // negative, zero, NaN or +Inf
+		return t.Samples[0]
+	case w >= math.MaxInt64:
+		w = math.Mod(w, float64(n))
 	}
-	i := int(tm/t.IntervalSec) % len(t.Samples)
-	return t.Samples[i]
+	return t.Samples[int(w)%n]
 }
 
 // DownloadTime returns the time needed to transfer the given number of bits

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -24,6 +25,31 @@ func TestBandwidthAt(t *testing.T) {
 		if got := tr.BandwidthAt(c.time); got != c.want {
 			t.Errorf("BandwidthAt(%v) = %v, want %v", c.time, got, c.want)
 		}
+	}
+}
+
+// TestBandwidthAtTotal pins BandwidthAt at times whose window index does
+// not fit an int: each reads a sample of the trace instead of indexing out
+// of range, and every in-range time reads the sample of the plain
+// int(tm/I) % n index.
+func TestBandwidthAtTotal(t *testing.T) {
+	tr := &Trace{ID: "t", IntervalSec: 0.7, Samples: []float64{10, 20, 30, 40, 50}}
+	for _, tm := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, math.MaxFloat64, 1e19} {
+		got := tr.BandwidthAt(tm)
+		if !slices.Contains(tr.Samples, got) {
+			t.Errorf("BandwidthAt(%v) = %v, not a sample of the trace", tm, got)
+		}
+	}
+	for _, tm := range []float64{0, 0.35, 0.7, 3.49, 3.5, 1e6 + 0.3, 1e15, 6e18} {
+		want := tr.Samples[int(tm/tr.IntervalSec)%len(tr.Samples)]
+		if got := tr.BandwidthAt(tm); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("BandwidthAt(%v) = %v, want %v", tm, got, want)
+		}
+	}
+	// Past int range the index wraps by the exact remainder: 1e19 s at
+	// 1 s intervals is window 1e19, and 1e19 mod 5 = 0.
+	if got := (&Trace{IntervalSec: 1, Samples: tr.Samples}).BandwidthAt(1e19); got != 10 {
+		t.Errorf("BandwidthAt(1e19) = %v, want the first sample", got)
 	}
 }
 

@@ -45,8 +45,9 @@ step() {
 		# blocks, one session's trace dumped and rendered against the same
 		# trace rendered directly, dashserve's stdout trace dump rendered,
 		# every listed video id, and bad input (a positional argument to
-		# each binary, negative counts, rates and trace indexes, and a
-		# video listed twice among them), which must fail with a one-line
+		# each binary, negative counts, rates and trace indexes, NaN and
+		# infinite rates and scales, and a video listed twice among
+		# them), which must fail with a one-line
 		# error and no panic and leave an existing -out file as it was.
 		tmp=$(mktemp -d)
 		trap 'rm -rf "$tmp"' EXIT
@@ -89,6 +90,10 @@ step() {
 			"cava-sim -trace lte:-1" "cava-sim -trace fcc:-4" \
 			"fleetsim -sessions 10 -max-chunks -3" "fleetsim -sessions 10 -max-chunks 2 -arrival -3" \
 			"dashserve -run -chunks -2 -scale 200" "dashserve -run -chunks 2 -scale -5" \
+			"fleetsim -sessions 10 -max-chunks 2 -arrival NaN" \
+			"fleetsim -sessions 10 -max-chunks 2 -watchdog NaN" \
+			"dashserve -run -chunks 2 -scale NaN" "dashserve -run -chunks 2 -scale Inf" \
+			"cava-sim -trace const:NaN" \
 			"abreval -exp fig1 -traces -2"; do
 			if $b/$cmd >/dev/null 2>"$tmp/err"; then
 				echo "cli: $cmd succeeded" >&2

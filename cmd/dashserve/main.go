@@ -45,6 +45,11 @@ import (
 // downloads past this deadline are cut.
 const drainTimeout = 5 * time.Second
 
+// maxScale caps -scale. Above 1000, one 1 ms Shaper.Wait poll spans more
+// than a second of trace time, longer than an LTE trace's window, so the
+// shaped link no longer follows its trace.
+const maxScale = 1000
+
 func main() {
 	var (
 		videoID   = flag.String("video", "BBB-youtube-h264", "video id from the dataset")
@@ -70,6 +75,10 @@ func main() {
 	cliutil.RejectArgs("dashserve")
 	if err := cliutil.NonNegative("-scale", *scale); err != nil {
 		fmt.Fprintf(os.Stderr, "dashserve: %v\n", err)
+		os.Exit(2)
+	}
+	if *scale > maxScale {
+		fmt.Fprintf(os.Stderr, "dashserve: -scale %g: want at most %d\n", *scale, maxScale)
 		os.Exit(2)
 	}
 	if *chunksN < 0 {

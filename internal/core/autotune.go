@@ -118,9 +118,13 @@ type AutoCAVA struct {
 	// AdaptEvery is the re-tune period in chunks (8 by default).
 	AdaptEvery int
 	// WindowSize is how many throughput samples feed the detector (24).
+	// Set it before the first decision: the window's array is sized from it
+	// then.
 	//lint:allow units WindowSize counts samples, not a data size
 	WindowSize int
 
+	// samples holds the window, the newest WindowSize samples in time
+	// order, at its end (see observe).
 	samples []float64
 	since   int
 	regime  Regime
@@ -149,18 +153,31 @@ func (a *AutoCAVA) Regime() Regime { return a.regime }
 // Select implements abr.Algorithm: observe, maybe re-tune, then delegate.
 func (a *AutoCAVA) Select(st abr.State) int {
 	if st.LastThroughputBps > 0 {
-		a.samples = append(a.samples, st.LastThroughputBps)
-		if len(a.samples) > a.WindowSize {
-			a.samples = a.samples[len(a.samples)-a.WindowSize:]
-		}
+		a.observe(st.LastThroughputBps)
 	}
 	a.since++
 	if a.since >= a.AdaptEvery {
 		a.since = 0
-		if r := ClassifyRegime(a.samples); r != RegimeUnknown && r != a.regime {
+		window := a.samples[max(0, len(a.samples)-a.WindowSize):]
+		if r := ClassifyRegime(window); r != RegimeUnknown && r != a.regime {
 			a.regime = r
 			a.Tune(paramsFor(r))
 		}
 	}
 	return a.CAVA.Select(st)
+}
+
+// observe appends one throughput sample. The array behind samples is
+// allocated once, at the first sample, with room for two windows; when it
+// fills, the newest WindowSize-1 samples move to its front, so the window
+// slides without reallocating and stays contiguous.
+func (a *AutoCAVA) observe(bps float64) {
+	w := max(a.WindowSize, 1)
+	switch {
+	case a.samples == nil:
+		a.samples = make([]float64, 0, 2*w)
+	case len(a.samples) == cap(a.samples):
+		a.samples = a.samples[:copy(a.samples, a.samples[len(a.samples)-w+1:])]
+	}
+	a.samples = append(a.samples, bps)
 }

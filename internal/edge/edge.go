@@ -508,19 +508,54 @@ func (e *Edge) fetchOnce(ctx context.Context, origin int, path, session string) 
 		return Entry{}, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := e.readBody(resp, origin, path)
 	if err != nil {
 		return Entry{}, err
-	}
-	if declared := resp.ContentLength; declared >= 0 && int64(len(body)) != declared {
-		return Entry{}, fmt.Errorf("edge: origin %d truncated %s: %d of %d bytes",
-			origin, path, len(body), declared)
 	}
 	return Entry{
 		Body:        body,
 		ContentType: resp.Header.Get("Content-Type"),
 		Status:      resp.StatusCode,
 	}, nil
+}
+
+// readBody reads an origin body whole. A declared length within the cache
+// budget is read into one buffer of exactly that size. An undeclared
+// length, or one above the budget, is read into a growing buffer, so a bad
+// header cannot make the edge allocate on an origin's word. Either way a
+// body longer or shorter than its declared length is an error.
+func (e *Edge) readBody(resp *http.Response, origin int, path string) ([]byte, error) {
+	declared := resp.ContentLength
+	if declared < 0 || declared > e.cfg.CacheBytes {
+		body, err := io.ReadAll(resp.Body)
+		if declared >= 0 && int64(len(body)) != declared {
+			return nil, errBodySize(origin, path, int64(len(body)), declared, err)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("edge: origin %d: reading %s: %w", origin, path, err)
+		}
+		return body, nil
+	}
+	body := make([]byte, declared)
+	if n, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, errBodySize(origin, path, int64(n), declared, err)
+	}
+	// Read on to EOF: it finds a body longer than declared, and it lets the
+	// transport reuse the connection.
+	if extra, err := io.Copy(io.Discard, resp.Body); extra > 0 || err != nil {
+		return nil, errBodySize(origin, path, declared+extra, declared, err)
+	}
+	return body, nil
+}
+
+// errBodySize reports an origin body whose length is not its declared one,
+// with the read error that ended it, if any.
+func errBodySize(origin int, path string, got, declared int64, cause error) error {
+	err := fmt.Errorf("edge: origin %d sent %d bytes for %s, declared %d", origin, got, path, declared)
+	if cause != nil {
+		err = fmt.Errorf("%w: %w", err, cause)
+	}
+	return err
 }
 
 // failoverBackoff returns the wall-seconds pause before failover attempt r

@@ -56,15 +56,20 @@ func (t *Trace) BandwidthAt(tm float64) float64 {
 // bandwidth process (wrapping past the end). Outage samples (zero bandwidth)
 // simply contribute elapsed time with no progress.
 //
-// A zero- or negative-size transfer completes instantly; on a trace with no
-// bandwidth at all the transfer never completes and DownloadTime is +Inf.
+// A zero- or negative-size transfer completes instantly; on a trace whose
+// lap carries no bits the transfer never completes and DownloadTime is
+// +Inf.
 //
-// The cost is O(windows crossed), independent of the trace length. The walk
-// counts windows by index from w = ⌊start/I⌋ (window w ends at (w+1)·I)
-// and never re-derives w from the clock: at intervals such as 0.1 s,
-// (k+1)·I/I can round just below k+1, which would hold the walk in window
-// k. An all-outage trace is detected after one lap of zero-bandwidth
-// windows.
+// The cost is O(windows crossed), independent of the trace length, and at
+// most about four laps: the walk counts windows by index from
+// w = ⌊start/I⌋ (window w ends at (w+1)·I) and never re-derives w from the
+// clock (at intervals such as 0.1 s, (k+1)·I/I can round just below k+1,
+// which would hold the walk in window k). When the walk wraps past the
+// trace's end for the second time it has crossed one full lap, so it
+// skips all but the last whole lap still to go at once, and a tiny
+// bandwidth cannot make a call unbounded. A call that wraps fewer than
+// twice, or has less than two laps to go at its second wrap, returns what
+// the plain walk returns, bit for bit.
 func (t *Trace) DownloadTime(start, bits float64) float64 {
 	if bits <= 0 {
 		return 0
@@ -79,36 +84,66 @@ func (t *Trace) DownloadTime(start, bits float64) float64 {
 	if idx < 0 {
 		idx += n
 	}
-	idle := 0 // consecutive zero-bandwidth windows
 	elapsed := 0.0
 	remaining := bits
 	now := start
+	wraps := 0
 	for remaining > 0 {
 		bw := t.Samples[idx]
-		// Time left inside the current sample window.
+		// Time left inside the current sample window. Past 2^53 windows, or
+		// once the clock overflows after a skip, the subtraction loses the
+		// window, which then counts whole.
 		windowEnd := (w + 1) * t.IntervalSec
 		slot := windowEnd - now
-		if slot <= 0 {
+		if !(slot > 0) {
 			slot = t.IntervalSec
 		}
 		if bw > 0 {
-			idle = 0
 			need := remaining / bw
 			if need <= slot {
 				return elapsed + need
 			}
 			remaining -= bw * slot
-		} else if idle++; idle >= n {
-			return math.Inf(1)
 		}
 		elapsed += slot
 		now = windowEnd
 		w++
-		if idx++; idx == n {
-			idx = 0
+		if idx++; idx < n {
+			continue
+		}
+		idx = 0
+		if wraps++; wraps == 2 {
+			remaining, elapsed, w = t.skipLaps(remaining, elapsed, w)
+			now = w * t.IntervalSec
 		}
 	}
 	return elapsed
+}
+
+// skipLaps is DownloadTime's lap skip, called when the walk wraps past the
+// trace's end for the second time: a full lap lies behind it. It skips all
+// but the last whole lap still to go and returns the walk's new remaining
+// bits, elapsed time and window index. When a lap carries little next to
+// the bits, a skip can leave more than that to go, so it repeats. A lap
+// that carries nothing returns an infinite time with nothing left to go.
+// It is a function of its own so that the walk's loop stays small.
+func (t *Trace) skipLaps(remaining, elapsed, w float64) (float64, float64, float64) {
+	lapBits := 0.0
+	for _, s := range t.Samples {
+		if s > 0 {
+			lapBits += s
+		}
+	}
+	if lapBits *= t.IntervalSec; !(lapBits > 0) {
+		return 0, math.Inf(1), w
+	}
+	lapWindows := float64(len(t.Samples))
+	for laps := math.Floor(remaining/lapBits) - 1; laps > 0; laps = math.Floor(remaining/lapBits) - 1 {
+		remaining -= laps * lapBits
+		elapsed += laps * lapWindows * t.IntervalSec
+		w += laps * lapWindows
+	}
+	return remaining, elapsed, w
 }
 
 // Mean returns the average bandwidth over the whole trace.

@@ -135,6 +135,24 @@ func TestDownloadTimeNonDyadicInterval(t *testing.T) {
 	}
 }
 
+// TestDownloadTimeTinyBandwidth is the unbounded-walk regression test: at
+// 1e-294 b/s (cava-sim's const:1e-300) 4e5 bits take about 4e299 s, which
+// a window-by-window walk never finished. Skipping whole laps makes it a
+// few laps' work.
+func TestDownloadTimeTinyBandwidth(t *testing.T) {
+	tr := Constant("tiny", 1e-294, 1200, 1)
+	done := make(chan float64, 1)
+	go func() { done <- tr.DownloadTime(3, 4e5) }()
+	select {
+	case got := <-done:
+		if want := 4e5 / 1e-294; !almostEqual(got, want, 1e-9*want) {
+			t.Errorf("DownloadTime = %v, want %v", got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("DownloadTime did not return within 5 s")
+	}
+}
+
 func TestDownloadTimeEdgeCases(t *testing.T) {
 	tr := Constant("e", 1e6, 10, 1)
 	if got := tr.DownloadTime(0, 0); got != 0 {

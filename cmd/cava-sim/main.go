@@ -18,7 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 
@@ -125,21 +127,36 @@ func printSummary(v *video.Video, tr *trace.Trace, res *player.Result, verbose b
 	if verbose {
 		fmt.Println("chunk  cat  level  size(Mb)  dl(s)  tput(Mbps)  buf(s)  stall(s)  vmaf")
 		for _, c := range res.Chunks {
-			fmt.Printf("%5d  Q%d   %5d  %8.2f  %5.1f  %10.2f  %6.1f  %8.1f  %4.0f\n",
-				c.Index, cats[c.Index], c.Level, c.SizeBits/1e6, c.DownloadSec,
-				c.ThroughputBps/1e6, c.BufferAfter, c.RebufferSec, qt.At(c.Level, c.Index))
+			fmt.Printf("%5d  Q%d   %5d  %8s  %5s  %10s  %6s  %8s  %4.0f\n",
+				c.Index, cats[c.Index], c.Level, fixed(c.SizeBits/1e6, 2), fixed(c.DownloadSec, 1),
+				fixed(c.ThroughputBps/1e6, 2), fixed(c.BufferAfter, 1), fixed(c.RebufferSec, 1), qt.At(c.Level, c.Index))
 		}
 		fmt.Println()
 	}
-	fmt.Printf("video %s | trace %s (mean %.2f Mbps) | scheme %s\n", v.ID(), tr.ID, tr.Mean()/1e6, res.Scheme)
-	fmt.Printf("  startup delay       %.1f s\n", s.StartupDelaySec)
+	fmt.Printf("video %s | trace %s (mean %s Mbps) | scheme %s\n", v.ID(), tr.ID, fixed(tr.Mean()/1e6, 2), res.Scheme)
+	fmt.Printf("  startup delay       %s s\n", fixed(s.StartupDelaySec, 1))
 	fmt.Printf("  Q4 chunk quality    %.1f (median %.1f)\n", s.Q4Quality, s.Q4MedianQuality)
 	fmt.Printf("  Q1-Q3 chunk quality %.1f\n", s.Q13Quality)
 	fmt.Printf("  low-quality chunks  %.1f%%\n", s.LowQualityPct)
-	fmt.Printf("  rebuffering         %.1f s\n", s.RebufferSec)
+	fmt.Printf("  rebuffering         %s s\n", fixed(s.RebufferSec, 1))
 	fmt.Printf("  quality change      %.2f /chunk\n", s.QualityChange)
-	fmt.Printf("  data usage          %.1f MB\n", s.DataMB)
+	fmt.Printf("  data usage          %s MB\n", fixed(s.DataMB, 1))
 }
+
+// fixed formats x like %.<prec>f up to maxFixed, and with a four-digit
+// mantissa and an exponent beyond it, so a session that starves on a
+// near-zero trace still prints report-width lines instead of 300-digit
+// times.
+func fixed(x float64, prec int) string {
+	if math.Abs(x) < maxFixed {
+		return strconv.FormatFloat(x, 'f', prec, 64)
+	}
+	return strconv.FormatFloat(x, 'e', 3, 64)
+}
+
+// maxFixed is the magnitude from which fixed switches to an exponent: no
+// ordinary time, size or rate comes near it.
+const maxFixed = 1e9
 
 // renderDump renders the decision trace in a JSONL dump.
 func renderDump(path string) error {
@@ -175,20 +192,20 @@ func renderTrace(w io.Writer, events []telemetry.Event) error {
 				detail += " (" + ev.Detail + ")"
 			}
 		case telemetry.KindDownload:
-			detail = fmt.Sprintf("%.2f Mb in %.2fs @ %.1f Mbps",
-				ev.SizeBits/1e6, ev.DownloadSec, ev.ThroughputBps/1e6)
+			detail = fmt.Sprintf("%s Mb in %ss @ %s Mbps",
+				fixed(ev.SizeBits/1e6, 2), fixed(ev.DownloadSec, 2), fixed(ev.ThroughputBps/1e6, 1))
 			if ev.RebufferSec > 0 {
-				detail += fmt.Sprintf(" (stall %.2fs)", ev.RebufferSec)
+				detail += fmt.Sprintf(" (stall %ss)", fixed(ev.RebufferSec, 2))
 			}
 		case telemetry.KindWait:
-			detail = fmt.Sprintf("idle %.2fs", ev.WaitSec)
+			detail = fmt.Sprintf("idle %ss", fixed(ev.WaitSec, 2))
 		case telemetry.KindRetry, telemetry.KindSkip, telemetry.KindFault:
 			detail = fmt.Sprintf("attempt %d: %s", ev.Attempt, ev.Detail)
 		case telemetry.KindAbandon:
 			detail = fmt.Sprintf("from L%d: %s", ev.PrevLevel, ev.Detail)
 		}
-		fmt.Fprintf(tw, "%d\t%.2f\t%s\t%d\t%d\t%.2f\t%.2f\t%s\n",
-			ev.Seq, ev.TimeSec, ev.Kind, ev.Chunk, ev.Level, ev.BufferSec, ev.EstBps/1e6, detail)
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%d\t%d\t%s\t%s\t%s\n",
+			ev.Seq, fixed(ev.TimeSec, 2), ev.Kind, ev.Chunk, ev.Level, fixed(ev.BufferSec, 2), fixed(ev.EstBps/1e6, 2), detail)
 	}
 	return tw.Flush()
 }

@@ -344,7 +344,7 @@ func Resume(cfg Config, dir string) (*Engine, error) {
 			return nil, fmt.Errorf("fleet: resume: session %d: %w", id, r.err)
 
 		case tag == ckptPending:
-			sh.heap.push(event{wakeSec: s.arrivalSec, id: int32(id)})
+			sh.schedule(int32(id), s.arrivalSec)
 
 		case tag == ckptDone:
 			eventsDone := r.u64()

@@ -24,9 +24,16 @@
 //     TestFleetZeroAllocPerEvent, which holds per shard), and each shard's
 //     event queue draws its buckets from one block pool preallocated to
 //     the shard size;
-//   - batched decisions: within a shard, all sessions due at the same
-//     virtual instant are taken from the queue's lowest bucket and decided
-//     in rounds of ascending session id (see drainInstant);
+//   - epoch batches: a shard queues each wakeup at the start of its epoch,
+//     a stretch of virtual time one chunk duration long (the catalog's
+//     shortest), and drains a whole epoch at a time, in rounds of
+//     ascending session id (see shard.schedule and drainInstant). One
+//     epoch steps each live session about once, in one sweep of the
+//     shard's session slab and algorithm objects in address order, so an
+//     event finds its slot and algorithm by a sequential walk instead of a
+//     random one (pinned by TestFleetEpochSchedule). No session reads
+//     another's state, so only the order of different sessions' steps
+//     changes, never a result;
 //   - sharding: sessions are mutually independent, so the event loop
 //     partitions by session id into Config.Workers shards that run
 //     concurrently, one event queue per shard. The seeded assignment pass stays
@@ -228,6 +235,12 @@ type Engine struct {
 	sessions       []session
 	shards         []shard
 	expectedEvents int64
+	// epochSec is the event queue's time quantum Δ, the shortest chunk
+	// duration in the catalog: shard.schedule queues every wakeup at the
+	// start of its epoch. In steady state a session with a full buffer
+	// wakes once per chunk duration, so one epoch steps each live session
+	// about once, in one ascending sweep of its shard.
+	epochSec float64
 	// qts holds each video's quality table, indexed like Config.Videos.
 	qts []*quality.Table
 
@@ -277,8 +290,10 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	qts := make([]*quality.Table, len(cfg.Videos))
+	epochSec := math.Inf(1)
 	for i, v := range cfg.Videos {
 		qts[i] = cfg.Cache.QualityTable(v, cfg.Metric)
+		epochSec = min(epochSec, v.ChunkDurSec)
 	}
 	for _, tr := range cfg.Traces {
 		if err := tr.Validate(); err != nil {
@@ -290,6 +305,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:           cfg,
 		sessions:      make([]session, n),
+		epochSec:      epochSec,
 		qts:           qts,
 		rebufferSec:   make([]float64, n),
 		startupSec:    make([]float64, n),
@@ -429,7 +445,8 @@ func (e *Engine) tallies() (events int64, completed int, lost int64, maxDoneSec 
 		}
 		// Shards own contiguous ascending id ranges and append in step
 		// order; a per-shard sort keeps the concatenation id-sorted even
-		// though steps within a shard are not id-monotonic across instants.
+		// though steps within a shard are not id-monotonic across rounds
+		// and epochs.
 		qs := append([]Quarantine(nil), sh.quarantined...)
 		sort.Slice(qs, func(a, b int) bool { return qs[a].SessionID < qs[b].SessionID })
 		quarantined = append(quarantined, qs...)

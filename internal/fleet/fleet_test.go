@@ -351,6 +351,7 @@ func TestFleetZeroAllocPerEvent(t *testing.T) {
 	for i := 0; i < 20 && sh.heap.len() > 0; i++ {
 		sh.runBatch()
 	}
+	before := sh.events
 	allocs := testing.AllocsPerRun(100, func() {
 		if sh.heap.len() > 0 {
 			sh.runBatch()
@@ -359,6 +360,13 @@ func TestFleetZeroAllocPerEvent(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state event batch allocates %v times, want 0", allocs)
 	}
+	// Each batch drains an epoch: the fleet must outlast the window, so
+	// that every measured call stepped events.
+	if sh.heap.len() == 0 || sh.events == before {
+		t.Fatalf("the measured window stepped %d events and left %d pending, want some of each",
+			sh.events-before, sh.heap.len())
+	}
+	t.Logf("the measured window stepped %d events", sh.events-before)
 	// Drain the remainder: the measured engine must still close its event
 	// accounting exactly.
 	res, err := e.Run()
@@ -368,6 +376,108 @@ func TestFleetZeroAllocPerEvent(t *testing.T) {
 	for _, bad := range res.Invariants(cfg) {
 		t.Errorf("invariant violated after alloc probe: %v", bad)
 	}
+}
+
+// TestFleetEpochSchedule pins the shard's schedule exactly, on a
+// full-length fleet at one worker with every session live from time 0.
+// Each runBatch drains one epoch, [kΔ, (k+1)Δ) with Δ the catalog's
+// shortest chunk duration: the queue's floor is the epoch's start, every
+// step's wakeup lies in the epoch, and no epoch is drained twice. Inside
+// a batch the steps are rounds of ascending id: round r holds exactly the
+// sessions stepped at least r times in the epoch. Events still close at
+// ExpectedEvents, and the watchdog's progress counter trails the shard's
+// events by fewer than progressEvents inside a batch as well as between.
+func TestFleetEpochSchedule(t *testing.T) {
+	videos := []*video.Video{video.ByID("ED-youtube-h264"), video.ByID("BBB-youtube-h264")}
+	epochSec := math.Inf(1)
+	for _, v := range videos {
+		epochSec = min(epochSec, v.ChunkDurSec)
+	}
+	const sessions = 2000
+	cfg := Config{
+		Videos: videos,
+		Traces: []*trace.Trace{trace.GenLTE(0), trace.GenLTE(1), trace.GenFCC(0), trace.GenFCC(1)},
+		Scheme: abr.Scheme{Name: "BBA-1", New: func(v *video.Video) abr.Algorithm {
+			return abr.NewBBA1(v, 0, 0)
+		}},
+		Sessions: sessions, Workers: 1, RandomTraceOffsets: true, Seed: 5,
+	}
+	type step struct {
+		id                int32
+		wakeSec, floorSec float64
+	}
+	var (
+		e      *Engine
+		steps  []step
+		maxLag int64
+	)
+	cfg.CrashHook = func(id int32, _ int) {
+		s, sh := &e.sessions[id], &e.shards[0]
+		steps = append(steps, step{id: id, wakeSec: s.arrivalSec + s.step.NowSec,
+			floorSec: math.Float64frombits(sh.heap.floor)})
+		maxLag = max(maxLag, sh.events-sh.progress.Load())
+	}
+	var err error
+	if e, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	sh := &e.shards[0]
+	times := make([]int, sessions) // steps per session in the batch
+	lastEpoch, batches := math.Inf(-1), 0
+	for ; sh.heap.len() > 0; batches++ {
+		steps = steps[:0]
+		sh.runBatch()
+		if len(steps) == 0 {
+			t.Fatalf("batch %d stepped nothing", batches)
+		}
+		startSec := steps[0].floorSec
+		epoch := math.Floor(startSec / epochSec)
+		if startSec != epoch*epochSec {
+			t.Fatalf("batch %d drains from %v s, not the start of a %v s epoch", batches, startSec, epochSec)
+		}
+		if epoch <= lastEpoch {
+			t.Fatalf("batch %d drains epoch %v after epoch %v", batches, epoch, lastEpoch)
+		}
+		lastEpoch = epoch
+		rounds := 0
+		for _, st := range steps {
+			if st.floorSec != startSec || st.wakeSec < startSec || st.wakeSec >= startSec+epochSec {
+				t.Fatalf("batch %d: session %d stepped at %v s with the floor at %v s, outside the epoch [%v, %v)",
+					batches, st.id, st.wakeSec, st.floorSec, startSec, startSec+epochSec)
+			}
+			times[st.id]++
+			rounds = max(rounds, times[st.id])
+		}
+		// Round r is every session stepped at least r times, in ascending
+		// id; a round may not end early or run on into the next.
+		pos := 0
+		for r := 1; r <= rounds; r++ {
+			for id := range times {
+				if times[id] < r {
+					continue
+				}
+				if pos == len(steps) || steps[pos].id != int32(id) {
+					t.Fatalf("batch %d round %d: step %d is not session %d", batches, r, pos, id)
+				}
+				pos++
+			}
+		}
+		for _, st := range steps {
+			times[st.id] = 0
+		}
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events != res.ExpectedEvents || res.Completed != sessions {
+		t.Errorf("%d events of %d expected, %d of %d sessions completed",
+			res.Events, res.ExpectedEvents, res.Completed, sessions)
+	}
+	if maxLag >= progressEvents {
+		t.Errorf("the watchdog's progress trailed the shard by up to %d events, want fewer than %d", maxLag, progressEvents)
+	}
+	t.Logf("%d events in %d epochs of %v s", res.Events, batches, epochSec)
 }
 
 // maxSessionBytes is the fleet's per-session slot budget: the step core
@@ -387,10 +497,11 @@ func TestFleetSessionFootprint(t *testing.T) {
 	v := shortVideo()
 	sc := fixedScheme(2)
 	const runs = 50
-	// Every session arrives at virtual time 0, so the heap yields the
-	// sessions' first events in id order before any second event, which a
-	// chunk download puts past 0. AllocsPerRun makes one extra warm-up
-	// call, hence runs+1 sessions.
+	// Each call steps the first event of the next unstarted session, as a
+	// drain's first round does. The queue is not consulted: a session's
+	// second wakeup can fall in the first epoch, ahead of other sessions'
+	// first events. AllocsPerRun makes one extra warm-up call, hence runs+1
+	// sessions.
 	e, err := New(Config{
 		Videos: []*video.Video{v}, Traces: []*trace.Trace{trace.GenLTE(0)},
 		Scheme: sc, Sessions: runs + 1, Workers: 1,
@@ -399,13 +510,14 @@ func TestFleetSessionFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := &e.shards[0]
+	var next int32
 	firstEvent := testing.AllocsPerRun(runs, func() {
-		id := sh.heap.pop().id
-		if e.sessions[id].started {
-			t.Fatalf("session %d: popped a second event among the first events", id)
-		}
-		sh.stepSession(id)
+		sh.stepSession(next)
+		next++
 	})
+	if next != runs+1 || !e.sessions[runs].started {
+		t.Fatalf("stepped %d first events, want %d", next, runs+1)
+	}
 	factory := testing.AllocsPerRun(runs, func() { _ = sc.New(v) })
 	if extra := firstEvent - factory; extra != 0 {
 		t.Errorf("a session's first event allocates %v times beyond its scheme factory's %v, want 0", extra, factory)

@@ -191,6 +191,11 @@ func (h *eventHeap) settle() {
 // batch is the caller's reusable scratch buffer, returned (possibly grown)
 // for the next call; with a preallocated buffer and a prebuilt step func
 // the drain allocates nothing. Callers check that the queue is not empty.
+//
+// The engine pushes only epoch starts (shard.schedule), so to the queue an
+// instant is a whole epoch: one call drains every step due in it, and a
+// session that wakes again inside the epoch is re-pushed at the floor and
+// stepped in a later round of the same call.
 func drainInstant(h *eventHeap, batch []int32, step func(id int32)) []int32 {
 	if h.occupied&1 == 0 {
 		h.settle()
@@ -212,7 +217,7 @@ func (h *eventHeap) takeDue(batch []int32) []int32 {
 	h.occupied &^= 1
 	for b := c.head; ; b = h.next[b] {
 		for _, e := range h.filled(c, b) {
-			//lint:allow hotalloc batch is preallocated in shard.init (min(shard size, 4096)); growth needs >4096 same-instant wakeups and is amortized across the run
+			//lint:allow hotalloc shard.init preallocates batch to the shard's size, and bucket 0 never holds more than the shard's sessions, one pending event each
 			batch = append(batch, e.id)
 		}
 		if b == c.tail {

@@ -358,10 +358,15 @@ func TestEventQueueRejectsEarlyPush(t *testing.T) {
 		Videos: []*video.Video{shortVideo()}, Traces: []*trace.Trace{trace.GenLTE(0)},
 		Scheme: fixedScheme(1), Sessions: 6, Workers: 1,
 	}
+	// At session 3's first step past the first epoch, push it into the
+	// epoch before the one being drained, where the engine never schedules.
 	var sh *shard
+	faultChunk := -1
 	cfg.CrashHook = func(id int32, chunk int) {
-		if id == 3 && chunk == 5 {
-			sh.heap.push(event{wakeSec: 0, id: id})
+		floorSec := math.Float64frombits(sh.heap.floor)
+		if id == 3 && faultChunk < 0 && floorSec >= sh.e.epochSec {
+			faultChunk = chunk
+			sh.heap.push(event{wakeSec: floorSec - sh.e.epochSec, id: id})
 		}
 	}
 	e, err := New(cfg)
@@ -373,9 +378,12 @@ func TestEventQueueRejectsEarlyPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q := res.Quarantined; len(q) != 1 || q[0].SessionID != 3 || q[0].Chunk != 5 ||
+	if faultChunk <= 0 {
+		t.Fatalf("session 3 pushed early at chunk %d, want a chunk past its first", faultChunk)
+	}
+	if q := res.Quarantined; len(q) != 1 || q[0].SessionID != 3 || q[0].Chunk != faultChunk ||
 		!strings.Contains(q[0].Reason, "not at or after the instant being drained") {
-		t.Errorf("quarantined %+v, want session 3 at chunk 5 for an early wakeup", q)
+		t.Errorf("quarantined %+v, want session 3 at chunk %d for an early wakeup", q, faultChunk)
 	}
 	for _, bad := range res.Invariants(cfg) {
 		t.Errorf("invariant violated: %v", bad)

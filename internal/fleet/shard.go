@@ -34,6 +34,7 @@ type shard struct {
 	stepID int32
 
 	events     int64
+	publishAt  int64 // events at which advanceSession next stores progress
 	maxDoneSec float64
 	completed  int
 
@@ -45,57 +46,67 @@ type shard struct {
 	lostEvents  int64
 
 	// progress publishes events for the RunContext watchdog, which samples
-	// it from the supervisor goroutine. drain stores it at most once per
-	// progressEvents events, and the padding gives it a cache line of its
-	// own: shards sit side by side in one slice, and the store must not
-	// evict the next shard's hot fields.
+	// it from the supervisor goroutine. advanceSession stores it once per
+	// progressEvents events, inside a batch: one epoch of a large shard
+	// runs for seconds. The padding gives it a cache line of its own:
+	// shards sit side by side in one slice, and the store must not evict
+	// the next shard's hot fields.
 	_        [64]byte
 	progress atomic.Int64
 	_        [56]byte
 }
 
 // progressEvents is how many events a shard processes between progress
-// stores. drain publishes after the first batch that reaches the mark, so
-// the watchdog's view lags by at most this many events or one batch.
+// stores, so the watchdog's view lags by fewer than this many events.
 const progressEvents = 64
 
 // init primes the shard for the session-id range [lo, hi): the event queue
-// is preallocated to the shard size and seeded with the range's arrivals
-// (pushed in id order; arrival times are nondecreasing in id).
+// is preallocated to the shard size and seeded with the range's arrivals.
+// The batch buffer holds the whole range, the most one drain round can
+// take, since each session has at most one pending event.
 func (sh *shard) init(e *Engine, lo, hi int32) {
 	size := int(hi - lo)
 	sh.e = e
 	sh.heap = newEventHeap(size)
-	sh.batch = make([]int32, 0, min(size, 4096))
+	sh.batch = make([]int32, 0, size)
 	sh.stepFn = sh.stepSession
 	for id := lo; id < hi; id++ {
-		sh.heap.push(event{wakeSec: e.sessions[id].arrivalSec, id: id})
+		sh.schedule(id, e.sessions[id].arrivalSec)
 	}
 }
 
-// drain runs the shard to completion, one virtual instant at a time. It
-// checks the engine's abort flag between batches, returning early when
-// RunContext stops the run, and publishes its event progress for the
-// watchdog.
+// schedule queues session id's next step at the start of the epoch its
+// wakeup falls in, ⌊wakeSec/Δ⌋·Δ with Δ = Engine.epochSec. The queue then
+// holds a whole epoch in its bucket 0, and drainInstant steps it in rounds
+// of ascending id, so a shard sweeps its session slab and the algorithm
+// objects in address order. Only steps of different sessions due less than
+// one epoch apart can swap: a session's own steps keep their order, since
+// its wakeups never decrease, and no session reads another's state, so
+// every Result is bit-identical to stepping each instant alone.
+func (sh *shard) schedule(id int32, wakeSec float64) {
+	epochSec := sh.e.epochSec
+	sh.heap.push(event{wakeSec: math.Floor(wakeSec/epochSec) * epochSec, id: id})
+}
+
+// drain runs the shard to completion, one epoch at a time. It checks the
+// engine's abort flag between epochs, returning early when RunContext
+// stops the run, and publishes that it finished for the watchdog.
 func (sh *shard) drain() {
-	var publishAt int64
 	for sh.heap.len() > 0 {
 		if sh.e.abort.Load() {
 			return
 		}
 		sh.runBatch()
-		if sh.events >= publishAt {
-			sh.progress.Store(sh.events)
-			publishAt = sh.events + progressEvents
-		}
 	}
 	sh.progress.Store(shardFinished)
 }
 
-// runBatch fully drains the earliest pending virtual instant: every event
-// due then — including sessions re-woken at that same instant by a
-// zero-duration step — is processed before the shard's clock moves on, in
-// rounds of ascending session id (see drainInstant).
+// runBatch fully drains the earliest pending epoch: every event due in it
+// is processed before the shard moves on, in rounds of ascending session
+// id (see drainInstant). The first round steps every session queued for
+// the epoch; a session whose step wakes it again inside the epoch is
+// stepped in the next round, and so on until none is due before the next
+// epoch.
 func (sh *shard) runBatch() {
 	sh.batch = drainInstant(sh.heap, sh.batch, sh.stepFn)
 }
@@ -128,13 +139,17 @@ func (sh *shard) advanceSession(id int32) {
 	prevLevel := s.step.PrevLevel
 	wakeSec := s.step.Advance(s.tr, s.offsetSec)
 	sh.events++
+	if sh.events >= sh.publishAt {
+		sh.progress.Store(sh.events)
+		sh.publishAt = sh.events + progressEvents
+	}
 	e.mEvents.Inc()
 	observeChunk(s, e.qts[s.video], prevLevel)
 	if s.step.Done() {
 		sh.finishSession(id, s)
 		return
 	}
-	sh.heap.push(event{wakeSec: s.arrivalSec + wakeSec, id: id})
+	sh.schedule(id, s.arrivalSec+wakeSec)
 }
 
 // startSession builds session s's algorithm and initializes its step core

@@ -126,7 +126,7 @@ func DefaultConfig() Config {
 			"internal/fleet:push", "internal/fleet:place",
 			"internal/fleet:newBlock", "internal/fleet:filled",
 			"internal/fleet:settle", "internal/fleet:takeDue",
-			"internal/fleet:keyOf",
+			"internal/fleet:keyOf", "internal/fleet:schedule",
 			"internal/bandwidth:ObserveDownload", "internal/bandwidth:Predict",
 			"internal/bandwidth:Reset",
 			"internal/trace:DownloadTime",

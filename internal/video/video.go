@@ -244,14 +244,15 @@ func (v *Video) ChunkBitrate(level, i int) float64 {
 func (v *Video) AvgBitrateBps(level int) float64 { return v.Tracks[level].AvgBitrateBps }
 
 // Validate checks the structural invariants every generated video must
-// satisfy: at least one track, equal chunk counts across tracks, ascending
-// average bitrates, and positive chunk sizes.
+// satisfy: at least one track, a finite positive chunk duration, equal
+// chunk counts across tracks, ascending average bitrates, and positive
+// chunk sizes.
 func (v *Video) Validate() error {
 	if len(v.Tracks) == 0 {
 		return fmt.Errorf("video %s: no tracks", v.ID())
 	}
-	if v.ChunkDurSec <= 0 {
-		return fmt.Errorf("video %s: non-positive chunk duration", v.ID())
+	if !(v.ChunkDurSec > 0) || math.IsInf(v.ChunkDurSec, 1) {
+		return fmt.Errorf("video %s: chunk duration %v s, want a finite positive number", v.ID(), v.ChunkDurSec)
 	}
 	n := v.NumChunks()
 	if n == 0 {

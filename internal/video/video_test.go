@@ -219,10 +219,12 @@ func TestValidateRejectsBrokenVideos(t *testing.T) {
 		t.Error("video without tracks validated")
 	}
 
-	badDur := *good
-	badDur.ChunkDurSec = 0
-	if badDur.Validate() == nil {
-		t.Error("zero chunk duration validated")
+	for _, durSec := range []float64{0, -2, math.NaN(), math.Inf(1)} {
+		badDur := *good
+		badDur.ChunkDurSec = durSec
+		if badDur.Validate() == nil {
+			t.Errorf("chunk duration %v validated", durSec)
+		}
 	}
 
 	mismatched := *good

@@ -46,10 +46,11 @@ step() {
 		# trace rendered directly, dashserve's stdout trace dump rendered,
 		# every listed video id, and bad input (a positional argument to
 		# each binary, negative counts, rates and trace indexes, NaN and
-		# infinite rates and scales, a time scale above dashserve's
-		# ceiling, and a video listed twice among them), which must fail
-		# with a one-line error and no panic and leave an existing -out
-		# file as it was.
+		# infinite rates and scales, a zero time scale and one above
+		# dashserve's ceiling, and a video listed twice among them), which
+		# must fail with a one-line error and no panic and leave an
+		# existing -out file as it was. A session starved by a near-zero
+		# trace must still print no line over 120 bytes.
 		tmp=$(mktemp -d)
 		trap 'rm -rf "$tmp"' EXIT
 		go build -o "$tmp/bin/" ./cmd/...
@@ -75,6 +76,11 @@ step() {
 		$b/cava-sim -in "$tmp/session.jsonl" >"$tmp/in.txt"
 		$b/cava-sim $session -events >"$tmp/events.txt"
 		cmp "$tmp/in.txt" "$tmp/events.txt"
+		$b/cava-sim -video ED-youtube-h264 -trace const:1e-300 -scheme bba1 -v >"$tmp/starved.txt"
+		if ! LC_ALL=C awk 'length($0) > 120 { exit 1 }' "$tmp/starved.txt"; then
+			echo "cli: a starved cava-sim session prints a line over 120 bytes" >&2
+			exit 1
+		fi
 		for id in $($b/cava-sim -list-videos | awk '{print $1}'); do
 			$b/cava-sim -video "$id" -trace const:5 >/dev/null
 		done
@@ -94,7 +100,7 @@ step() {
 			"fleetsim -sessions 10 -max-chunks 2 -arrival NaN" \
 			"fleetsim -sessions 10 -max-chunks 2 -watchdog NaN" \
 			"dashserve -run -chunks 2 -scale NaN" "dashserve -run -chunks 2 -scale Inf" \
-			"dashserve -run -chunks 2 -scale 1e300" \
+			"dashserve -run -chunks 2 -scale 1e300" "dashserve -run -chunks 2 -scale 0" \
 			"cava-sim -trace const:NaN" \
 			"abreval -exp fig1 -traces -2"; do
 			if $b/$cmd >/dev/null 2>"$tmp/err"; then

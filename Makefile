@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint lint-fixtures build cli vet test race bench bench-telemetry bench-sweep-short soak soak-edge soak-fleet bench-fleet-short
+.PHONY: check lint lint-fixtures build cli vet test race fuzz bench bench-telemetry bench-sweep-short soak soak-edge soak-fleet bench-fleet-short
 
 # check is the one-command tier-1 gate every PR must pass. The gate list
 # lives in scripts/check.sh alone; the targets below run its pieces locally.
@@ -36,6 +36,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz runs each fuzz target for 10 s past its committed seeds; an input
+# that fails lands under the target's testdata/fuzz and fails the step.
+fuzz:
+	sh scripts/check.sh fuzz
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

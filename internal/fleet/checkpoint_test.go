@@ -9,7 +9,9 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,6 +154,69 @@ func TestFleetInterruptResumeEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Error("run resumed from an interrupt checkpoint diverges from the uninterrupted run")
 	}
+}
+
+// TestFleetInterruptStopsMidEpoch pins how soon a stopped shard stops. A
+// one-worker fleet of 500 sessions, all arriving at time 0, so its first
+// epoch holds at least 500 events, is cancelled at its 10th event, and
+// the crash hook holds the shard there until RunContext has set the abort
+// flag. The shard must then step fewer than progressEvents more events,
+// not the rest of the epoch; RunContext returns ErrInterrupted, and the run
+// resumed from its final checkpoint equals the uninterrupted one.
+func TestFleetInterruptStopsMidEpoch(t *testing.T) {
+	cfg := ckptTestConfig()
+	cfg.Sessions = 500
+	cfg.ArrivalRatePerSec = 0
+	cfg.Workers = 1
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		e                *Engine
+		seen, afterAbort int
+		aborted          bool
+	)
+	icfg := cfg
+	icfg.CrashHook = func(int32, int) {
+		seen++
+		switch {
+		case aborted:
+			afterAbort++
+		case seen == 10:
+			cancel()
+			for !e.abort.Load() {
+				time.Sleep(time.Millisecond)
+			}
+			aborted = true
+		}
+	}
+	if e, err = New(icfg); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := e.RunContext(ctx, RunOptions{CheckpointDir: dir}); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("RunContext cancelled at event 10 returned %v, want ErrInterrupted", err)
+	}
+	if !aborted || afterAbort >= progressEvents {
+		t.Errorf("the shard stepped %d events after the abort flag was set (aborted %t), want fewer than %d",
+			afterAbort, aborted, progressEvents)
+	}
+	re, err := Resume(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := re.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("run resumed from a mid-epoch interrupt diverges from the uninterrupted run")
+	}
+	t.Logf("stepped %d events, %d of them after the abort flag was set", seen, afterAbort)
 }
 
 // TestFleetPeriodicCheckpointResume covers the periodic checkpoint: a
@@ -584,4 +649,51 @@ func TestFleetResumeRejectsBadValues(t *testing.T) {
 			t.Errorf("%s: error %q missing %q", c.name, err, c.want)
 		}
 	}
+}
+
+// resumeErr is the shape of every refusal FuzzResume accepts: a session
+// in range and what is wrong with its record.
+var resumeErr = regexp.MustCompile(`^fleet: resume: session (\d+): \S`)
+
+// FuzzResume frames fuzzed session records under a valid magic, config
+// fingerprint and trailer, over ckptTestConfig's 40 sessions, so every
+// input passes the checksum and reaches the record parser. Resume must
+// never panic. It either refuses the file with an error that names a
+// session of the fleet and what is wrong with its record (or, when all 40
+// records parsed, the bytes left after them), or the engine it returns
+// runs to completion, its event and session accounting closed. The seeds
+// in testdata/fuzz/FuzzResume are TestFleetResumeRejectsBadValues' cases:
+// session 7's record, the other 39 pending.
+func FuzzResume(f *testing.F) {
+	cfg := ckptTestConfig()
+	fingerprint := configFingerprint(cfg)
+	f.Fuzz(func(t *testing.T, records []byte) {
+		var buf bytes.Buffer
+		w := newCkptWriter(&buf)
+		w.raw([]byte(ckptMagic))
+		w.str(fingerprint)
+		w.u64(uint64(cfg.Sessions))
+		w.raw(records)
+		w.trailer()
+		dir := t.TempDir()
+		if err := os.WriteFile(CheckpointPath(dir), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := Resume(cfg, dir)
+		if err != nil {
+			msg := err.Error()
+			if m := resumeErr.FindStringSubmatch(msg); m != nil {
+				if id, _ := strconv.Atoi(m[1]); id < cfg.Sessions {
+					return
+				}
+			}
+			if strings.HasSuffix(msg, "trailing bytes after last session record") {
+				return
+			}
+			t.Fatalf("resume refused the file without naming a session and its field: %v", err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatalf("resumed run: %v", err)
+		}
+	})
 }

@@ -26,14 +26,15 @@
 //     the shard size;
 //   - epoch batches: a shard queues each wakeup at the start of its epoch,
 //     a stretch of virtual time one chunk duration long (the catalog's
-//     shortest), and drains a whole epoch at a time, in rounds of
-//     ascending session id (see shard.schedule and drainInstant). One
-//     epoch steps each live session about once, in one sweep of the
-//     shard's session slab and algorithm objects in address order, so an
-//     event finds its slot and algorithm by a sequential walk instead of a
-//     random one (pinned by TestFleetEpochSchedule). No session reads
-//     another's state, so only the order of different sessions' steps
-//     changes, never a result;
+//     shortest), and drains a whole epoch at a time in one round of
+//     ascending session id, which a bitmap over the shard's id range
+//     orders (see shard.schedule and drainInstant). Each session due in
+//     the epoch is visited once and stepped until its next wakeup leaves
+//     the epoch, so one epoch is one sweep of the shard's session slab and
+//     algorithm objects in address order, and an event finds its slot and
+//     algorithm by a sequential walk instead of a random one (pinned by
+//     TestFleetEpochSchedule). No session reads another's state, so only
+//     the order of different sessions' steps changes, never a result;
 //   - sharding: sessions are mutually independent, so the event loop
 //     partitions by session id into Config.Workers shards that run
 //     concurrently, one event queue per shard. The seeded assignment pass stays
@@ -54,6 +55,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"cava/internal/abr"
@@ -229,7 +231,7 @@ type session struct {
 //     shared id-indexed sample slices;
 //   - merge (Run): per-shard scalar tallies (events, completions, horizon)
 //     fold in shard-index order and the id-indexed samples feed the sorted
-//     distributions.
+//     distributions, one goroutine each.
 type Engine struct {
 	cfg            Config
 	sessions       []session
@@ -237,9 +239,9 @@ type Engine struct {
 	expectedEvents int64
 	// epochSec is the event queue's time quantum Δ, the shortest chunk
 	// duration in the catalog: shard.schedule queues every wakeup at the
-	// start of its epoch. In steady state a session with a full buffer
-	// wakes once per chunk duration, so one epoch steps each live session
-	// about once, in one ascending sweep of its shard.
+	// start of its epoch (epochStart). In steady state a session with a
+	// full buffer wakes once per chunk duration, so one epoch visits each
+	// live session once, in one ascending sweep of its shard.
 	epochSec float64
 	// qts holds each video's quality table, indexed like Config.Videos.
 	qts []*quality.Table
@@ -252,8 +254,9 @@ type Engine struct {
 	avgLevel, switches, dataMB                            []float64
 	results                                               []*player.Result
 
-	// abort stops the shards at their next batch boundary (RunContext on
-	// cancel or a watchdog failure).
+	// abort stops the shards (RunContext on cancel or a watchdog failure):
+	// each loads it between epochs and, inside one, once per
+	// progressEvents events.
 	abort atomic.Bool
 
 	mEvents      *telemetry.Counter
@@ -395,21 +398,37 @@ func (e *Engine) merge() (*Result, error) {
 // them. The sample slices are id-indexed (each shard wrote only its own
 // range), so the distributions cannot depend on the worker count. When
 // every session completed, the slices go to NewSorted (which copies)
-// unfiltered.
+// unfiltered. The nine distributions are independent, so they are sorted
+// on nine goroutines: the shards have returned, and the merge would
+// otherwise leave all cores but one idle.
 func (e *Engine) result() *Result {
 	events, completed, lost, maxDoneSec, quarantined := e.tallies()
-	d := e.sampleFields()
+	var done []int32 // nil when every session completed
 	if completed < e.cfg.Sessions {
-		for i, xs := range d {
-			done := make([]float64, 0, completed)
-			for id, x := range xs {
-				if e.sessions[id].done.Load() {
-					done = append(done, x)
-				}
+		done = make([]int32, 0, completed)
+		for id := range e.sessions {
+			if e.sessions[id].done.Load() {
+				done = append(done, int32(id))
 			}
-			d[i] = done
 		}
 	}
+	var d [9]metrics.Sorted
+	var wg sync.WaitGroup
+	wg.Add(len(d))
+	for i, xs := range e.sampleFields() {
+		go func() {
+			defer wg.Done()
+			samples := xs
+			if done != nil {
+				samples = make([]float64, len(done))
+				for k, id := range done {
+					samples[k] = xs[id]
+				}
+			}
+			d[i] = metrics.NewSorted(samples)
+		}()
+	}
+	wg.Wait()
 	return &Result{
 		Sessions:        e.cfg.Sessions,
 		Events:          events,
@@ -418,15 +437,15 @@ func (e *Engine) result() *Result {
 		Completed:       completed,
 		Quarantined:     quarantined,
 		VirtualSec:      maxDoneSec,
-		RebufferSec:     metrics.NewSorted(d[0]),
-		StartupDelaySec: metrics.NewSorted(d[1]),
-		CompletionSec:   metrics.NewSorted(d[2]),
-		SessionLenSec:   metrics.NewSorted(d[3]),
-		AvgQuality:      metrics.NewSorted(d[4]),
-		QualityChange:   metrics.NewSorted(d[5]),
-		AvgLevel:        metrics.NewSorted(d[6]),
-		Switches:        metrics.NewSorted(d[7]),
-		DataMB:          metrics.NewSorted(d[8]),
+		RebufferSec:     d[0],
+		StartupDelaySec: d[1],
+		CompletionSec:   d[2],
+		SessionLenSec:   d[3],
+		AvgQuality:      d[4],
+		QualityChange:   d[5],
+		AvgLevel:        d[6],
+		Switches:        d[7],
+		DataMB:          d[8],
 		results:         e.results,
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -148,7 +149,7 @@ func TestHeapOrdering(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		evs = append(evs, event{wakeSec: float64(next(17)), id: int32(next(64))})
 	}
-	h := newEventHeap(len(evs))
+	h := newEventHeap(0, int32(len(evs)))
 	for _, e := range evs {
 		h.push(e)
 	}
@@ -168,7 +169,7 @@ func TestHeapOrdering(t *testing.T) {
 // events due at the same virtual instant drain in session-id order, so a
 // batch's decision order never depends on insertion history.
 func TestHeapSimultaneousWakeupsPopInIDOrder(t *testing.T) {
-	h := newEventHeap(8)
+	h := newEventHeap(0, 8)
 	for _, id := range []int32{5, 1, 7, 0, 3, 6, 2, 4} {
 		h.push(event{wakeSec: 12.5, id: id})
 	}
@@ -383,10 +384,12 @@ func TestFleetZeroAllocPerEvent(t *testing.T) {
 // Each runBatch drains one epoch, [kΔ, (k+1)Δ) with Δ the catalog's
 // shortest chunk duration: the queue's floor is the epoch's start, every
 // step's wakeup lies in the epoch, and no epoch is drained twice. Inside
-// a batch the steps are rounds of ascending id: round r holds exactly the
-// sessions stepped at least r times in the epoch. Events still close at
-// ExpectedEvents, and the watchdog's progress counter trails the shard's
-// events by fewer than progressEvents inside a batch as well as between.
+// a batch each session due in the epoch is visited once: takeDue hands out
+// exactly the sessions queued at the epoch's start, once each and in
+// ascending id, in one round, and a session's steps in the epoch are
+// consecutive. Events still close at ExpectedEvents, and the watchdog's
+// progress counter trails the shard's events by fewer than progressEvents
+// inside a batch as well as between.
 func TestFleetEpochSchedule(t *testing.T) {
 	videos := []*video.Video{video.ByID("ED-youtube-h264"), video.ByID("BBB-youtube-h264")}
 	epochSec := math.Inf(1)
@@ -422,9 +425,25 @@ func TestFleetEpochSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := &e.shards[0]
-	times := make([]int, sessions) // steps per session in the batch
-	lastEpoch, batches := math.Inf(-1), 0
+	lastEpoch, batches, visits := math.Inf(-1), 0, 0
+	var due, visited []int32
 	for ; sh.heap.len() > 0; batches++ {
+		// The epoch's sessions as queued: bucket 0 once the queue has
+		// settled, as drainInstant's first step would.
+		if sh.heap.occupied&1 == 0 {
+			sh.heap.settle()
+		}
+		due = due[:0]
+		c := &sh.heap.buckets[0]
+		for b := c.head; ; b = sh.heap.next[b] {
+			for _, ev := range sh.heap.filled(c, b) {
+				due = append(due, ev.id)
+			}
+			if b == c.tail {
+				break
+			}
+		}
+		slices.Sort(due)
 		steps = steps[:0]
 		sh.runBatch()
 		if len(steps) == 0 {
@@ -439,32 +458,31 @@ func TestFleetEpochSchedule(t *testing.T) {
 			t.Fatalf("batch %d drains epoch %v after epoch %v", batches, epoch, lastEpoch)
 		}
 		lastEpoch = epoch
-		rounds := 0
-		for _, st := range steps {
+		visited = visited[:0]
+		for i, st := range steps {
 			if st.floorSec != startSec || st.wakeSec < startSec || st.wakeSec >= startSec+epochSec {
 				t.Fatalf("batch %d: session %d stepped at %v s with the floor at %v s, outside the epoch [%v, %v)",
 					batches, st.id, st.wakeSec, st.floorSec, startSec, startSec+epochSec)
 			}
-			times[st.id]++
-			rounds = max(rounds, times[st.id])
-		}
-		// Round r is every session stepped at least r times, in ascending
-		// id; a round may not end early or run on into the next.
-		pos := 0
-		for r := 1; r <= rounds; r++ {
-			for id := range times {
-				if times[id] < r {
-					continue
-				}
-				if pos == len(steps) || steps[pos].id != int32(id) {
-					t.Fatalf("batch %d round %d: step %d is not session %d", batches, r, pos, id)
-				}
-				pos++
+			if i > 0 && st.id == steps[i-1].id {
+				continue
 			}
+			// A new visit: its session must come after every session
+			// visited before it in the batch, so a session's steps are
+			// consecutive and the visits ascend.
+			if n := len(visited); n > 0 && st.id <= visited[n-1] {
+				t.Fatalf("batch %d: step %d visits session %d after session %d", batches, i, st.id, visited[n-1])
+			}
+			visited = append(visited, st.id)
 		}
-		for _, st := range steps {
-			times[st.id] = 0
+		if !slices.Equal(visited, due) {
+			t.Fatalf("batch %d visited %d sessions, %d were queued for the epoch", batches, len(visited), len(due))
 		}
+		if !slices.Equal(sh.batch, due) {
+			t.Fatalf("batch %d: takeDue's last round handed out %d sessions, %d were queued for the epoch",
+				batches, len(sh.batch), len(due))
+		}
+		visits += len(visited)
 	}
 	res, err := e.Run()
 	if err != nil {
@@ -477,7 +495,8 @@ func TestFleetEpochSchedule(t *testing.T) {
 	if maxLag >= progressEvents {
 		t.Errorf("the watchdog's progress trailed the shard by up to %d events, want fewer than %d", maxLag, progressEvents)
 	}
-	t.Logf("%d events in %d epochs of %v s", res.Events, batches, epochSec)
+	t.Logf("%d events in %d visits (%.2f steps a visit) over %d epochs of %v s",
+		res.Events, visits, float64(res.Events)/float64(visits), batches, epochSec)
 }
 
 // maxSessionBytes is the fleet's per-session slot budget: the step core
@@ -486,9 +505,10 @@ func TestFleetEpochSchedule(t *testing.T) {
 const maxSessionBytes = 416
 
 // TestFleetSessionFootprint pins the per-session memory of the fleet path.
-// The slot stays within maxSessionBytes, and a session's first event
-// allocates nothing beyond its scheme factory: no predictor object, no
-// cold block and no formatted video label.
+// The slot stays within maxSessionBytes, and a session's first visit (its
+// first event and the steps after it in the same epoch) allocates nothing
+// beyond its scheme factory: no predictor object, no cold block and no
+// formatted video label.
 func TestFleetSessionFootprint(t *testing.T) {
 	if size := reflect.TypeFor[session]().Size(); size > maxSessionBytes {
 		t.Errorf("fleet session slot is %d B, budget %d B", size, maxSessionBytes)
@@ -497,10 +517,11 @@ func TestFleetSessionFootprint(t *testing.T) {
 	v := shortVideo()
 	sc := fixedScheme(2)
 	const runs = 50
-	// Each call steps the first event of the next unstarted session, as a
-	// drain's first round does. The queue is not consulted: a session's
-	// second wakeup can fall in the first epoch, ahead of other sessions'
-	// first events. AllocsPerRun makes one extra warm-up call, hence runs+1
+	// Each call makes the first visit of the next unstarted session, as a
+	// drain's first epoch does: its first event and every step after it
+	// whose wakeup stays in epoch 0, then the push of its next epoch. The
+	// queue is not drained, so that push only joins the session's pending
+	// arrival. AllocsPerRun makes one extra warm-up call, hence runs+1
 	// sessions.
 	e, err := New(Config{
 		Videos: []*video.Video{v}, Traces: []*trace.Trace{trace.GenLTE(0)},
@@ -511,16 +532,16 @@ func TestFleetSessionFootprint(t *testing.T) {
 	}
 	sh := &e.shards[0]
 	var next int32
-	firstEvent := testing.AllocsPerRun(runs, func() {
+	firstVisit := testing.AllocsPerRun(runs, func() {
 		sh.stepSession(next)
 		next++
 	})
 	if next != runs+1 || !e.sessions[runs].started {
-		t.Fatalf("stepped %d first events, want %d", next, runs+1)
+		t.Fatalf("made %d first visits, want %d", next, runs+1)
 	}
 	factory := testing.AllocsPerRun(runs, func() { _ = sc.New(v) })
-	if extra := firstEvent - factory; extra != 0 {
-		t.Errorf("a session's first event allocates %v times beyond its scheme factory's %v, want 0", extra, factory)
+	if extra := firstVisit - factory; extra != 0 {
+		t.Errorf("a session's first visit allocates %v times beyond its scheme factory's %v, want 0", extra, factory)
 	}
 }
 
@@ -624,7 +645,7 @@ func TestFleetSoloReference(t *testing.T) {
 // queued. The old engine returned after the first round, so a same-instant
 // re-wake leaked into a separate batch.
 func TestDrainInstantSameInstantRewake(t *testing.T) {
-	h := newEventHeap(8)
+	h := newEventHeap(0, 8)
 	for _, id := range []int32{2, 0, 1} {
 		h.push(event{wakeSec: 5, id: id})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // event is one scheduled wakeup: session id is due for service at wakeSec
@@ -47,6 +46,11 @@ func keyOf(wakeSec float64) uint64 { return math.Float64bits(wakeSec) &^ (1 << 6
 // the queue's storage is its capacity × 16 B plus a constant, however the
 // events spread over buckets, and a steady-state push or settle allocates
 // nothing.
+//
+// The queue serves one contiguous session-id range [lo, lo+capacity), and
+// due holds one bit per id of it: takeDue orders bucket 0 by setting its
+// ids' bits and reading them back in ascending order, so every bit is
+// clear between calls.
 type eventHeap struct {
 	floor    uint64 // key of the instant being drained
 	n        int
@@ -55,6 +59,8 @@ type eventHeap struct {
 	pool     []block
 	next     []int32 // next[b]: the block after b in its chain or the free list
 	free     int32   // head of the free-block list
+	lo       int32   // the range's first session id
+	due      []uint64
 }
 
 type block [blockEvents]event
@@ -68,17 +74,22 @@ type chain struct {
 	tailLen    int32 // events in the tail block
 }
 
-// newEventHeap preallocates a queue for capacity pending events. Each
-// non-empty bucket holds at most one partly filled block, and settle
-// frees a source block only once its events have moved, so
-// ceil(capacity/blockEvents) + numBuckets blocks always suffice; the pool
-// grows past that only if more than capacity events are pending.
-func newEventHeap(capacity int) *eventHeap {
+// newEventHeap preallocates a queue for the session ids [lo, hi), one
+// pending event each. Each non-empty bucket holds at most one partly
+// filled block, and settle frees a source block only once its events have
+// moved, so ceil(capacity/blockEvents) + numBuckets blocks always suffice;
+// the pool grows past that only if more than capacity events are pending.
+// The due bitmap is sized here too, one bit per id, so takeDue never grows
+// it.
+func newEventHeap(lo, hi int32) *eventHeap {
+	capacity := int(hi - lo)
 	blocks := (capacity+blockEvents-1)/blockEvents + numBuckets
 	return &eventHeap{
 		pool: make([]block, 0, blocks),
 		next: make([]int32, 0, blocks),
 		free: noBlock,
+		lo:   lo,
+		due:  make([]uint64, (capacity+63)/64),
 	}
 }
 
@@ -178,9 +189,9 @@ func (h *eventHeap) settle() {
 // drainInstant pops and processes every event due at the earliest pending
 // instant before returning, so virtual time never advances past work still
 // scheduled at the current instant. Processing proceeds in rounds: one
-// round takes the instant's currently queued events — bucket 0, sorted
-// into ascending session id, the deterministic tie-break — and steps each;
-// a session that step re-pushes at the same instant (a zero-duration
+// round takes the instant's currently queued events — bucket 0, in
+// ascending session id, the deterministic tie-break — and steps each; a
+// session that step re-pushes at the same instant (a zero-duration
 // wakeup) lands in bucket 0 again and so in the *next round of the same
 // call*, never in a later instant. The round structure is the contract: a
 // session stepped twice in one instant necessarily interleaves ids across
@@ -193,9 +204,9 @@ func (h *eventHeap) settle() {
 // the drain allocates nothing. Callers check that the queue is not empty.
 //
 // The engine pushes only epoch starts (shard.schedule), so to the queue an
-// instant is a whole epoch: one call drains every step due in it, and a
-// session that wakes again inside the epoch is re-pushed at the floor and
-// stepped in a later round of the same call.
+// instant is a whole epoch, and a visit keeps stepping its session until
+// the wakeup leaves the epoch (shard.advanceSession): the engine never
+// pushes at the floor, so one call is one round.
 func drainInstant(h *eventHeap, batch []int32, step func(id int32)) []int32 {
 	if h.occupied&1 == 0 {
 		h.settle()
@@ -210,27 +221,54 @@ func drainInstant(h *eventHeap, batch []int32, step func(id int32)) []int32 {
 }
 
 // takeDue empties bucket 0 into batch, overwriting it, in ascending
-// session id, and returns the bucket's chain to the free list.
+// session id, and returns the bucket's chain to the free list. It orders
+// the ids without comparing them: it sets each id's bit in the due bitmap,
+// then reads the words back from the lowest id's to the highest id's,
+// clearing them as it goes. Two events for one id in bucket 0 would set
+// one bit and be stepped once, so that panics.
 func (h *eventHeap) takeDue(batch []int32) []int32 {
 	batch = batch[:0]
 	c := &h.buckets[0]
 	h.occupied &^= 1
+	first, last := uint(len(h.due)), uint(0)
 	for b := c.head; ; b = h.next[b] {
 		for _, e := range h.filled(c, b) {
-			//lint:allow hotalloc shard.init preallocates batch to the shard's size, and bucket 0 never holds more than the shard's sessions, one pending event each
-			batch = append(batch, e.id)
+			i := uint(e.id - h.lo)
+			w, bit := i/64, uint64(1)<<(i%64)
+			if h.due[w]&bit != 0 {
+				h.duplicate(e)
+			}
+			h.due[w] |= bit
+			first, last = min(first, w), max(last, w)
 		}
 		if b == c.tail {
 			break
 		}
 	}
 	h.next[c.tail], h.free = h.free, c.head
+	for w := first; w <= last; w++ {
+		word := h.due[w]
+		h.due[w] = 0
+		base := h.lo + int32(w*64)
+		for ; word != 0; word &= word - 1 {
+			//lint:allow hotalloc shard.init preallocates batch to the shard's size, and bucket 0 never holds more than the shard's sessions, one pending event each
+			batch = append(batch, base+int32(bits.TrailingZeros64(word)))
+		}
+	}
 	h.n -= len(batch)
-	slices.Sort(batch)
 	return batch
 }
 
-// reset empties the queue and rewinds its floor to 0, keeping its storage.
+// duplicate panics on a second event for one session in bucket 0.
+func (h *eventHeap) duplicate(e event) {
+	//lint:allow nopanic two pending events for one session are an engine bug that the due bitmap would silently merge into one step
+	panic(fmt.Sprintf("fleet: session %d has two events due at %v s; a session is pending at most once",
+		e.id, math.Float64frombits(h.floor)))
+}
+
+// reset empties the queue and rewinds its floor to 0, keeping its storage
+// and id range.
 func (h *eventHeap) reset() {
-	*h = eventHeap{pool: h.pool[:0], next: h.next[:0], free: noBlock}
+	clear(h.due)
+	*h = eventHeap{pool: h.pool[:0], next: h.next[:0], free: noBlock, lo: h.lo, due: h.due}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -29,7 +30,7 @@ const heapHoldEvents = 50_000
 // 50k-event queue.
 func BenchmarkEventHeapHold(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	h := newEventHeap(heapHoldEvents)
+	h := newEventHeap(0, heapHoldEvents)
 	for id := int32(0); id < heapHoldEvents; id++ {
 		h.push(event{wakeSec: 4 * rng.Float64(), id: id})
 	}
@@ -265,7 +266,7 @@ func TestEventQueueModel(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			m := &queueModel{
 				t: t, rng: rand.New(rand.NewSource(int64(i + 1))),
-				h:       newEventHeap(sc.ids),
+				h:       newEventHeap(0, int32(sc.ids)),
 				pending: make([]bool, sc.ids),
 				budget:  make([]int, sc.ids),
 				wake:    sc.wake,
@@ -317,7 +318,7 @@ func TestEventQueueModel(t *testing.T) {
 // panics and leaves the queue as it was, never reordering it silently;
 // after a reset, -0 keys as 0. Inside an engine step the panic quarantines the session.
 func TestEventQueueRejectsEarlyPush(t *testing.T) {
-	h := newEventHeap(4)
+	h := newEventHeap(0, 4)
 	h.push(event{wakeSec: 2, id: 0})
 	h.push(event{wakeSec: 3, id: 1})
 	if got := h.pop(); got.id != 0 {
@@ -390,6 +391,78 @@ func TestEventQueueRejectsEarlyPush(t *testing.T) {
 	}
 }
 
+// TestTakeDueOrder pins takeDue's bitmap order against slices.Sort: on a
+// shard whose id range starts past 0 and ends mid-word, every set of ids
+// queued at one instant (the range's first id, its last, both, the full
+// range and random subsets, pushed in random order) comes back once each
+// in ascending id, the bitmap is clear after every call, and later events
+// stay queued. Two events for one id at one instant panic instead of
+// merging into one step.
+func TestTakeDueOrder(t *testing.T) {
+	const lo, hi = 1000, 1000 + 300
+	rng := rand.New(rand.NewSource(9))
+	full := make([]int32, 0, hi-lo)
+	for id := int32(lo); id < hi; id++ {
+		full = append(full, id)
+	}
+	sets := [][]int32{{lo}, {hi - 1}, {hi - 1, lo}, full}
+	for k := 0; k < 200; k++ {
+		n := 1 + rng.Intn(hi-lo)
+		set := make([]int32, 0, n)
+		for _, i := range rng.Perm(hi - lo)[:n] {
+			set = append(set, lo+int32(i))
+		}
+		sets = append(sets, set)
+	}
+	h := newEventHeap(lo, hi)
+	batch := make([]int32, 0, hi-lo)
+	for r, set := range sets {
+		set = slices.Clone(set)
+		rng.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
+		nowSec := float64(r)
+		for _, id := range set {
+			h.push(event{wakeSec: nowSec, id: id})
+		}
+		// A later event of an id not in the set must stay queued.
+		later := int32(-1)
+		if len(set) < hi-lo {
+			for later = lo; slices.Contains(set, later); later++ {
+			}
+			h.push(event{wakeSec: nowSec + 0.5, id: later})
+		}
+		batch = drainInstant(h, batch, func(int32) {})
+		want := slices.Clone(set)
+		slices.Sort(want)
+		if !slices.Equal(batch, want) {
+			t.Fatalf("set %d of %d ids: takeDue handed out %v, want %v", r, len(set), batch, want)
+		}
+		for w, word := range h.due {
+			if word != 0 {
+				t.Fatalf("set %d: bitmap word %d is %#x after takeDue, want 0", r, w, word)
+			}
+		}
+		if later >= 0 {
+			if got := h.pop(); got != (event{wakeSec: nowSec + 0.5, id: later}) {
+				t.Fatalf("set %d: later event popped as %+v", r, got)
+			}
+		}
+		if h.len() != 0 {
+			t.Fatalf("set %d: %d events left, want 0", r, h.len())
+		}
+	}
+
+	h = newEventHeap(lo, hi)
+	for _, id := range []int32{lo + 3, lo + 70, lo + 3} {
+		h.push(event{wakeSec: 5, id: id})
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "two events due") {
+			t.Errorf("two pending events for session %d: recovered %v, want a panic naming them", lo+3, r)
+		}
+	}()
+	drainInstant(h, batch, func(int32) {})
+}
+
 // queueSlackBytes is the queue's storage beyond 16 B per event: a partly
 // filled block per bucket and the chain table.
 const queueSlackBytes = 80 << 10
@@ -408,7 +481,7 @@ func TestEventQueueStorage(t *testing.T) {
 		h.push(event{wakeSec: nowSec + 2 + 2*rng.Float64(), id: id})
 	}
 	before := liveHeapBytes()
-	h = newEventHeap(heapHoldEvents)
+	h = newEventHeap(0, heapHoldEvents)
 	for id := int32(0); id < heapHoldEvents; id++ {
 		h.push(event{wakeSec: 0, id: id})
 	}

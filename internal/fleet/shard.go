@@ -32,6 +32,9 @@ type shard struct {
 	// stepID is the session currently being stepped, read by recoverStep
 	// when a panic unwinds the step mid-session.
 	stepID int32
+	// stopping is set when advanceSession finds the engine's abort flag
+	// at a progress store; the shard then skips the rest of its epoch.
+	stopping bool
 
 	events     int64
 	publishAt  int64 // events at which advanceSession next stores progress
@@ -48,16 +51,19 @@ type shard struct {
 	// progress publishes events for the RunContext watchdog, which samples
 	// it from the supervisor goroutine. advanceSession stores it once per
 	// progressEvents events, inside a batch: one epoch of a large shard
-	// runs for seconds. The padding gives it a cache line of its own:
-	// shards sit side by side in one slice, and the store must not evict
-	// the next shard's hot fields.
+	// runs for seconds. It loads the abort flag there too, so an interrupt
+	// or a watchdog stop waits at most that many events, not the epoch.
+	// The padding gives it a cache line of its own: shards sit side by
+	// side in one slice, and the store must not evict the next shard's hot
+	// fields.
 	_        [64]byte
 	progress atomic.Int64
 	_        [56]byte
 }
 
 // progressEvents is how many events a shard processes between progress
-// stores, so the watchdog's view lags by fewer than this many events.
+// stores and abort checks, so the watchdog's view lags by fewer than this
+// many events, and a stopped shard steps fewer than this many more.
 const progressEvents = 64
 
 // init primes the shard for the session-id range [lo, hi): the event queue
@@ -67,7 +73,7 @@ const progressEvents = 64
 func (sh *shard) init(e *Engine, lo, hi int32) {
 	size := int(hi - lo)
 	sh.e = e
-	sh.heap = newEventHeap(size)
+	sh.heap = newEventHeap(lo, hi)
 	sh.batch = make([]int32, 0, size)
 	sh.stepFn = sh.stepSession
 	for id := lo; id < hi; id++ {
@@ -75,22 +81,30 @@ func (sh *shard) init(e *Engine, lo, hi int32) {
 	}
 }
 
+// epochStart is the start of the epoch a wakeup falls in, ⌊wakeSec/Δ⌋·Δ
+// with Δ = Engine.epochSec. It is the one place that knows the epoch:
+// shard.schedule queues every push at it, and advanceSession keeps a
+// session while its next wakeup's epoch is the one being drained.
+func (e *Engine) epochStart(wakeSec float64) float64 {
+	return math.Floor(wakeSec/e.epochSec) * e.epochSec
+}
+
 // schedule queues session id's next step at the start of the epoch its
-// wakeup falls in, ⌊wakeSec/Δ⌋·Δ with Δ = Engine.epochSec. The queue then
-// holds a whole epoch in its bucket 0, and drainInstant steps it in rounds
-// of ascending id, so a shard sweeps its session slab and the algorithm
-// objects in address order. Only steps of different sessions due less than
-// one epoch apart can swap: a session's own steps keep their order, since
-// its wakeups never decrease, and no session reads another's state, so
-// every Result is bit-identical to stepping each instant alone.
+// wakeup falls in. The queue then holds a whole epoch in its bucket 0, and
+// drainInstant hands it out in ascending id, so a shard sweeps its session
+// slab and the algorithm objects in address order. Only steps of
+// different sessions due less than one epoch apart can swap: a session's
+// own steps keep their order, since its wakeups never decrease, and no
+// session reads another's state, so every Result is bit-identical to
+// stepping each instant alone.
 func (sh *shard) schedule(id int32, wakeSec float64) {
-	epochSec := sh.e.epochSec
-	sh.heap.push(event{wakeSec: math.Floor(wakeSec/epochSec) * epochSec, id: id})
+	sh.heap.push(event{wakeSec: sh.e.epochStart(wakeSec), id: id})
 }
 
 // drain runs the shard to completion, one epoch at a time. It checks the
-// engine's abort flag between epochs, returning early when RunContext
-// stops the run, and publishes that it finished for the watchdog.
+// engine's abort flag between epochs, and advanceSession checks it inside
+// one, returning early when RunContext stops the run; it publishes that
+// it finished for the watchdog.
 func (sh *shard) drain() {
 	for sh.heap.len() > 0 {
 		if sh.e.abort.Load() {
@@ -101,28 +115,36 @@ func (sh *shard) drain() {
 	sh.progress.Store(shardFinished)
 }
 
-// runBatch fully drains the earliest pending epoch: every event due in it
-// is processed before the shard moves on, in rounds of ascending session
-// id (see drainInstant). The first round steps every session queued for
-// the epoch; a session whose step wakes it again inside the epoch is
-// stepped in the next round, and so on until none is due before the next
-// epoch.
+// runBatch fully drains the earliest pending epoch in one round of
+// ascending session id (see drainInstant): each session queued for the
+// epoch is visited once, and the visit steps it until its next wakeup
+// leaves the epoch.
 func (sh *shard) runBatch() {
 	sh.batch = drainInstant(sh.heap, sh.batch, sh.stepFn)
 }
 
-// stepSession advances one session by one chunk event. It is the panic
-// isolation boundary: a panic anywhere inside the step is recovered by the
-// deferred recoverStep, which quarantines the offending session so the
-// shard's drain loop — and the rest of the fleet — keeps running.
+// stepSession visits one session for the epoch being drained. It is the
+// panic isolation boundary: a panic in any of the visit's steps is
+// recovered by the deferred recoverStep, which quarantines the offending
+// session at that step's chunk, so the shard's drain loop — and the rest
+// of the fleet — keeps running. Once the shard is stopping, it skips the
+// visit: the session stays unfinished.
 func (sh *shard) stepSession(id int32) {
+	if sh.stopping {
+		return
+	}
 	sh.stepID = id
 	defer sh.recoverStep()
 	sh.advanceSession(id)
 }
 
-// advanceSession performs the actual chunk step and reschedules or
-// finalizes the session.
+// advanceSession steps session id one chunk event at a time while its next
+// wakeup stays in the epoch being drained, then reschedules or finalizes
+// it, so a session takes one visit per epoch and finds its slot and
+// algorithm warm for every step after the first. A wakeup outside the
+// epoch goes through schedule, so an early or NaN one is refused there as
+// it always was. The crash hook, the progress store and the abort check
+// stay per step.
 func (sh *shard) advanceSession(id int32) {
 	e := sh.e
 	s := &e.sessions[id]
@@ -133,23 +155,32 @@ func (sh *shard) advanceSession(id int32) {
 		// released while later arrivals are still warming up.
 		e.startSession(s)
 	}
-	if hook := e.cfg.CrashHook; hook != nil {
-		hook(id, s.step.Chunk)
+	for {
+		if hook := e.cfg.CrashHook; hook != nil {
+			hook(id, s.step.Chunk)
+		}
+		prevLevel := s.step.PrevLevel
+		wakeSec := s.arrivalSec + s.step.Advance(s.tr, s.offsetSec)
+		sh.events++
+		if sh.events >= sh.publishAt {
+			sh.progress.Store(sh.events)
+			sh.publishAt = sh.events + progressEvents
+			sh.stopping = e.abort.Load()
+		}
+		e.mEvents.Inc()
+		observeChunk(s, e.qts[s.video], prevLevel)
+		if s.step.Done() {
+			sh.finishSession(id, s)
+			return
+		}
+		if keyOf(e.epochStart(wakeSec)) != sh.heap.floor {
+			sh.schedule(id, wakeSec)
+			return
+		}
+		if sh.stopping {
+			return // unfinished: a checkpoint writes it as pending
+		}
 	}
-	prevLevel := s.step.PrevLevel
-	wakeSec := s.step.Advance(s.tr, s.offsetSec)
-	sh.events++
-	if sh.events >= sh.publishAt {
-		sh.progress.Store(sh.events)
-		sh.publishAt = sh.events + progressEvents
-	}
-	e.mEvents.Inc()
-	observeChunk(s, e.qts[s.video], prevLevel)
-	if s.step.Done() {
-		sh.finishSession(id, s)
-		return
-	}
-	sh.schedule(id, s.arrivalSec+wakeSec)
 }
 
 // startSession builds session s's algorithm and initializes its step core

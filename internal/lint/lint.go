@@ -127,6 +127,7 @@ func DefaultConfig() Config {
 			"internal/fleet:newBlock", "internal/fleet:filled",
 			"internal/fleet:settle", "internal/fleet:takeDue",
 			"internal/fleet:keyOf", "internal/fleet:schedule",
+			"internal/fleet:epochStart",
 			"internal/bandwidth:ObserveDownload", "internal/bandwidth:Predict",
 			"internal/bandwidth:Reset",
 			"internal/trace:DownloadTime",

@@ -3,8 +3,9 @@
 # race-enabled tests, the benchmark module, the telemetry benchmark smoke
 # (which also runs the allocation guards: the AllocsPerRun assertions in
 # internal/telemetry, internal/player and internal/fleet and the edge's
-# miss-path gate, outside the race build), the short sweep and fleet gates
-# and the soaks. This is the one gate list; `make check` runs it whole.
+# miss-path gate, outside the race build), a fixed-budget fuzz of every
+# fuzz target, the short sweep and fleet gates and the soaks. This is the
+# one gate list; `make check` runs it whole.
 #
 #   sh scripts/check.sh                 every step below, in order
 #   sh scripts/check.sh STEP [ARGS...]  one step; ARGS go to its go test
@@ -13,7 +14,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-steps="lint build cli race bench-module race-hot bench-telemetry bench-sweep-short bench-fleet-short soak-fleet soak soak-edge"
+steps="lint build cli race bench-module race-hot fuzz bench-telemetry bench-sweep-short bench-fleet-short soak-fleet soak soak-edge"
 
 step() {
 	name=$1
@@ -139,6 +140,17 @@ step() {
 		# shard pass (TestFleetShardEquivalence runs 2/7/GOMAXPROCS-shard
 		# fleets) are where a data race would land.
 		go test -race -count=2 "$@" ./internal/sim ./internal/cache ./internal/telemetry ./internal/fleet
+		;;
+	fuzz)
+		# Each fuzz target for 10 s beyond its committed seeds (the plain
+		# test runs replay those). An input that fails is new: go test
+		# writes it under the target's testdata/fuzz and the step fails.
+		# That input is committed there together with its fix, so every
+		# test run replays it from then on.
+		for target in trace:FuzzReadMahimahi dash:FuzzDecodeManifest \
+			trace:FuzzDownloadTime fleet:FuzzResume; do
+			go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s "$@" "./internal/${target%%:*}"
+		done
 		;;
 	bench-telemetry)
 		# Telemetry smoke: the instrumentation benchmarks plus the
